@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -68,9 +69,11 @@ class SimConfig:
 
     ``code`` is a built-in name or a path to a code description file.
     ``delays`` fixes the per-relay arrival offsets; None draws them uniformly
-    on [0, cp_len - 1] per unit. ``relay_fraction`` defaults to 1/R for the
-    chosen code. ``diff_chain`` is the number of frames sharing one channel
-    draw in differential mode (reference frame included).
+    on [0, cp_len - 1] per unit; fixed delays past ``cp_len`` are simulated
+    but warned about, as they break the per-subcarrier model.
+    ``relay_fraction`` defaults to 1/R for the chosen code. ``diff_chain`` is
+    the number of frames sharing one channel draw in differential mode
+    (reference frame included).
     """
 
     mode: str = "coherent"
@@ -201,6 +204,13 @@ def _validate(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule]:
             raise ConfigError(f"fixed delays need {code.num_relays} entries, got {len(d)}")
         if d[0] != 0 or any(b < a for a, b in zip(d, d[1:])) or any(v < 0 for v in d):
             raise ConfigError("fixed delays must be non-negative, non-decreasing and start at 0")
+        if d[-1] > cfg.cp_len:
+            warnings.warn(
+                f"fixed delays {d} exceed the {cfg.cp_len}-sample cyclic prefix: the per-subcarrier "
+                "model does not hold and the results are out of contract",
+                UserWarning,
+                stacklevel=3,
+            )
 
     if cfg.mode == "differential":
         codebook = build_codebook_4relay()
@@ -222,7 +232,13 @@ def _power_config(cfg: SimConfig, code: CodeDefinition, p_db: float) -> PowerCon
 
 
 class _CoherentEngine:
-    """Per-point simulation state for coherent frames, vectorised over subcarriers."""
+    """Per-point simulation state for coherent frames, vectorised over subcarriers.
+
+    The group-orthogonality check and the grouped search are real linear
+    forms in per-subcarrier products h_r * conj(h_s) (and conj(y_t) * h_r)
+    whose coefficients depend on the unit only through the whitening weights
+    w_t^2 = 1 / var_t; ``__init__`` tabulates them per slot t.
+    """
 
     def __init__(self, cfg: SimConfig, code: CodeDefinition, schedule: RelaySchedule, p_db: float):
         self.cfg = cfg
@@ -230,23 +246,74 @@ class _CoherentEngine:
         self.schedule = schedule
         self.link = LinkConfig(cfg.n_fft, cfg.cp_len, _power_config(cfg, code, p_db))
         self.group_sizes = [t.shape[0] for t in code.alphabet]
-        partials = _decoder.group_candidates(code)
-        self.group_fields = [_decoder.candidate_fields(code, p) for p in partials]
-        self.partials = partials
-        plain = [i for i in range(code.num_relays) if i not in code.conjugated_columns]
-        conj = sorted(code.conjugated_columns)
-        self.plain_cols = np.array(plain, dtype=int)
-        self.conj_cols = np.array(conj, dtype=int)
-        self.a_plain = np.stack([code.relay_matrices[i] for i in plain]) if plain else None
-        self.a_conj = np.stack([code.relay_matrices[i] for i in conj]) if conj else None
-        group_of = np.empty(2 * code.symbol_count, dtype=int)
-        for g, coords in enumerate(code.group_partition):
-            group_of[list(coords)] = g
-        self.cross_mask = group_of[:, None] != group_of[None, :]
+        self.group_bounds = np.cumsum([0] + self.group_sizes)
+        self.gap_terms = self._gap_terms(code)
+        self.metric_terms = self._metric_terms(code, self.link.power.cascade_gain)
         self.bits_per_unit = sum(
             int(round(math.log2(k))) for k in self.group_sizes
         ) * cfg.n_fft
         self._warned = False
+
+    @staticmethod
+    def _gap_terms(code: CodeDefinition) -> np.ndarray:
+        """Real coefficients of the cross-group Gram entries, (T, 2*R*R * X).
+
+        E[r] is relay r's (2*nu, T) dispersion basis, i.e. the dispersion
+        basis of the channel with h_r = 1 and every other entry 0. The
+        whitened Gram entry (m, n) on subcarrier k is
+        Re sum_{r,s} h_r conj(h_s) sum_t w_t^2 E[r, m, t] conj(E[s, n, t]);
+        only the X cross-group entries with m < n are kept (the Gram matrix
+        is symmetric).
+        """
+        num_relays = code.num_relays
+        disp = np.stack([_decoder.dispersion_basis(code, unit) for unit in np.eye(num_relays)])
+        group_of = np.empty(2 * code.symbol_count, dtype=int)
+        for g, coords in enumerate(code.group_partition):
+            group_of[list(coords)] = g
+        m, n = np.nonzero(np.triu(group_of[:, None] != group_of[None, :]))
+        terms = disp[:, None, m, :] * np.conj(disp[None, :, n, :])  # (R, R, X, T)
+        terms = np.moveaxis(terms, -1, 0).reshape(code.slot_count, num_relays * num_relays, len(m))
+        return np.concatenate((terms.real, -terms.imag), axis=1).reshape(code.slot_count, -1)
+
+    @staticmethod
+    def _metric_terms(code: CodeDefinition, gain: float) -> np.ndarray:
+        """Real coefficients of the grouped-search metric, (T, (2*R*R + 2*T*R) * C).
+
+        For candidate c of a group, with code word F_c (T, R) and every other
+        group at zero, the whitened ML metric minus the candidate-independent
+        ||W y||^2 is
+
+            gain^2 h^H Q_c h - 2 gain Re(y^H W^2 F_c h),
+            Q_c = sum_t w_t^2 F_c[t]^H F_c[t],
+
+        i.e. a real linear form in [Re, Im] of h_r conj(h_s) and of
+        conj(y_t) h_r. The columns hold every group's candidates in turn.
+        """
+        slots, num_relays = code.slot_count, code.num_relays
+        fields = np.concatenate(
+            [_decoder.candidate_fields(code, p) for p in _decoder.group_candidates(code)]
+        )  # (C, T, R)
+        quad = np.conj(fields)[..., :, None] * fields[..., None, :]  # (C, T, R, R)
+        quad = np.moveaxis(quad, 0, -1).reshape(slots, num_relays * num_relays, -1)
+        cross = np.zeros((slots, slots, num_relays, fields.shape[0]), dtype=complex)
+        for t in range(slots):
+            cross[t, t] = fields[:, t, :].T
+        cross = cross.reshape(slots, slots * num_relays, -1)
+        return np.concatenate(
+            (
+                gain**2 * quad.real,
+                gain**2 * quad.imag,
+                -2.0 * gain * cross.real,
+                2.0 * gain * cross.imag,
+            ),
+            axis=1,
+        ).reshape(slots, -1)
+
+    @staticmethod
+    def _pair_products(h_all: np.ndarray) -> np.ndarray:
+        """[Re, Im] of h_r * conj(h_s) per subcarrier, shape (N, 2*R*R)."""
+        pairs = (h_all[:, :, None] * np.conj(h_all)[:, None, :]).reshape(h_all.shape[0], -1)
+        return np.concatenate((pairs.real, pairs.imag), axis=1)
 
     def _draw_frame(self, rng) -> tuple[list[np.ndarray], np.ndarray]:
         n = self.cfg.n_fft
@@ -258,21 +325,10 @@ class _CoherentEngine:
         frame = coords[0::2] + 1j * coords[1::2]
         return tx, frame
 
-    def _gap(self, h_all: np.ndarray, weights: np.ndarray) -> float:
-        nu = self.code.symbol_count
-        n = h_all.shape[0]
-        plain = np.zeros((n, nu, nu), dtype=complex)
-        conj = np.zeros((n, nu, nu), dtype=complex)
-        if self.a_plain is not None:
-            plain = np.einsum("kr,rij->kij", h_all[:, self.plain_cols], self.a_plain)
-        if self.a_conj is not None:
-            conj = np.einsum("kr,rij->kij", h_all[:, self.conj_cols], self.a_conj)
-        basis = np.empty((n, 2 * nu, nu), dtype=complex)
-        basis[:, 0::2, :] = np.transpose(plain + conj, (0, 2, 1))
-        basis[:, 1::2, :] = np.transpose(1j * (plain - conj), (0, 2, 1))
-        basis = basis * weights[None, None, :]
-        gram = np.real(np.einsum("kmt,knt->kmn", basis, basis.conj()))
-        return float(np.max(np.abs(gram[:, self.cross_mask])))
+    def _gap(self, pairs: np.ndarray, w2: np.ndarray) -> float:
+        """Largest cross-group whitened Gram entry over all subcarriers."""
+        gram = pairs @ (w2 @ self.gap_terms).reshape(pairs.shape[1], -1)
+        return float(np.max(np.abs(gram))) if gram.size else 0.0
 
     def simulate(self, rng: np.random.Generator) -> tuple[int, int]:
         cfg = self.cfg
@@ -282,28 +338,26 @@ class _CoherentEngine:
 
         h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft)
         cov = _decoder.noise_covariance(self.schedule, channel, self.link)
-        weights = 1.0 / np.sqrt(np.real(np.diag(cov)))
-        gain = self.link.power.cascade_gain
+        w2 = 1.0 / np.real(np.diag(cov))
+        pairs = self._pair_products(h_all)
 
-        if self._gap(h_all, weights) > 1e-9:
+        if self._gap(pairs, w2) > 1e-9:
             if not self._warned:
-                import warnings
-
                 warnings.warn(
                     f"code {self.code.name!r}: grouped decoding invalid for a drawn channel; "
                     "using exhaustive search",
                     stacklevel=2,
                 )
                 self._warned = True
-            return self._simulate_exhaustive(tx, received, channel, cov, gain)
+            return self._simulate_exhaustive(tx, received, channel, cov, self.link.power.cascade_gain)
 
+        n = cfg.n_fft
+        obs = (np.conj(received.T)[:, :, None] * h_all[:, None, :]).reshape(n, -1)  # conj(y_t) h_r
+        features = np.concatenate((pairs, obs.real, obs.imag), axis=1)
+        metrics = features @ (w2 @ self.metric_terms).reshape(features.shape[1], -1)
         errors = 0
-        y = received.T  # (N, T)
-        for g, fields in enumerate(self.group_fields):
-            predicted = gain * np.einsum("ctr,kr->kct", fields, h_all)
-            residual = (y[:, None, :] - predicted) * weights[None, None, :]
-            metrics = np.einsum("kct,kct->kc", residual, residual.conj()).real
-            decided = np.argmin(metrics, axis=1)
+        for g, (lo, hi) in enumerate(zip(self.group_bounds[:-1], self.group_bounds[1:])):
+            decided = np.argmin(metrics[:, lo:hi], axis=1)
             errors += int(_POPCOUNT[np.bitwise_xor(tx[g], decided)].sum())
         return errors, self.bits_per_unit
 
@@ -351,7 +405,9 @@ class _DifferentialEngine:
 
 @functools.lru_cache(maxsize=8)
 def _engine_for(cfg: SimConfig, p_db: float):
-    code, schedule = _validate(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # run_sweep's own validation warned already
+        code, schedule = _validate(cfg)
     if cfg.mode == "differential":
         return _DifferentialEngine(cfg, code, schedule, p_db)
     return _CoherentEngine(cfg, code, schedule, p_db)

@@ -14,13 +14,13 @@ hold exactly. ``reverse`` is the circular index reversal n -> (N - n) mod N,
 which fixes sample 0 and reverses the rest; it is the N-point body operation
 realised by a relay that time-reverses a cyclic-prefixed symbol.
 
-Block lengths are restricted to powers of two (radix-2 transform). Every
+The transforms are numpy's FFT (``norm="ortho"``). Block lengths must be
+powers of two: that is part of the ``LinkConfig`` contract (``n_fft``), not
+a limit of the algorithm. Every
 function acts along the last axis and broadcasts over any leading axes.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -33,62 +33,23 @@ __all__ = [
     "shift_tail_to_head",
 ]
 
-# (n, sign) -> (bit-reversal index vector, per-stage twiddle factors)
-_PLAN_CACHE: dict[tuple[int, int], tuple[np.ndarray, list[np.ndarray]]] = {}
 
-
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def _plan(n: int, sign: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    key = (n, sign)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        bits = n.bit_length() - 1
-        idx = np.arange(n)
-        rev = np.zeros(n, dtype=np.intp)
-        for b in range(bits):
-            rev |= ((idx >> b) & 1) << (bits - 1 - b)
-        twiddles = []
-        half = 1
-        while half < n:
-            twiddles.append(np.exp(sign * 2j * np.pi * np.arange(half) / (2 * half)))
-            half *= 2
-        plan = (rev, twiddles)
-        _PLAN_CACHE[key] = plan
-    return plan
-
-
-def _transform(block: np.ndarray, sign: int) -> np.ndarray:
-    """Radix-2 decimation-in-time transform along the last axis, unnormalised."""
+def _checked(block: np.ndarray) -> np.ndarray:
     x = np.asarray(block, dtype=np.complex128)
     n = x.shape[-1]
-    if not _is_power_of_two(n):
+    if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"block length {n} is not a power of two")
-    rev, twiddles = _plan(n, sign)
-    y = x[..., rev]
-    half = 1
-    for w in twiddles:
-        y = y.reshape(y.shape[:-1] + (n // (2 * half), 2 * half))
-        even = y[..., :half]
-        odd = y[..., half:] * w
-        y = np.concatenate((even + odd, even - odd), axis=-1)
-        y = y.reshape(y.shape[:-2] + (n,))
-        half *= 2
-    return y
+    return x
 
 
 def dft(block: np.ndarray) -> np.ndarray:
     """Unitary discrete Fourier transform along the last axis."""
-    x = np.asarray(block)
-    return _transform(x, -1) * (1.0 / math.sqrt(x.shape[-1]))
+    return np.fft.fft(_checked(block), norm="ortho")
 
 
 def idft(block: np.ndarray) -> np.ndarray:
     """Unitary inverse discrete Fourier transform along the last axis."""
-    x = np.asarray(block)
-    return _transform(x, +1) * (1.0 / math.sqrt(x.shape[-1]))
+    return np.fft.ifft(_checked(block), norm="ortho")
 
 
 def reverse(block: np.ndarray) -> np.ndarray:

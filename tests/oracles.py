@@ -95,3 +95,18 @@ def slot_noise_variances(code, schedule, channel, cfg) -> np.ndarray:
             if instr is not None:
                 out[slot] += boost * abs(channel.relay_to_dest[relay]) ** 2
     return out
+
+
+def sheared_code():
+    """Feasible two-relay code whose decoding groups are not orthogonal: both
+    columns are plain and share both slots, so grouped search is invalid."""
+    from asyncrelay.codebook import CodeDefinition, qpsk_pairs
+
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    return CodeDefinition(
+        "sheared",
+        (np.eye(2), rot),
+        frozenset(),
+        ((0, 1), (2, 3)),
+        (qpsk_pairs(), qpsk_pairs()),
+    )

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from asyncrelay.codebook import CodeDefinition, builtin_codes, codeword, derive_schedule, named_code, qpsk_pairs
+from asyncrelay.codebook import builtin_codes, codeword, derive_schedule, named_code
 from asyncrelay.decoder import (
     SubcarrierModel,
     build_model,
@@ -25,7 +25,7 @@ from asyncrelay.decoder import (
 )
 from asyncrelay.relaysim import ChannelRealization, LinkConfig, PowerConfig, complex_noise, draw_channel
 
-from oracles import equivalent_channel, slot_noise_variances
+from oracles import equivalent_channel, sheared_code, slot_noise_variances
 
 
 def _model_for(code, rng, n=16, cp=4, power=10.0, subcarrier=3):
@@ -184,14 +184,7 @@ class TestDecoding:
 
     def test_non_orthogonal_grouping_falls_back_with_warning(self):
         # two plain columns sharing slots break the cross-group orthogonality
-        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-        code = CodeDefinition(
-            "sheared",
-            (np.eye(2), rot),
-            frozenset(),
-            ((0, 1), (2, 3)),
-            (qpsk_pairs(), qpsk_pairs()),
-        )
+        code = sheared_code()
         rng = np.random.default_rng(40)
         h = complex_noise(rng, 2)
         model = SubcarrierModel(channel=h, noise_cov=np.eye(2, dtype=complex), gain=1.0)

@@ -1,12 +1,15 @@
 """Sweep harness: reproducibility, stopping rule, CSV contract and CLI."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from asyncrelay.cli import main as cli_main
+from asyncrelay.decoder import SubcarrierModel, decomposition_gap, equivalent_channel_matrix, noise_covariance
 from asyncrelay.harness import (
+    _CoherentEngine,
     CSV_HEADER,
     BerPoint,
     ConfigError,
@@ -20,7 +23,10 @@ from asyncrelay.harness import (
     run_sweep,
     wilson_interval,
 )
-from asyncrelay.codebook import ScheduleError
+from asyncrelay.codebook import ScheduleError, derive_schedule, named_code
+from asyncrelay.relaysim import draw_channel, run_frame
+
+from oracles import sheared_code
 
 FAST = dict(n_fft=8, cp_len=2, frames=20, min_errors=4, seed=13)
 
@@ -100,6 +106,57 @@ class TestConfigValidation:
     def test_differential_mode_needs_a_commuting_codebook(self):
         with pytest.raises(ScheduleError):
             run_sweep(SimConfig(mode="differential", code="alamouti", power_db=(10.0,), **FAST))
+
+
+    def test_fixed_delays_past_the_prefix_warn_and_still_simulate(self):
+        cfg = SimConfig(power_db=(20.0, 30.0), delays=(0, 1, 2, 5), **FAST)
+        with pytest.warns(UserWarning, match="cyclic prefix"):
+            points = run_sweep(cfg)
+        assert [(p.bit_errors, p.bits, p.frames) for p in points] == [(25, 1280, 20), (19, 1280, 20)]
+
+    def test_fixed_delays_up_to_the_prefix_do_not_warn(self):
+        cfg = SimConfig(power_db=(20.0,), delays=(0, 1, 2, FAST["cp_len"]), **FAST)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_sweep(cfg)
+
+
+def _engine(code, n_fft=16, cp_len=4, p_db=12.0):
+    cfg = SimConfig(code=code.name, n_fft=n_fft, cp_len=cp_len)
+    return _CoherentEngine(cfg, code, derive_schedule(code), p_db)
+
+
+class TestCoherentEngine:
+    @pytest.mark.parametrize("name", ["alamouti", "relay4", "relay5", "relay4_diff", "sheared"])
+    def test_gap_equals_largest_per_subcarrier_decomposition_gap(self, name):
+        code = sheared_code() if name == "sheared" else named_code(name)
+        engine = _engine(code)
+        rng = np.random.default_rng(50)
+        for _ in range(20):
+            channel = draw_channel(rng, code.num_relays, engine.link.cp_len)
+            h_all = equivalent_channel_matrix(code, channel, engine.link.n_fft)
+            cov = noise_covariance(engine.schedule, channel, engine.link)
+            w2 = 1.0 / np.real(np.diag(cov))
+            gap = engine._gap(engine._pair_products(h_all), w2)
+            gain = engine.link.power.cascade_gain
+            expected = max(decomposition_gap(code, SubcarrierModel(h, cov, gain)) for h in h_all)
+            assert abs(gap - expected) <= 1e-12
+            assert (gap > 1e-9) == (name == "sheared")
+
+    @pytest.mark.parametrize("name", ["alamouti", "relay4", "relay5"])
+    def test_grouped_search_counts_the_same_errors_as_exhaustive_search(self, name):
+        code = named_code(name)
+        engine = _engine(code, n_fft=8, cp_len=2, p_db=6.0)
+        cfg = engine.cfg
+        for unit in range(4):
+            grouped = engine.simulate(frame_rng(3, 0, unit))
+            rng = frame_rng(3, 0, unit)  # replay the unit's draws
+            channel = draw_channel(rng, code.num_relays, cfg.cp_len, cfg.delays)
+            tx, frame = engine._draw_frame(rng)
+            received = run_frame(frame, engine.schedule, channel, engine.link, cfg.noise, rng)
+            cov = noise_covariance(engine.schedule, channel, engine.link)
+            exhaustive = engine._simulate_exhaustive(tx, received, channel, cov, engine.link.power.cascade_gain)
+            assert grouped == exhaustive
 
 
 class TestReproducibility:
