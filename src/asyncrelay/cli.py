@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .codebook import ScheduleError
 from .harness import (
@@ -39,40 +40,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="FILE", help="key=value file supplying defaults")
     parser.add_argument("--mode", choices=["coherent", "differential"], help="receiver type")
     parser.add_argument("--code", help="built-in code name or path to a code description file")
-    parser.add_argument("--n", type=int, dest="n_fft", help="subcarrier count (power of two)")
-    parser.add_argument("--cp", type=int, dest="cp_len", help="cyclic prefix length in samples")
+    parser.add_argument("--n", dest="n_fft", help="subcarrier count (power of two)")
+    parser.add_argument("--cp", dest="cp_len", help="cyclic prefix length in samples")
     parser.add_argument(
         "--power",
+        dest="power_db",
         help="total power sweep in dB: start:step:stop, comma list, or a single value",
     )
-    parser.add_argument("--frames", type=int, help="minimum Monte Carlo units per point")
-    parser.add_argument("--min-errors", type=int, help="keep simulating until this many bit errors")
-    parser.add_argument("--max-frames", type=int, help="hard cap on units per point")
-    parser.add_argument("--seed", type=int, help="master seed for all random streams")
+    parser.add_argument("--frames", help="minimum Monte Carlo units per point")
+    parser.add_argument("--min-errors", help="keep simulating until this many bit errors")
+    parser.add_argument("--max-frames", help="hard cap on units per point")
+    parser.add_argument("--seed", help="master seed for all random streams")
     parser.add_argument("--out", help="output CSV path (a .gp plot script is written alongside)")
     parser.add_argument(
         "--fixed-delays",
+        dest="delays",
         help="comma list of per-relay arrival offsets; omit to draw them randomly",
     )
     parser.add_argument(
         "--no-noise",
-        action="store_true",
-        default=None,
+        dest="noise",
+        action="store_const",
+        const="off",
         help="disable relay and destination noise (pipeline checks)",
     )
-    parser.add_argument("--workers", type=int, help="worker processes for the simulation")
-    parser.add_argument("--source-fraction", type=float, help="share of total power spent at the source")
+    parser.add_argument("--workers", help="worker processes for the simulation")
+    parser.add_argument("--source-fraction", help="share of total power spent at the source")
     parser.add_argument(
         "--relay-fraction",
-        type=float,
         help="share of total power spent per relay (default: evenly split)",
     )
     parser.add_argument(
         "--rotation-deg",
-        type=float,
         help="constellation rotation in degrees (default: spreads coordinates across pairs)",
     )
-    parser.add_argument("--diff-chain", type=int, help="frames per channel draw in differential mode")
+    parser.add_argument("--diff-chain", help="frames per channel draw in differential mode")
     return parser
 
 
@@ -93,79 +95,58 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
+def _parse_bool(value: str) -> bool:
+    low = value.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(value)
+
+
+def _field_type(hint):
+    """The value type of a SimConfig field: ``X | None`` gives X."""
+    args = [a for a in get_args(hint) if a is not type(None)]
+    return args[0] if len(args) < len(get_args(hint)) else hint
+
+
+_FIELD_TYPES = {name: _field_type(hint) for name, hint in get_type_hints(SimConfig).items()}
+_PARSERS = {
+    int: int,
+    float: float,
+    bool: _parse_bool,
+    str: str,
+    tuple[float, ...]: parse_power_spec,
+    tuple[int, ...]: parse_delay_spec,
+}
+_EXPECTED = {int: "an integer", float: "a number", bool: "a boolean"}
+_ALIASES = {"n": "n_fft", "cp": "cp_len", "power": "power_db", "fixed_delays": "delays"}
 
 
 def _coerce(key: str, value: str):
-    if key in ("n_fft", "cp_len", "frames", "min_errors", "max_frames", "seed", "workers", "diff_chain"):
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r} needs an integer, got {value!r}") from exc
-    if key in ("source_fraction", "relay_fraction", "rotation_deg"):
-        try:
-            return float(value)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r} needs a number, got {value!r}") from exc
-    if key == "noise":
-        low = value.lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise ConfigError(f"config key 'noise' needs a boolean, got {value!r}")
-    if key == "power_db":
-        return parse_power_spec(value)
-    if key == "delays":
-        return parse_delay_spec(value)
-    if key in ("mode", "code", "out"):
-        return value
-    raise ConfigError(f"unknown config key {key!r}")
+    """Parse a config file value or a flag's text into the type of SimConfig field ``key``."""
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key {key!r}")
+    kind = _FIELD_TYPES[key]
+    try:
+        return _PARSERS[kind](value)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{key} needs {_EXPECTED[kind]}, got {value!r}") from exc
 
 
 def config_from_args(args: argparse.Namespace) -> SimConfig:
     """Merge config file values and command line flags into a SimConfig."""
     cfg = SimConfig()
     if args.config:
-        file_values = _read_config_file(args.config)
-        aliases = {"n": "n_fft", "cp": "cp_len", "power": "power_db", "fixed_delays": "delays"}
-        known = {f.name for f in fields(SimConfig)}
         updates = {}
-        for key, value in file_values.items():
-            key = aliases.get(key, key)
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
+        for key, value in _read_config_file(args.config).items():
+            key = _ALIASES.get(key, key)
             updates[key] = _coerce(key, value)
         cfg = replace(cfg, **updates)
-
-    overrides = {}
-    for name in (
-        "mode",
-        "code",
-        "n_fft",
-        "cp_len",
-        "frames",
-        "min_errors",
-        "max_frames",
-        "seed",
-        "out",
-        "workers",
-        "source_fraction",
-        "relay_fraction",
-        "rotation_deg",
-        "diff_chain",
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.power is not None:
-        overrides["power_db"] = parse_power_spec(args.power)
-    if args.fixed_delays is not None:
-        overrides["delays"] = parse_delay_spec(args.fixed_delays)
-    if args.no_noise:
-        overrides["noise"] = False
-    return replace(cfg, **overrides)
+    flags = {name: getattr(args, name) for name in _FIELD_TYPES}
+    return replace(cfg, **{name: _coerce(name, value) for name, value in flags.items() if value is not None})
 
 
 def _print_table(points) -> None:

@@ -152,14 +152,18 @@ class RelaySchedule:
         return tuple(i for i, ins in enumerate(self.instructions[slot]) if ins is not None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeDefinition:
     """A conjugate-linear space-time code plus its decoding structure.
+
+    Codes compare and hash by identity (their fields hold arrays), so
+    per-code tables can be cached.
 
     ``group_partition`` splits the 2*nu real symbol coordinates (coordinate
     2j is Re(s_j), coordinate 2j+1 is Im(s_j)) into jointly-decoded groups,
     and ``alphabet`` holds one (K_g, |group|) real array per group listing
-    the allowed coordinate tuples in bit-label order.
+    the allowed coordinate tuples in bit-label order; K_g must be a power of
+    two so that every label carries log2(K_g) bits.
     """
 
     name: str
@@ -204,6 +208,9 @@ class CodeDefinition:
         for g, (coords, table) in enumerate(zip(partition, alphabet)):
             if table.ndim != 2 or table.shape[1] != len(coords) or table.shape[0] < 1:
                 raise ValueError(f"alphabet table {g} must have shape (K, {len(coords)})")
+            k = table.shape[0]
+            if k & (k - 1):
+                raise ValueError(f"alphabet table {g} has {k} entries; bit labels need a power of two")
             table.setflags(write=False)
         object.__setattr__(self, "alphabet", alphabet)
 
@@ -220,19 +227,17 @@ class CodeDefinition:
         return len(self.relay_matrices)
 
     def bits_per_group(self) -> tuple[int, ...]:
-        return tuple(int(round(math.log2(table.shape[0]))) for table in self.alphabet)
+        return tuple(table.shape[0].bit_length() - 1 for table in self.alphabet)
 
 
 def codeword(code: CodeDefinition, s: np.ndarray) -> np.ndarray:
-    """Evaluate the (T, R) code word at a complex symbol vector ``s``."""
+    """Evaluate the (T, R) code word at a complex symbol vector ``s``, or the
+    (C, T, R) code words of a (C, nu) batch of symbol vectors."""
     s = np.asarray(s, dtype=complex)
-    if s.shape != (code.symbol_count,):
+    if s.ndim > 2 or s.shape[-1:] != (code.symbol_count,):
         raise ValueError(f"symbol vector must have length {code.symbol_count}")
-    cols = []
-    for i, a in enumerate(code.relay_matrices):
-        v = np.conj(s) if i in code.conjugated_columns else s
-        cols.append(a @ v)
-    return np.column_stack(cols)
+    cols = [(np.conj(s) if i in code.conjugated_columns else s) @ a.T for i, a in enumerate(code.relay_matrices)]
+    return np.stack(cols, axis=-1)
 
 
 def _row_entries(code: CodeDefinition):

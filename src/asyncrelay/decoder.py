@@ -6,33 +6,42 @@ After the destination front-end, subcarrier k obeys the flat model
 
 with h_k the equivalent per-relay channel (source fading, conjugated for
 conjugated columns, times destination fading and a delay phase) and n_k
-zero-mean complex Gaussian with covariance ``noise_cov``: one unit of
-destination noise plus the forwarded relay noise of every relay active in
-the slot. Whitening by noise_cov^{-1/2} turns ML into a nearest-point
-search.
+zero-mean complex Gaussian noise: one unit of destination noise plus the
+forwarded relay noise of every relay active in the slot. Distinct slots
+share no noise sample, so the covariance is diagonal (``SubcarrierModel``
+rejects any other) and whitening scales slot t by w_t = var_t^{-1/2},
+which turns ML into a nearest-point search.
 
 The code word is linear in the real symbol coordinates, so the whitened
 metric splits into independent per-group problems whenever the dispersion
 vectors of different groups are orthogonal under the real inner product.
-``ml_decode_grouped`` verifies that orthogonality for the channel at hand
-(tolerance 1e-9) and falls back to the exhaustive search with a warning if
-it fails, so grouping is an optimisation, never an approximation.
+``CoherentDecoder`` computes the largest cross-group Gram entry, the
+grouped search and the exhaustive search for all N subcarriers of a frame
+at once, one shared instance per code and gain (``coherent_decoder``);
+``decomposition_gap``, ``ml_decode_grouped`` and ``ml_decode_exhaustive``
+apply it to one ``SubcarrierModel``. The grouped
+search verifies the orthogonality for the channel at hand (tolerance 1e-9)
+and falls back to the exhaustive search with a warning if it fails, so
+grouping is an optimisation, never an approximation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import CodeDefinition, RelaySchedule
+from .codebook import CodeDefinition, RelaySchedule, codeword
 from .relaysim import ChannelRealization, LinkConfig
 
 __all__ = [
+    "CoherentDecoder",
     "SubcarrierModel",
     "build_model",
+    "coherent_decoder",
     "decomposition_gap",
     "delay_phases",
     "dispersion_basis",
@@ -40,7 +49,8 @@ __all__ = [
     "full_candidates",
     "ml_decode_exhaustive",
     "ml_decode_grouped",
-    "whitening_matrix",
+    "pair_products",
+    "whitening_weights",
 ]
 
 _ORTHOGONALITY_TOL = 1e-9
@@ -48,31 +58,38 @@ _ORTHOGONALITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SubcarrierModel:
-    """Flat per-subcarrier channel description used by the ML decoders."""
+    """Flat channel description used by the ML decoders: one subcarrier, or
+    N subcarriers that share the slot noise."""
 
-    channel: np.ndarray  # (R,) equivalent channel vector
-    noise_cov: np.ndarray  # (T, T) Hermitian positive definite
+    channel: np.ndarray  # (R,) equivalent channel vector, or (N, R)
+    noise_cov: np.ndarray  # (T, T) diagonal, positive
     gain: float  # cascaded signal coefficient
 
     def __post_init__(self):
         h = np.asarray(self.channel, dtype=complex)
         cov = np.asarray(self.noise_cov, dtype=complex)
-        if h.ndim != 1:
-            raise ValueError("channel vector must be 1-D")
+        if h.ndim not in (1, 2):
+            raise ValueError("channel must be an (R,) vector or an (N, R) matrix")
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ValueError("noise covariance must be square")
-        if not np.allclose(cov, cov.conj().T, atol=1e-12):
-            raise ValueError("noise covariance must be Hermitian")
-        if np.any(np.real(np.diag(cov)) <= 0):
-            raise ValueError("noise covariance must be positive definite")
+        if np.any(cov - np.diag(np.diag(cov))):
+            raise ValueError("noise covariance must be diagonal (distinct slots share no noise)")
+        if np.any(np.diag(cov).imag != 0) or np.any(np.diag(cov).real <= 0):
+            raise ValueError("noise variances must be real and positive")
         h.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "channel", h)
         object.__setattr__(self, "noise_cov", cov)
 
     @property
-    def num_slots(self) -> int:
-        return self.noise_cov.shape[0]
+    def channels(self) -> np.ndarray:
+        """The channel as an (N, R) matrix (N = 1 for a single subcarrier)."""
+        return self.channel.reshape(-1, self.channel.shape[-1])
+
+
+def whitening_weights(noise_cov: np.ndarray) -> np.ndarray:
+    """Whitening weights w_t^2 = 1 / var_t of a diagonal (T, T) covariance."""
+    return 1.0 / np.real(np.diag(noise_cov))
 
 
 def delay_phases(n_fft: int, delays: np.ndarray) -> np.ndarray:
@@ -130,18 +147,6 @@ def build_model(
     )
 
 
-def whitening_matrix(noise_cov: np.ndarray) -> np.ndarray:
-    """Inverse Hermitian square root of the noise covariance."""
-    cov = np.asarray(noise_cov, dtype=complex)
-    off_diag = cov - np.diag(np.diag(cov))
-    if not np.any(off_diag):
-        return np.diag(1.0 / np.sqrt(np.real(np.diag(cov))).astype(complex))
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)
-    if np.any(eigenvalues <= 0):
-        raise ValueError("noise covariance must be positive definite")
-    return (eigenvectors / np.sqrt(eigenvalues)) @ eigenvectors.conj().T
-
-
 def real_to_complex(coords: np.ndarray) -> np.ndarray:
     """Fold a (..., 2*nu) real coordinate array into (..., nu) complex symbols."""
     coords = np.asarray(coords, dtype=float)
@@ -179,18 +184,6 @@ def dispersion_basis(code: CodeDefinition, h: np.ndarray) -> np.ndarray:
     return basis
 
 
-def decomposition_gap(code: CodeDefinition, model: SubcarrierModel) -> float:
-    """Largest cross-group real inner product of whitened dispersion vectors."""
-    whitener = whitening_matrix(model.noise_cov)
-    vectors = dispersion_basis(code, model.channel) @ whitener.T
-    gram = np.real(vectors @ vectors.conj().T)
-    group_of = np.empty(vectors.shape[0], dtype=int)
-    for g, coords in enumerate(code.group_partition):
-        group_of[list(coords)] = g
-    cross = group_of[:, None] != group_of[None, :]
-    return float(np.max(np.abs(gram[cross]))) if cross.any() else 0.0
-
-
 def group_candidates(code: CodeDefinition) -> list[np.ndarray]:
     """Per group, the (K_g, nu) complex partial symbol vectors with all other
     groups' coordinates at zero, in alphabet (bit-label) order."""
@@ -207,42 +200,160 @@ def full_candidates(code: CodeDefinition) -> tuple[np.ndarray, np.ndarray]:
     of per-group alphabet indices, enumerated with the last group fastest so
     row order is lexicographic in the group indices."""
     sizes = [table.shape[0] for table in code.alphabet]
-    partials = group_candidates(code)
     index_table = np.array(list(itertools.product(*(range(k) for k in sizes))), dtype=int)
-    symbols = np.zeros((len(index_table), code.symbol_count), dtype=complex)
+    return _assemble(group_candidates(code), index_table), index_table
+
+
+def _assemble(partials: list[np.ndarray], indices: np.ndarray) -> np.ndarray:
+    """Symbol vectors (..., nu) of per-group alphabet indices (..., G)."""
+    symbols = np.zeros(indices.shape[:-1] + partials[0].shape[1:], dtype=complex)
     for g, partial in enumerate(partials):
-        symbols += partial[index_table[:, g]]
-    return symbols, index_table
+        symbols += partial[indices[..., g]]
+    return symbols
 
 
-def candidate_fields(code: CodeDefinition, candidates: np.ndarray) -> np.ndarray:
-    """Code words for a batch of symbol vectors, shape (C, T, R)."""
-    candidates = np.asarray(candidates, dtype=complex)
-    out = np.empty((candidates.shape[0], code.slot_count, code.num_relays), dtype=complex)
-    for i, a in enumerate(code.relay_matrices):
-        v = np.conj(candidates) if i in code.conjugated_columns else candidates
-        out[:, :, i] = v @ a.T
-    return out
+def pair_products(h_all: np.ndarray) -> np.ndarray:
+    """[Re, Im] of h_r * conj(h_s) per subcarrier, shape (N, 2*R*R)."""
+    pairs = (h_all[:, :, None] * np.conj(h_all)[:, None, :]).reshape(h_all.shape[0], -1)
+    return np.concatenate((pairs.real, pairs.imag), axis=1)
 
 
-def _whitened_metrics(y: np.ndarray, fields: np.ndarray, model: SubcarrierModel) -> np.ndarray:
-    whitener = whitening_matrix(model.noise_cov)
-    predicted = model.gain * (fields @ model.channel)
-    residual = (y[None, :] - predicted) @ whitener.T
-    return np.einsum("ct,ct->c", residual, residual.conj()).real
+def _gap_terms(code: CodeDefinition) -> np.ndarray:
+    """Real coefficients of the cross-group Gram entries, (T, 2*R*R * X).
+
+    E[r] is relay r's (2*nu, T) dispersion basis, i.e. the dispersion
+    basis of the channel with h_r = 1 and every other entry 0. The
+    whitened Gram entry (m, n) on subcarrier k is
+    Re sum_{r,s} h_r conj(h_s) sum_t w_t^2 E[r, m, t] conj(E[s, n, t]);
+    only the X cross-group entries with m < n are kept (the Gram matrix
+    is symmetric).
+    """
+    num_relays = code.num_relays
+    disp = np.stack([dispersion_basis(code, unit) for unit in np.eye(num_relays)])
+    group_of = np.empty(2 * code.symbol_count, dtype=int)
+    for g, coords in enumerate(code.group_partition):
+        group_of[list(coords)] = g
+    m, n = np.nonzero(np.triu(group_of[:, None] != group_of[None, :]))
+    terms = disp[:, None, m, :] * np.conj(disp[None, :, n, :])  # (R, R, X, T)
+    terms = np.moveaxis(terms, -1, 0).reshape(code.slot_count, num_relays * num_relays, len(m))
+    return np.concatenate((terms.real, -terms.imag), axis=1).reshape(code.slot_count, -1)
+
+
+def _metric_terms(fields: np.ndarray, gain: float) -> np.ndarray:
+    """Real coefficients of the search metric, (T, (2*R*R + 2*T*R) * C).
+
+    For candidate c with code word F_c (T, R) (``fields`` is (C, T, R)), the
+    whitened ML metric minus the candidate-independent ||W y||^2 is
+
+        gain^2 h^H Q_c h - 2 gain Re(y^H W^2 F_c h),
+        Q_c = sum_t w_t^2 F_c[t]^H F_c[t],
+
+    i.e. a real linear form in [Re, Im] of h_r conj(h_s) and of
+    conj(y_t) h_r.
+    """
+    _, slots, num_relays = fields.shape
+    quad = np.conj(fields)[..., :, None] * fields[..., None, :]  # (C, T, R, R)
+    quad = np.moveaxis(quad, 0, -1).reshape(slots, num_relays * num_relays, -1)
+    cross = np.zeros((slots, slots, num_relays, fields.shape[0]), dtype=complex)
+    for t in range(slots):
+        cross[t, t] = fields[:, t, :].T
+    cross = cross.reshape(slots, slots * num_relays, -1)
+    parts = (gain**2 * quad.real, gain**2 * quad.imag, -2.0 * gain * cross.real, 2.0 * gain * cross.imag)
+    return np.concatenate(parts, axis=1).reshape(slots, -1)
+
+
+class CoherentDecoder:
+    """Whitened ML for one code and cascade gain over a frame of N subcarriers.
+
+    Operations take the (N, 2*R*R) ``pairs = pair_products(h_all)`` of the
+    (N, R) equivalent channels, the (T,) whitening weights ``w2`` (w_t^2 =
+    1 / var_t) and, to search, ``h_all`` and the (T, N) observations ``y``.
+    Gram entries and metrics are real linear forms in h_r conj(h_s) and
+    conj(y_t) h_r whose per-slot coefficients are tabulated once and
+    weighted by one ``w2 @ terms`` product per call; the exhaustive search
+    builds its tables on first use.
+    """
+
+    def __init__(self, code: CodeDefinition, gain: float):
+        self.code = code
+        self.gain = gain
+        self._partials = group_candidates(code)
+        self._bounds = np.cumsum([0] + [p.shape[0] for p in self._partials])
+        self._gap_terms = _gap_terms(code)
+        fields = np.concatenate([codeword(code, p) for p in self._partials])
+        self._group_terms = _metric_terms(fields, gain)
+        self._full = None  # (index table, metric terms) of the product alphabet
+
+    def gap(self, pairs: np.ndarray, w2: np.ndarray) -> float:
+        """Largest cross-group whitened Gram entry over all subcarriers."""
+        gram = pairs @ (w2 @ self._gap_terms).reshape(pairs.shape[1], -1)
+        return float(np.max(np.abs(gram))) if gram.size else 0.0
+
+    def grouped(self, y: np.ndarray, h_all: np.ndarray, pairs: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        """Per-group alphabet indices (N, G), each group searched with every
+        other group at zero; the joint minimiser when ``gap`` vanishes."""
+        metrics = self._metrics(self._group_terms, y, h_all, pairs, w2)
+        slices = zip(self._bounds[:-1], self._bounds[1:])
+        return np.stack([np.argmin(metrics[:, lo:hi], axis=1) for lo, hi in slices], axis=1)
+
+    def exhaustive(self, y: np.ndarray, h_all: np.ndarray, pairs: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        """Per-group alphabet indices (N, G) of the minimiser over the full
+        product alphabet; ties go to the lexicographically first candidate."""
+        if self._full is None:
+            symbols, index_table = full_candidates(self.code)
+            self._full = index_table, _metric_terms(codeword(self.code, symbols), self.gain)
+        index_table, terms = self._full
+        return index_table[np.argmin(self._metrics(terms, y, h_all, pairs, w2), axis=1)]
+
+    def symbols(self, indices: np.ndarray) -> np.ndarray:
+        """Symbol vectors (..., nu) of per-group alphabet indices (..., G)."""
+        return _assemble(self._partials, np.asarray(indices))
+
+    def indices(self, symbols: np.ndarray) -> np.ndarray:
+        """Per-group indices (..., G) of the alphabet entries nearest to the
+        coordinates of symbol vectors (..., nu)."""
+        coords = complex_to_real(symbols)[..., None, :]
+        tables = zip(self.code.group_partition, self.code.alphabet)
+        return np.stack([np.abs(t - coords[..., list(g)]).sum(-1).argmin(-1) for g, t in tables], axis=-1)
+
+    @staticmethod
+    def _metrics(terms, y, h_all, pairs, w2) -> np.ndarray:
+        obs = (np.conj(y.T)[:, :, None] * h_all[:, None, :]).reshape(h_all.shape[0], -1)  # conj(y_t) h_r
+        features = np.concatenate((pairs, obs.real, obs.imag), axis=1)
+        return features @ (w2 @ terms).reshape(features.shape[1], -1)
+
+
+@functools.lru_cache(maxsize=2)
+def coherent_decoder(code: CodeDefinition, gain: float) -> CoherentDecoder:
+    """The shared decoder of a (code, gain) pair, kept for the two most
+    recent pairs (exhaustive tables reach tens of MB)."""
+    return CoherentDecoder(code, gain)
+
+
+def decomposition_gap(code: CodeDefinition, model: SubcarrierModel) -> float:
+    """Largest cross-group real inner product of whitened dispersion vectors,
+    over the model's subcarriers."""
+    decoder = coherent_decoder(code, model.gain)
+    return decoder.gap(pair_products(model.channels), whitening_weights(model.noise_cov))
+
+
+def _decide(decoder: CoherentDecoder, search, y: np.ndarray, model: SubcarrierModel) -> np.ndarray:
+    """Symbol vectors (nu,) for a (T,) observation, or (N, nu) for (T, N)."""
+    y = np.asarray(y, dtype=complex)
+    h_all, w2 = model.channels, whitening_weights(model.noise_cov)
+    expected = w2.shape + model.channel.shape[:-1]  # (T,) or (T, N)
+    if y.shape != expected:
+        raise ValueError(f"observation shape {y.shape} does not match the model's {expected}")
+    indices = search(y.reshape(len(y), -1), h_all, pair_products(h_all), w2)
+    return decoder.symbols(indices).reshape(y.shape[1:] + (-1,))
 
 
 def ml_decode_exhaustive(y: np.ndarray, model: SubcarrierModel, code: CodeDefinition) -> np.ndarray:
-    """Whitened-ML symbol vector over the full product alphabet.
-
-    Ties resolve to the lexicographically first candidate in group-index
-    order (np.argmin picks the first minimum, and candidates are enumerated
-    lexicographically).
-    """
-    y = np.asarray(y, dtype=complex)
-    candidates, _ = full_candidates(code)
-    metrics = _whitened_metrics(y, candidate_fields(code, candidates), model)
-    return candidates[int(np.argmin(metrics))]
+    """Whitened-ML symbol vector over the full product alphabet, (nu,) for a
+    (T,) observation or (N, nu) for (T, N) and an (N, R) channel; ties
+    resolve to the lexicographically first candidate in group-index order."""
+    decoder = coherent_decoder(code, model.gain)
+    return _decide(decoder, decoder.exhaustive, y, model)
 
 
 def ml_decode_grouped(y: np.ndarray, model: SubcarrierModel, code: CodeDefinition) -> np.ndarray:
@@ -253,7 +364,7 @@ def ml_decode_grouped(y: np.ndarray, model: SubcarrierModel, code: CodeDefinitio
     products vanish; that premise is checked and a failed check falls back
     to the exhaustive search.
     """
-    y = np.asarray(y, dtype=complex)
+    decoder = coherent_decoder(code, model.gain)
     if decomposition_gap(code, model) > _ORTHOGONALITY_TOL:
         warnings.warn(
             f"code {code.name!r}: group decomposition invalid for this channel; "
@@ -261,8 +372,4 @@ def ml_decode_grouped(y: np.ndarray, model: SubcarrierModel, code: CodeDefinitio
             stacklevel=2,
         )
         return ml_decode_exhaustive(y, model, code)
-    out = np.zeros(code.symbol_count, dtype=complex)
-    for partial in group_candidates(code):
-        metrics = _whitened_metrics(y, candidate_fields(code, partial), model)
-        out = out + partial[int(np.argmin(metrics))]
-    return out
+    return _decide(decoder, decoder.grouped, y, model)

@@ -186,19 +186,15 @@ def diff_decode(
 ) -> DecodedStep:
     """Pick the codebook word minimising || y_now - C y_prev / scale_prev ||.
 
-    The grouped search minimises each group's contribution separately,
+    The grouped search is the one-subcarrier case of ``diff_decode_frame``,
     relying on the codebook's cross-group orthogonality; ``grouped=False``
     scans all words. No channel state enters anywhere.
     """
     y_now = np.asarray(y_now, dtype=complex)
     y_prev = np.asarray(y_prev, dtype=complex)
     if grouped:
-        choice = []
-        for g in range(codebook.num_groups):
-            v = (codebook.group_fields[g] @ y_prev) / scale_prev
-            metrics = np.einsum("ct,ct->c", v, v.conj()).real - 2.0 * np.real(v @ y_now.conj())
-            choice.append(int(np.argmin(metrics)))
-        idx = codebook.index_of(choice)
+        indices, _ = diff_decode_frame(y_now[:, None], y_prev[:, None], np.array([scale_prev]), codebook)
+        idx = int(indices[0])
     else:
         v = (codebook.matrices @ y_prev) / scale_prev
         residual = y_now[None, :] - v

@@ -165,16 +165,13 @@ def _resolve_code(cfg: SimConfig) -> CodeDefinition:
         return load_code(cfg.code, rotation=rotation)
     except OSError as exc:
         raise ConfigError(f"code {cfg.code!r} is neither a built-in name nor a readable file") from exc
+    except ValueError as exc:
+        raise ConfigError(f"code file {cfg.code!r} is malformed: {exc}") from exc
 
 
 def _validate(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule]:
     if cfg.mode not in ("coherent", "differential"):
         raise ConfigError(f"mode must be 'coherent' or 'differential', got {cfg.mode!r}")
-    n = cfg.n_fft
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ConfigError(f"n_fft {n} must be a power of two")
-    if not 0 <= cfg.cp_len < n:
-        raise ConfigError(f"cp_len {cfg.cp_len} must lie in [0, {n})")
     if not cfg.power_db:
         raise ConfigError("power sweep is empty")
     if cfg.frames < 1:
@@ -185,14 +182,15 @@ def _validate(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule]:
         raise ConfigError("max_frames cannot be smaller than frames")
     if cfg.workers < 1:
         raise ConfigError("workers must be at least 1")
-    if cfg.source_fraction <= 0:
-        raise ConfigError("source_fraction must be positive")
-    if cfg.relay_fraction is not None and cfg.relay_fraction <= 0:
-        raise ConfigError("relay_fraction must be positive")
     if cfg.diff_chain < 2:
         raise ConfigError("diff_chain needs at least a reference frame and one data frame")
 
     code = _resolve_code(cfg)
+    try:
+        for p_db in cfg.power_db:
+            LinkConfig(cfg.n_fft, cfg.cp_len, _power_config(cfg, code, p_db))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     report = check_feasibility(row_sets(code))
     if not report:
         raise ScheduleError(f"code {code.name!r} fails feasibility condition {report.condition}: {report.detail}")
@@ -232,103 +230,28 @@ def _power_config(cfg: SimConfig, code: CodeDefinition, p_db: float) -> PowerCon
 
 
 class _CoherentEngine:
-    """Per-point simulation state for coherent frames, vectorised over subcarriers.
-
-    The group-orthogonality check and the grouped search are real linear
-    forms in per-subcarrier products h_r * conj(h_s) (and conj(y_t) * h_r)
-    whose coefficients depend on the unit only through the whitening weights
-    w_t^2 = 1 / var_t; ``__init__`` tabulates them per slot t.
-    """
+    """Per-point simulation state for coherent frames; the shared
+    ``decoder.coherent_decoder`` of the code and gain decides every
+    subcarrier of a frame at once."""
 
     def __init__(self, cfg: SimConfig, code: CodeDefinition, schedule: RelaySchedule, p_db: float):
         self.cfg = cfg
         self.code = code
         self.schedule = schedule
         self.link = LinkConfig(cfg.n_fft, cfg.cp_len, _power_config(cfg, code, p_db))
-        self.group_sizes = [t.shape[0] for t in code.alphabet]
-        self.group_bounds = np.cumsum([0] + self.group_sizes)
-        self.gap_terms = self._gap_terms(code)
-        self.metric_terms = self._metric_terms(code, self.link.power.cascade_gain)
-        self.bits_per_unit = sum(
-            int(round(math.log2(k))) for k in self.group_sizes
-        ) * cfg.n_fft
+        self.decoder = _decoder.coherent_decoder(code, self.link.power.cascade_gain)
+        self.bits_per_unit = sum(code.bits_per_group()) * cfg.n_fft
         self._warned = False
 
-    @staticmethod
-    def _gap_terms(code: CodeDefinition) -> np.ndarray:
-        """Real coefficients of the cross-group Gram entries, (T, 2*R*R * X).
-
-        E[r] is relay r's (2*nu, T) dispersion basis, i.e. the dispersion
-        basis of the channel with h_r = 1 and every other entry 0. The
-        whitened Gram entry (m, n) on subcarrier k is
-        Re sum_{r,s} h_r conj(h_s) sum_t w_t^2 E[r, m, t] conj(E[s, n, t]);
-        only the X cross-group entries with m < n are kept (the Gram matrix
-        is symmetric).
-        """
-        num_relays = code.num_relays
-        disp = np.stack([_decoder.dispersion_basis(code, unit) for unit in np.eye(num_relays)])
-        group_of = np.empty(2 * code.symbol_count, dtype=int)
-        for g, coords in enumerate(code.group_partition):
-            group_of[list(coords)] = g
-        m, n = np.nonzero(np.triu(group_of[:, None] != group_of[None, :]))
-        terms = disp[:, None, m, :] * np.conj(disp[None, :, n, :])  # (R, R, X, T)
-        terms = np.moveaxis(terms, -1, 0).reshape(code.slot_count, num_relays * num_relays, len(m))
-        return np.concatenate((terms.real, -terms.imag), axis=1).reshape(code.slot_count, -1)
-
-    @staticmethod
-    def _metric_terms(code: CodeDefinition, gain: float) -> np.ndarray:
-        """Real coefficients of the grouped-search metric, (T, (2*R*R + 2*T*R) * C).
-
-        For candidate c of a group, with code word F_c (T, R) and every other
-        group at zero, the whitened ML metric minus the candidate-independent
-        ||W y||^2 is
-
-            gain^2 h^H Q_c h - 2 gain Re(y^H W^2 F_c h),
-            Q_c = sum_t w_t^2 F_c[t]^H F_c[t],
-
-        i.e. a real linear form in [Re, Im] of h_r conj(h_s) and of
-        conj(y_t) h_r. The columns hold every group's candidates in turn.
-        """
-        slots, num_relays = code.slot_count, code.num_relays
-        fields = np.concatenate(
-            [_decoder.candidate_fields(code, p) for p in _decoder.group_candidates(code)]
-        )  # (C, T, R)
-        quad = np.conj(fields)[..., :, None] * fields[..., None, :]  # (C, T, R, R)
-        quad = np.moveaxis(quad, 0, -1).reshape(slots, num_relays * num_relays, -1)
-        cross = np.zeros((slots, slots, num_relays, fields.shape[0]), dtype=complex)
-        for t in range(slots):
-            cross[t, t] = fields[:, t, :].T
-        cross = cross.reshape(slots, slots * num_relays, -1)
-        return np.concatenate(
-            (
-                gain**2 * quad.real,
-                gain**2 * quad.imag,
-                -2.0 * gain * cross.real,
-                2.0 * gain * cross.imag,
-            ),
-            axis=1,
-        ).reshape(slots, -1)
-
-    @staticmethod
-    def _pair_products(h_all: np.ndarray) -> np.ndarray:
-        """[Re, Im] of h_r * conj(h_s) per subcarrier, shape (N, 2*R*R)."""
-        pairs = (h_all[:, :, None] * np.conj(h_all)[:, None, :]).reshape(h_all.shape[0], -1)
-        return np.concatenate((pairs.real, pairs.imag), axis=1)
-
-    def _draw_frame(self, rng) -> tuple[list[np.ndarray], np.ndarray]:
-        n = self.cfg.n_fft
-        nu = self.code.symbol_count
-        tx = [rng.integers(0, k, size=n) for k in self.group_sizes]
-        coords = np.zeros((2 * nu, n))
-        for g, coords_idx in enumerate(self.code.group_partition):
-            coords[list(coords_idx), :] = self.code.alphabet[g][tx[g]].T
-        frame = coords[0::2] + 1j * coords[1::2]
-        return tx, frame
+    def _draw_frame(self, rng) -> tuple[np.ndarray, np.ndarray]:
+        """Per-group alphabet indices (N, G), drawn group by group, and the (nu, N) frame."""
+        tx = np.stack([rng.integers(0, t.shape[0], size=self.cfg.n_fft) for t in self.code.alphabet], axis=1)
+        return tx, self.decoder.symbols(tx).T
 
     def _gap(self, pairs: np.ndarray, w2: np.ndarray) -> float:
-        """Largest cross-group whitened Gram entry over all subcarriers."""
-        gram = pairs @ (w2 @ self.gap_terms).reshape(pairs.shape[1], -1)
-        return float(np.max(np.abs(gram))) if gram.size else 0.0
+        """Largest cross-group whitened Gram entry; above 1e-9 the unit is
+        decoded by exhaustive search."""
+        return self.decoder.gap(pairs, w2)
 
     def simulate(self, rng: np.random.Generator) -> tuple[int, int]:
         cfg = self.cfg
@@ -338,9 +261,8 @@ class _CoherentEngine:
 
         h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft)
         cov = _decoder.noise_covariance(self.schedule, channel, self.link)
-        w2 = 1.0 / np.real(np.diag(cov))
-        pairs = self._pair_products(h_all)
-
+        w2 = _decoder.whitening_weights(cov)
+        pairs = _decoder.pair_products(h_all)
         if self._gap(pairs, w2) > 1e-9:
             if not self._warned:
                 warnings.warn(
@@ -349,30 +271,13 @@ class _CoherentEngine:
                     stacklevel=2,
                 )
                 self._warned = True
-            return self._simulate_exhaustive(tx, received, channel, cov, self.link.power.cascade_gain)
-
-        n = cfg.n_fft
-        obs = (np.conj(received.T)[:, :, None] * h_all[:, None, :]).reshape(n, -1)  # conj(y_t) h_r
-        features = np.concatenate((pairs, obs.real, obs.imag), axis=1)
-        metrics = features @ (w2 @ self.metric_terms).reshape(features.shape[1], -1)
-        errors = 0
-        for g, (lo, hi) in enumerate(zip(self.group_bounds[:-1], self.group_bounds[1:])):
-            decided = np.argmin(metrics[:, lo:hi], axis=1)
-            errors += int(_POPCOUNT[np.bitwise_xor(tx[g], decided)].sum())
-        return errors, self.bits_per_unit
-
-    def _simulate_exhaustive(self, tx, received, channel, cov, gain) -> tuple[int, int]:
-        errors = 0
-        h_all = _decoder.equivalent_channel_matrix(self.code, channel, self.cfg.n_fft)
-        for k in range(self.cfg.n_fft):
-            model = _decoder.SubcarrierModel(h_all[k], cov, gain)
-            s_hat = _decoder.ml_decode_exhaustive(received[:, k], model, self.code)
-            coords = _decoder.complex_to_real(s_hat)
-            for g, coords_idx in enumerate(self.code.group_partition):
-                table = self.code.alphabet[g]
-                decided = int(np.argmin(np.abs(table - coords[list(coords_idx)]).sum(axis=1)))
-                errors += int(_POPCOUNT[int(tx[g][k]) ^ decided])
-        return errors, self.bits_per_unit
+            # perfbench's traced run counts fallback units by these two calls
+            h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft)
+            model = _decoder.SubcarrierModel(h_all, cov, self.link.power.cascade_gain)
+            decided = self.decoder.indices(_decoder.ml_decode_exhaustive(received, model, self.code))
+        else:
+            decided = self.decoder.grouped(received, h_all, pairs, w2)
+        return int(_POPCOUNT[np.bitwise_xor(tx, decided)].sum()), self.bits_per_unit
 
 
 class _DifferentialEngine:

@@ -8,6 +8,7 @@ package under test. Tests compare package output against these routines.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -95,6 +96,53 @@ def slot_noise_variances(code, schedule, channel, cfg) -> np.ndarray:
             if instr is not None:
                 out[slot] += boost * abs(channel.relay_to_dest[relay]) ** 2
     return out
+
+
+def gram_gap(code, h: np.ndarray, noise_var: np.ndarray) -> float:
+    """Largest cross-group entry of the real Gram matrix of the whitened
+    dispersion vectors at one subcarrier.
+
+    Dispersion vector m is the code word at the m-th unit real coordinate
+    (1 or 1j in symbol m // 2) applied to ``h``, divided per slot by the
+    noise standard deviation.
+    """
+    from asyncrelay.codebook import codeword
+
+    nu = code.symbol_count
+    vectors = []
+    for m in range(2 * nu):
+        s = np.zeros(nu, dtype=complex)
+        s[m // 2] = 1.0 if m % 2 == 0 else 1j
+        vectors.append((codeword(code, s) @ h) / np.sqrt(noise_var))
+    group_of = {}
+    for g, coords in enumerate(code.group_partition):
+        for c in coords:
+            group_of[c] = g
+    worst = 0.0
+    for m in range(2 * nu):
+        for n in range(2 * nu):
+            if group_of[m] != group_of[n]:
+                worst = max(worst, abs(np.real(np.vdot(vectors[n], vectors[m]))))
+    return worst
+
+
+def exhaustive_ml(code, y: np.ndarray, h: np.ndarray, noise_var: np.ndarray, gain: float) -> tuple[int, ...]:
+    """Per-group alphabet indices of the whitened-ML code word at one
+    subcarrier: every combination of group indices in lexicographic order,
+    scored by the whitened residual norm; the first minimum wins."""
+    from asyncrelay.codebook import codeword
+
+    best, best_metric = None, math.inf
+    for choice in itertools.product(*(range(len(table)) for table in code.alphabet)):
+        coords = np.zeros(2 * code.symbol_count)
+        for g, group in enumerate(code.group_partition):
+            coords[list(group)] = code.alphabet[g][choice[g]]
+        s = coords[0::2] + 1j * coords[1::2]
+        residual = (y - gain * (codeword(code, s) @ h)) / np.sqrt(noise_var)
+        metric = float(np.vdot(residual, residual).real)
+        if metric < best_metric:
+            best, best_metric = choice, metric
+    return best
 
 
 def sheared_code():

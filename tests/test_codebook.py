@@ -93,6 +93,12 @@ class TestCodeDefinitionValidation:
                 alphabet=(qpsk_pairs(), np.ones((4, 3))),
             )
 
+    def test_alphabet_size_must_be_a_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two"):
+            self._make((np.eye(2),), groups=((0, 1), (2, 3)), alphabet=(qpsk_pairs(), qpsk_pairs()[:3]))
+        single = self._make((np.eye(2),), groups=((0, 1), (2, 3)), alphabet=(qpsk_pairs(), qpsk_pairs()[:1]))
+        assert single.bits_per_group() == (2, 0)
+
     def test_counts(self):
         code = named_code("relay5")
         assert code.symbol_count == 6
@@ -120,6 +126,14 @@ class TestCodeword:
         sc = np.conj(s)
         assert np.allclose(x[:, 2], [-sc[2], -sc[3], sc[0], sc[1]])
         assert np.allclose(x[:, 3], [-sc[3], -sc[2], sc[1], sc[0]])
+
+    def test_batch_of_symbol_vectors(self):
+        code = named_code("relay5")
+        batch = np.arange(18.0).reshape(3, 6) - 2j
+        words = codeword(code, batch)
+        assert words.shape == (3, 6, 5)
+        for s, x in zip(batch, words):
+            assert np.array_equal(x, codeword(code, s))
 
     def test_silent_rows_transmit_zero(self):
         code = named_code("relay5")

@@ -21,11 +21,11 @@ from asyncrelay.decoder import (
     ml_decode_grouped,
     noise_covariance,
     real_to_complex,
-    whitening_matrix,
+    whitening_weights,
 )
 from asyncrelay.relaysim import ChannelRealization, LinkConfig, PowerConfig, complex_noise, draw_channel
 
-from oracles import equivalent_channel, sheared_code, slot_noise_variances
+from oracles import equivalent_channel, exhaustive_ml, gram_gap, sheared_code, slot_noise_variances
 
 
 def _model_for(code, rng, n=16, cp=4, power=10.0, subcarrier=3):
@@ -71,20 +71,29 @@ class TestChannelAssembly:
             build_model(channel, schedule, code, cfg, 8)
 
 
-class TestWhitening:
-    def test_diagonal_covariance(self):
-        cov = np.diag([4.0, 9.0]).astype(complex)
-        w = whitening_matrix(cov)
-        assert np.allclose(w, np.diag([0.5, 1.0 / 3.0]))
-
-    def test_general_covariance_whitens(self):
+class TestModelContract:
+    def test_non_diagonal_covariance_rejected(self):
         cov = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
-        w = whitening_matrix(cov)
-        assert np.allclose(w @ cov @ w.conj().T, np.eye(2), atol=1e-12)
+        with pytest.raises(ValueError, match="diagonal"):
+            SubcarrierModel(channel=np.ones(2, dtype=complex), noise_cov=cov, gain=1.0)
 
-    def test_non_positive_rejected(self):
-        with pytest.raises(ValueError):
-            whitening_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]).astype(complex))
+    def test_non_positive_variance_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            SubcarrierModel(channel=np.ones(2, dtype=complex), noise_cov=np.diag([1.0, 0.0]), gain=1.0)
+
+    def test_weights_are_inverse_slot_variances(self):
+        model = SubcarrierModel(channel=np.ones(2, dtype=complex), noise_cov=np.diag([4.0, 0.5]), gain=1.0)
+        assert np.array_equal(whitening_weights(model.noise_cov), [0.25, 2.0])
+        assert model.channels.shape == (1, 2)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 5), (3, 6), (4, 6, 1)])
+    def test_observation_must_match_slots_and_subcarriers(self, shape):
+        code = named_code("relay4")
+        model = SubcarrierModel(channel=np.ones((6, 4), dtype=complex), noise_cov=np.eye(4), gain=1.0)
+        y = np.zeros(shape, dtype=complex)
+        for decode in (ml_decode_grouped, ml_decode_exhaustive):
+            with pytest.raises(ValueError, match="observation shape"):
+                decode(y, model, code)
 
 
 class TestCoordinateMaps:
@@ -115,6 +124,16 @@ class TestDispersionStructure:
         for _ in range(20):
             model, _, _, _ = _model_for(code, rng)
             assert decomposition_gap(code, model) < 1e-9
+
+    @pytest.mark.parametrize("name", ["alamouti", "relay4", "relay5", "sheared"])
+    def test_gap_matches_the_explicit_gram_matrix(self, name):
+        rng = np.random.default_rng(21)
+        code = sheared_code() if name == "sheared" else named_code(name)
+        for _ in range(5):
+            h = complex_noise(rng, code.num_relays)
+            variances = rng.uniform(1.0, 4.0, size=code.slot_count)
+            model = SubcarrierModel(h, np.diag(variances), 1.0)
+            assert abs(decomposition_gap(code, model) - gram_gap(code, h, variances)) <= 1e-12
 
     def test_candidate_enumeration_is_lexicographic(self):
         code = named_code("relay4")
@@ -156,6 +175,40 @@ class TestDecoding:
             a = ml_decode_grouped(y, model, code)
             b = ml_decode_exhaustive(y, model, code)
             assert np.allclose(a, b)
+
+    @pytest.mark.parametrize("name", ["relay4", "sheared"])
+    def test_exhaustive_matches_the_residual_norm_oracle(self, name):
+        rng = np.random.default_rng(32)
+        code = sheared_code() if name == "sheared" else named_code(name)
+        candidates, index_table = full_candidates(code)
+        rows = {tuple(r): i for i, r in enumerate(index_table)}
+        for _ in range(10):
+            h = complex_noise(rng, code.num_relays)
+            variances = rng.uniform(1.0, 4.0, size=code.slot_count)
+            gain = rng.uniform(0.5, 3.0)
+            y = complex_noise(rng, code.slot_count) * rng.uniform(0.5, 3.0)
+            decided = ml_decode_exhaustive(y, SubcarrierModel(h, np.diag(variances), gain), code)
+            expected = candidates[rows[exhaustive_ml(code, y, h, variances, gain)]]
+            assert np.array_equal(decided, expected)
+
+    def test_a_model_over_n_subcarriers_decodes_each_one(self):
+        rng = np.random.default_rng(34)
+        code = named_code("relay4")
+        h_all = complex_noise(rng, (6, 4))
+        cov = 1.5 * np.eye(4)
+        y = complex_noise(rng, (4, 6))
+        batch = SubcarrierModel(h_all, cov, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the grouped search itself, no fallback
+            grouped = ml_decode_grouped(y, batch, code)
+        exhaustive = ml_decode_exhaustive(y, batch, code)
+        assert grouped.shape == exhaustive.shape == (6, code.symbol_count)
+        for k in range(6):
+            one = SubcarrierModel(h_all[k], cov, 2.0)
+            assert np.array_equal(grouped[k], ml_decode_grouped(y[:, k], one, code))
+            assert np.array_equal(exhaustive[k], ml_decode_exhaustive(y[:, k], one, code))
+        per_subcarrier = max(decomposition_gap(code, SubcarrierModel(h, cov, 2.0)) for h in h_all)
+        assert decomposition_gap(code, batch) == pytest.approx(per_subcarrier, abs=1e-12)
 
     def test_all_tied_metrics_pick_the_first_candidate(self):
         code = named_code("relay4")

@@ -133,7 +133,7 @@ class TestDecoding:
         scales = rng.uniform(0.5, 1.5, size=6)
         indices, out_scales = diff_decode_frame(y_now, y_prev, scales, codebook)
         for k in range(6):
-            step = diff_decode(y_now[:, k], y_prev[:, k], scales[k], codebook)
+            step = diff_decode(y_now[:, k], y_prev[:, k], scales[k], codebook, grouped=False)
             assert indices[k] == step.word_index
             assert out_scales[k] == pytest.approx(step.scale)
 

@@ -1,13 +1,15 @@
 """Sweep harness: reproducibility, stopping rule, CSV contract and CLI."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from asyncrelay.cli import build_parser, config_from_args
 from asyncrelay.cli import main as cli_main
-from asyncrelay.decoder import SubcarrierModel, decomposition_gap, equivalent_channel_matrix, noise_covariance
+from asyncrelay.decoder import coherent_decoder, equivalent_channel_matrix, noise_covariance, pair_products
 from asyncrelay.harness import (
     _CoherentEngine,
     CSV_HEADER,
@@ -26,7 +28,7 @@ from asyncrelay.harness import (
 from asyncrelay.codebook import ScheduleError, derive_schedule, named_code
 from asyncrelay.relaysim import draw_channel, run_frame
 
-from oracles import sheared_code
+from oracles import exhaustive_ml, gram_gap, sheared_code
 
 FAST = dict(n_fft=8, cp_len=2, frames=20, min_errors=4, seed=13)
 
@@ -135,28 +137,43 @@ class TestCoherentEngine:
         for _ in range(20):
             channel = draw_channel(rng, code.num_relays, engine.link.cp_len)
             h_all = equivalent_channel_matrix(code, channel, engine.link.n_fft)
-            cov = noise_covariance(engine.schedule, channel, engine.link)
-            w2 = 1.0 / np.real(np.diag(cov))
-            gap = engine._gap(engine._pair_products(h_all), w2)
-            gain = engine.link.power.cascade_gain
-            expected = max(decomposition_gap(code, SubcarrierModel(h, cov, gain)) for h in h_all)
+            variances = np.real(np.diag(noise_covariance(engine.schedule, channel, engine.link)))
+            gap = engine._gap(pair_products(h_all), 1.0 / variances)
+            expected = max(gram_gap(code, h, variances) for h in h_all)
             assert abs(gap - expected) <= 1e-12
             assert (gap > 1e-9) == (name == "sheared")
 
     @pytest.mark.parametrize("name", ["alamouti", "relay4", "relay5"])
-    def test_grouped_search_counts_the_same_errors_as_exhaustive_search(self, name):
+    def test_grouped_search_counts_the_same_errors_as_exhaustive_search(self, name, monkeypatch):
+        # grouped search, the engine's exhaustive fallback and the residual-norm oracle
         code = named_code(name)
         engine = _engine(code, n_fft=8, cp_len=2, p_db=6.0)
         cfg = engine.cfg
-        for unit in range(4):
-            grouped = engine.simulate(frame_rng(3, 0, unit))
+        gain = engine.link.power.cascade_gain
+        grouped = [engine.simulate(frame_rng(3, 0, unit)) for unit in range(4)]
+        monkeypatch.setattr(_CoherentEngine, "_gap", lambda self, pairs, w2: 1.0)
+        with pytest.warns(UserWarning, match="exhaustive"):
+            exhaustive = [engine.simulate(frame_rng(3, 0, unit)) for unit in range(4)]
+        assert grouped == exhaustive
+        oracle = []
+        for unit in range(2 if name == "relay5" else 4):  # the oracle scans 4096 relay5 code words per subcarrier
             rng = frame_rng(3, 0, unit)  # replay the unit's draws
             channel = draw_channel(rng, code.num_relays, cfg.cp_len, cfg.delays)
             tx, frame = engine._draw_frame(rng)
             received = run_frame(frame, engine.schedule, channel, engine.link, cfg.noise, rng)
-            cov = noise_covariance(engine.schedule, channel, engine.link)
-            exhaustive = engine._simulate_exhaustive(tx, received, channel, cov, engine.link.power.cascade_gain)
-            assert grouped == exhaustive
+            h_all = equivalent_channel_matrix(code, channel, cfg.n_fft)
+            variances = np.real(np.diag(noise_covariance(engine.schedule, channel, engine.link)))
+            errors = 0
+            for k in range(cfg.n_fft):
+                decided = exhaustive_ml(code, received[:, k], h_all[k], variances, gain)
+                errors += sum(bin(int(a) ^ b).count("1") for a, b in zip(tx[k], decided))
+            oracle.append((errors, engine.bits_per_unit))
+        assert oracle == grouped[: len(oracle)]
+        assert sum(e for e, _ in oracle) > 0
+
+    def test_engine_shares_the_decoder_of_the_per_subcarrier_functions(self):
+        engine = _engine(named_code("relay4"))
+        assert engine.decoder is coherent_decoder(engine.code, engine.link.power.cascade_gain)
 
 
 class TestReproducibility:
@@ -329,6 +346,64 @@ class TestCli:
         assert rc == 0
         points = parse_csv(out)
         assert [p.power_db for p in points] == [25.0]
+
+    def test_config_file_can_set_every_field(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text(
+            "mode = differential\n"
+            "code = relay4_diff\n"
+            "n_fft = 32\n"
+            "cp_len = 8\n"
+            "power_db = 10:5:20\n"
+            "frames = 7\n"
+            "min_errors = 3\n"
+            "max_frames = 70\n"
+            "seed = 5\n"
+            "delays = 0,1,2,3\n"
+            "noise = off\n"
+            "workers = 2\n"
+            "source_fraction = 0.5\n"
+            "relay_fraction = 0.125\n"
+            "rotation_deg = 30\n"
+            "diff_chain = 4\n"
+            "out = sweep.csv\n"
+        )
+        keys = {line.split("=")[0].strip() for line in conf.read_text().splitlines()}
+        assert keys == {f.name for f in dataclasses.fields(SimConfig)}
+        args = build_parser().parse_args(["--config", str(conf)])
+        assert config_from_args(args) == SimConfig(
+            mode="differential",
+            code="relay4_diff",
+            n_fft=32,
+            cp_len=8,
+            power_db=(10.0, 15.0, 20.0),
+            frames=7,
+            min_errors=3,
+            max_frames=70,
+            seed=5,
+            delays=(0, 1, 2, 3),
+            noise=False,
+            workers=2,
+            source_fraction=0.5,
+            relay_fraction=0.125,
+            rotation_deg=30.0,
+            diff_chain=4,
+            out="sweep.csv",
+        )
+
+    def test_flags_set_the_same_fields(self):
+        args = build_parser().parse_args(
+            ["--n", "16", "--power", "5,7", "--fixed-delays", "0,2", "--no-noise", "--relay-fraction", "0.5"]
+        )
+        assert config_from_args(args) == SimConfig(
+            n_fft=16, power_db=(5.0, 7.0), delays=(0, 2), noise=False, relay_fraction=0.5
+        )
+
+    def test_malformed_code_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.code"
+        bad.write_text("2 2\ncolumn conj=0\n1 0\n0 1\n")
+        assert cli_main(["--code", str(bad), "--power", "10", "--frames", "1"]) == 2
+        assert "malformed" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
