@@ -35,7 +35,14 @@ from .codebook import (
     named_code,
     row_sets,
 )
-from .differential import build_codebook_4relay, diff_decode_frame, diff_encode, initial_state, verify_commutation
+from .differential import (
+    build_codebook_4relay,
+    diff_decode_frame,
+    diff_encode,
+    initial_state,
+    verify_commutation,
+    verify_scaled_unitary,
+)
 from .relaysim import LinkConfig, PowerConfig, draw_channel, run_frame
 
 __all__ = [
@@ -56,7 +63,15 @@ CSV_HEADER = "P_dB,ber,ci_lo,ci_hi,bits,frames"
 
 _Z95 = 1.959963984540054
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+
+def _popcount_table(size: int) -> np.ndarray:
+    """Number of set bits of every label below ``size``, a power of two; the
+    XOR of two such labels is again below ``size``."""
+    labels = np.arange(size, dtype=np.int64)
+    table = np.zeros(size, dtype=np.int64)
+    for bit in range(size.bit_length() - 1):
+        table += (labels >> bit) & 1
+    return table
 
 
 class ConfigError(ValueError):
@@ -211,12 +226,15 @@ def _validate(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule]:
             )
 
     if cfg.mode == "differential":
-        codebook = build_codebook_4relay()
-        report = verify_commutation(codebook, code)
-        if not report:
-            raise ScheduleError(
-                f"code {code.name!r} has no verified differential codebook: {report.detail}"
-            )
+        try:
+            codebook = build_codebook_4relay(code)
+        except ValueError as exc:
+            raise ScheduleError(f"code {code.name!r} has no differential codebook: {exc}") from exc
+        for report in (verify_scaled_unitary(codebook), verify_commutation(codebook, code)):
+            if not report:
+                raise ScheduleError(
+                    f"code {code.name!r} has no verified differential codebook: {report.detail}"
+                )
     return code, schedule
 
 
@@ -241,6 +259,7 @@ class _CoherentEngine:
         self.link = LinkConfig(cfg.n_fft, cfg.cp_len, _power_config(cfg, code, p_db))
         self.decoder = _decoder.coherent_decoder(code, self.link.power.cascade_gain)
         self.bits_per_unit = sum(code.bits_per_group()) * cfg.n_fft
+        self._popcount = _popcount_table(max(t.shape[0] for t in code.alphabet))
         self._warned = False
 
     def _draw_frame(self, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -277,7 +296,7 @@ class _CoherentEngine:
             decided = self.decoder.indices(_decoder.ml_decode_exhaustive(received, model, self.code))
         else:
             decided = self.decoder.grouped(received, h_all, pairs, w2)
-        return int(_POPCOUNT[np.bitwise_xor(tx, decided)].sum()), self.bits_per_unit
+        return int(self._popcount[np.bitwise_xor(tx, decided)].sum()), self.bits_per_unit
 
 
 class _DifferentialEngine:
@@ -290,6 +309,7 @@ class _DifferentialEngine:
         self.link = LinkConfig(cfg.n_fft, cfg.cp_len, _power_config(cfg, code, p_db))
         self.codebook = build_codebook_4relay(code)
         self.bits_per_unit = self.codebook.bits_per_word * cfg.n_fft * (cfg.diff_chain - 1)
+        self._popcount = _popcount_table(self.codebook.num_words)
 
     def simulate(self, rng: np.random.Generator) -> tuple[int, int]:
         cfg = self.cfg
@@ -303,7 +323,7 @@ class _DifferentialEngine:
             state = diff_encode(state, tx, self.codebook)
             y_now = run_frame(state.symbols, self.schedule, channel, self.link, cfg.noise, rng)
             decided, scales_rx = diff_decode_frame(y_now, y_prev, scales_rx, self.codebook)
-            errors += int(_POPCOUNT[np.bitwise_xor(tx, decided)].sum())
+            errors += int(self._popcount[np.bitwise_xor(tx, decided)].sum())
             y_prev = y_now
         return errors, self.bits_per_unit
 

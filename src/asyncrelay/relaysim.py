@@ -20,10 +20,16 @@ cp_len (inclusive) the front-end output per subcarrier k reduces exactly to
 
 with f_i conjugated for conjugated columns; larger delays break the
 equivalence, which is what the cyclic prefix contract is about.
+
+Forwarding and front-end realignment are exact sample permutations, signs
+of +/-1 and conjugations, so each runs as one gather through index tables
+built once per (schedule, n_fft, cp_len) instead of a loop over slots and
+relays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -204,17 +210,60 @@ def relay_receive(
     return received
 
 
-def _reverse_cp_extended(symbol: np.ndarray, n_fft: int, cp_len: int) -> np.ndarray:
-    """Reverse the N-periodic extension of a cyclic-prefixed symbol.
+@dataclass(frozen=True)
+class _ForwardingTable:
+    """Index tables of one schedule for a (R, B, N + cp_len) received array.
 
-    Output sample p holds input sample (cp_len - p) mod N; the result is
-    again N-periodic over its full length, so it carries a valid cyclic
-    prefix built purely from received samples.
+    Row a describes the a-th active (slot, relay) instruction in slot-major
+    order. ``sources[a, p]`` is the flat index of the received sample that
+    transmit sample p carries: column p for plain slots and (cp_len - p)
+    mod N for reversed ones, in the forwarded block of the relay.
+    ``targets[a]`` is the row of the (R * T, N + cp_len) output it fills.
     """
-    body = spectral.shift_tail_to_head(spectral.reverse(symbol[..., :n_fft]), cp_len)
-    if cp_len == 0:
-        return body
-    return np.concatenate((body, body[..., :cp_len]), axis=-1)
+
+    sources: np.ndarray  # (A, N + cp_len)
+    signs: np.ndarray  # (A, 1)
+    conjugate: np.ndarray  # (A, 1) bool
+    targets: np.ndarray  # (A,)
+
+
+@functools.lru_cache(maxsize=16)
+def _forwarding_table(schedule: RelaySchedule, n_fft: int, cp_len: int, num_blocks: int) -> _ForwardingTable:
+    rows = []
+    for slot, instructions in enumerate(schedule.instructions):
+        for relay, instr in enumerate(instructions):
+            if instr is None:
+                continue
+            if not 0 <= instr.block < num_blocks:
+                raise ValueError(
+                    f"slot {slot} tells relay {relay} to forward block {instr.block}, "
+                    f"but only {num_blocks} blocks were received"
+                )
+            rows.append((slot, relay, instr.block, instr.sign, instr.conjugate))
+    slots, relays, blocks, signs, conjugate = (
+        np.array([row[i] for row in rows], dtype=dtype).reshape(-1, 1)
+        for i, dtype in enumerate((int, int, int, float, bool))
+    )
+    symbol_len = n_fft + cp_len
+    p = np.arange(symbol_len)
+    reversed_slots = np.array(schedule.slot_reversed, dtype=bool)
+    columns = np.where(reversed_slots[slots], (cp_len - p) % n_fft, p)
+    return _ForwardingTable(
+        sources=(relays * num_blocks + blocks) * symbol_len + columns,
+        signs=signs,
+        conjugate=conjugate,
+        targets=(relays * schedule.num_slots + slots)[:, 0],
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _body_sources(schedule: RelaySchedule, n_fft: int, cp_len: int) -> np.ndarray:
+    """Flat indices into a (T, N + cp_len) raw frame of the (T, N) symbol
+    bodies, with reversed slots rotated right by cp_len to realign them."""
+    p = np.arange(n_fft)
+    reversed_slots = np.array(schedule.slot_reversed, dtype=bool)[:, None]
+    columns = cp_len + np.where(reversed_slots, (p - cp_len) % n_fft, p)
+    return np.arange(schedule.num_slots)[:, None] * (n_fft + cp_len) + columns
 
 
 def relay_process(
@@ -227,29 +276,22 @@ def relay_process(
     Silent slots transmit zeros. Active slots forward one received block
     with the instruction's sign, conjugated when the relay's column is
     conjugated, time reversed when the slot is reversed, and scaled by the
-    fixed relay amplification.
+    fixed relay amplification. One gather through the schedule's cached
+    index table collects every active (relay, block) row, already time
+    reversed where needed; one sign product, one masked conjugate and one
+    gain product scattered into the output follow.
     """
     received = np.asarray(received, dtype=complex)
     num_relays, num_blocks, symbol_len = received.shape
     if num_relays != schedule.num_relays or symbol_len != cfg.symbol_len:
         raise ValueError("received array does not match schedule/link dimensions")
-    out = np.zeros((num_relays, schedule.num_slots, symbol_len), dtype=complex)
-    for slot in range(schedule.num_slots):
-        for relay, instr in enumerate(schedule.instructions[slot]):
-            if instr is None:
-                continue
-            if not 0 <= instr.block < num_blocks:
-                raise ValueError(
-                    f"slot {slot} tells relay {relay} to forward block {instr.block}, "
-                    f"but only {num_blocks} blocks were received"
-                )
-            symbol = instr.sign * received[relay, instr.block]
-            if instr.conjugate:
-                symbol = np.conj(symbol)
-            if schedule.slot_reversed[slot]:
-                symbol = _reverse_cp_extended(symbol, cfg.n_fft, cfg.cp_len)
-            out[relay, slot] = cfg.power.relay_gain * symbol
-    return out
+    table = _forwarding_table(schedule, cfg.n_fft, cfg.cp_len, num_blocks)
+    symbols = np.take(received, table.sources)
+    symbols *= table.signs
+    np.conjugate(symbols, out=symbols, where=table.conjugate)
+    out = np.zeros((num_relays * schedule.num_slots, symbol_len), dtype=complex)
+    out[table.targets] = cfg.power.relay_gain * symbols
+    return out.reshape(num_relays, schedule.num_slots, symbol_len)
 
 
 def destination_receive(
@@ -292,14 +334,7 @@ def destination_frontend(raw: np.ndarray, schedule: RelaySchedule, cfg: LinkConf
     raw = np.asarray(raw, dtype=complex)
     if raw.shape != (schedule.num_slots, cfg.symbol_len):
         raise ValueError(f"raw frame shape {raw.shape} does not match schedule/link dimensions")
-    body = spectral.remove_cp(raw, cfg.cp_len)
-    out = np.empty((schedule.num_slots, cfg.n_fft), dtype=complex)
-    for slot in range(schedule.num_slots):
-        block = body[slot]
-        if schedule.slot_reversed[slot] and cfg.cp_len:
-            block = spectral.shift_tail_to_head(block, cfg.cp_len)
-        out[slot] = block
-    return spectral.dft(out)
+    return spectral.dft(np.take(raw, _body_sources(schedule, cfg.n_fft, cfg.cp_len)))
 
 
 def run_frame(

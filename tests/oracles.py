@@ -158,3 +158,52 @@ def sheared_code():
         ((0, 1), (2, 3)),
         (qpsk_pairs(), qpsk_pairs()),
     )
+
+
+def relay_process_loop(received: np.ndarray, schedule, cfg) -> np.ndarray:
+    """Relay forwarding slot by slot and relay by relay, (R, T, N + cp).
+
+    A reversed slot reverses the body circularly (sample m -> (N - m) mod N),
+    rotates it right by cp_len and appends its first cp_len samples as the
+    prefix of the transmitted symbol.
+    """
+    n, cp = cfg.n_fft, cfg.cp_len
+    num_relays, _, symbol_len = received.shape
+    out = np.zeros((num_relays, schedule.num_slots, symbol_len), dtype=complex)
+    for slot in range(schedule.num_slots):
+        for relay, instr in enumerate(schedule.instructions[slot]):
+            if instr is None:
+                continue
+            symbol = instr.sign * received[relay, instr.block]
+            if instr.conjugate:
+                symbol = np.conj(symbol)
+            if schedule.slot_reversed[slot]:
+                body = np.roll(np.roll(symbol[:n][::-1], 1), cp)
+                symbol = np.concatenate((body, body[:cp]))
+            out[relay, slot] = cfg.power.relay_gain * symbol
+    return out
+
+
+def frontend_loop(raw: np.ndarray, schedule, cfg) -> np.ndarray:
+    """Destination front-end slot by slot, (T, N): drop the prefix, rotate
+    the body of reversed slots right by cp_len, then a unitary FFT."""
+    n, cp = cfg.n_fft, cfg.cp_len
+    out = np.empty((schedule.num_slots, n), dtype=complex)
+    for slot in range(schedule.num_slots):
+        body = raw[slot, cp:]
+        out[slot] = np.roll(body, cp) if schedule.slot_reversed[slot] else body
+    return np.fft.fft(out, norm="ortho")
+
+
+def diff_decisions(y_now: np.ndarray, y_prev: np.ndarray, scales_prev: np.ndarray, codebook) -> np.ndarray:
+    """Grouped differential decisions from explicit candidate vectors: for
+    every group g and choice c, v = M_gc y_prev / scale_prev is scored by
+    ||v||^2 - 2 Re(y_now^H v); the best choices form the word index."""
+    v = np.einsum("gcij,jk->gcik", codebook.group_fields, y_prev) / scales_prev[None, None, None, :]
+    cross = np.real(np.einsum("gcik,ik->gck", v, y_now.conj()))
+    energy = np.real(np.einsum("gcik,gcik->gck", v, v.conj()))
+    choice = np.argmin(energy - 2.0 * cross, axis=1)  # (G, N)
+    indices = np.zeros(y_now.shape[1], dtype=int)
+    for g in range(codebook.num_groups):
+        indices = indices * codebook.choices_per_group + choice[g]
+    return indices

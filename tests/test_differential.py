@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from asyncrelay.codebook import derive_schedule, named_code
+from asyncrelay.codebook import derive_schedule, format_code_text, named_code, parse_code_text
 from asyncrelay.differential import (
     DifferentialCodebook,
     build_codebook_4relay,
@@ -14,8 +14,11 @@ from asyncrelay.differential import (
     diff_encode,
     initial_state,
     verify_commutation,
+    verify_scaled_unitary,
 )
 from asyncrelay.relaysim import LinkConfig, PowerConfig, complex_noise, draw_channel, run_frame
+
+from oracles import diff_decisions
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +97,25 @@ class TestCommutation:
         assert not report
 
 
+class TestScaledUnitary:
+    def test_builtin_codebook_passes(self, codebook):
+        report = verify_scaled_unitary(codebook)
+        assert report and report.max_error < 1e-12
+
+    def test_unpaired_groups_give_words_that_are_not_scaled_unitary(self):
+        # relay4_diff's matrices with each symbol's (Re, Im) as one group
+        text = format_code_text(named_code("relay4_diff"))
+        code = parse_code_text(text.replace("0 2 | 1 3 | 4 6 | 5 7", "0 1 | 2 3 | 4 5 | 6 7"))
+        report = verify_scaled_unitary(build_codebook_4relay(code))
+        assert not report
+        assert "not scaled unitary" in report.detail
+
+    @pytest.mark.parametrize("name", ["alamouti", "relay5"])
+    def test_codes_without_four_coordinate_pairs_have_no_codebook(self, name):
+        with pytest.raises(ValueError, match="four coordinate pairs"):
+            build_codebook_4relay(named_code(name))
+
+
 class TestEncoding:
     def test_initial_state(self):
         state = initial_state(4, 5)
@@ -136,6 +158,19 @@ class TestDecoding:
             step = diff_decode(y_now[:, k], y_prev[:, k], scales[k], codebook, grouped=False)
             assert indices[k] == step.word_index
             assert out_scales[k] == pytest.approx(step.scale)
+
+    def test_frame_decode_equals_the_einsum_oracle(self, codebook):
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            n = 10_000
+            y_prev = complex_noise(rng, (4, n)) * rng.uniform(0.2, 3.0, size=n)
+            scales = rng.uniform(0.5, 1.5, size=n)
+            words = rng.integers(0, 256, size=n)
+            clean = np.einsum("kij,jk->ik", codebook.matrices[words], y_prev) / scales
+            y_now = clean + rng.uniform(0.0, 1.5, size=n) * complex_noise(rng, (4, n))
+            indices, out_scales = diff_decode_frame(y_now, y_prev, scales, codebook)
+            assert np.array_equal(indices, diff_decisions(y_now, y_prev, scales, codebook))
+            assert np.array_equal(out_scales, codebook.scales[indices])
 
     def test_exact_recursion_decodes_noiselessly(self, codebook):
         rng = np.random.default_rng(52)

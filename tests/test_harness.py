@@ -9,9 +9,17 @@ import pytest
 
 from asyncrelay.cli import build_parser, config_from_args
 from asyncrelay.cli import main as cli_main
-from asyncrelay.decoder import coherent_decoder, equivalent_channel_matrix, noise_covariance, pair_products
+from asyncrelay.decoder import (
+    coherent_decoder,
+    equivalent_channel_matrix,
+    noise_covariance,
+    pair_products,
+    whitening_weights,
+)
+from asyncrelay.differential import diff_decode_frame, diff_encode, initial_state
 from asyncrelay.harness import (
     _CoherentEngine,
+    _engine_for,
     CSV_HEADER,
     BerPoint,
     ConfigError,
@@ -25,10 +33,10 @@ from asyncrelay.harness import (
     run_sweep,
     wilson_interval,
 )
-from asyncrelay.codebook import ScheduleError, derive_schedule, named_code
+from asyncrelay.codebook import ScheduleError, derive_schedule, format_code_text, named_code
 from asyncrelay.relaysim import draw_channel, run_frame
 
-from oracles import exhaustive_ml, gram_gap, sheared_code
+from oracles import diff_decisions, exhaustive_ml, gram_gap, sheared_code
 
 FAST = dict(n_fft=8, cp_len=2, frames=20, min_errors=4, seed=13)
 
@@ -109,6 +117,16 @@ class TestConfigValidation:
         with pytest.raises(ScheduleError):
             run_sweep(SimConfig(mode="differential", code="alamouti", power_db=(10.0,), **FAST))
 
+    def test_differential_mode_rejects_a_codebook_that_is_not_scaled_unitary(self, tmp_path, capsys):
+        # relay4_diff's matrices with each symbol's (Re, Im) as one group:
+        # the words commute with the relay matrices but are not scaled unitary
+        path = tmp_path / "unpaired.code"
+        text = format_code_text(named_code("relay4_diff"))
+        path.write_text(text.replace("0 2 | 1 3 | 4 6 | 5 7", "0 1 | 2 3 | 4 5 | 6 7"))
+        with pytest.raises(ScheduleError, match="not scaled unitary"):
+            run_sweep(SimConfig(mode="differential", code=str(path), power_db=(30.0,), **FAST))
+        assert cli_main(["--mode", "differential", "--code", str(path), "--power", "30", "--frames", "1"]) == 3
+        assert "not scaled unitary" in capsys.readouterr().err
 
     def test_fixed_delays_past_the_prefix_warn_and_still_simulate(self):
         cfg = SimConfig(power_db=(20.0, 30.0), delays=(0, 1, 2, 5), **FAST)
@@ -171,9 +189,58 @@ class TestCoherentEngine:
         assert oracle == grouped[: len(oracle)]
         assert sum(e for e, _ in oracle) > 0
 
+    def test_alphabets_beyond_256_labels_count_errors_bit_by_bit(self, tmp_path):
+        # one relay forwarding five symbols; group 0 covers 9 real coordinates, K = 512
+        path = tmp_path / "wide.code"
+        rows = "\n".join(" ".join("1" if i == j else "0" for j in range(5)) for i in range(5))
+        path.write_text(f"5 5 1\ncolumn conj=0\n{rows}\ngroups 0 1 2 3 4 5 6 7 8 | 9\n")
+        cfg = SimConfig(code=str(path), n_fft=8, cp_len=2, power_db=(3.0,), frames=3, min_errors=0, max_frames=3)
+        (point,) = run_sweep(cfg)
+        engine = _engine_for(cfg, 3.0)
+        assert engine.code.alphabet[0].shape[0] == 512
+        errors, labels = 0, []
+        for unit in range(3):
+            rng = frame_rng(cfg.seed, 0, unit)  # replay the unit's draws
+            channel = draw_channel(rng, 1, cfg.cp_len, cfg.delays)
+            tx, frame = engine._draw_frame(rng)
+            received = run_frame(frame, engine.schedule, channel, engine.link, cfg.noise, rng)
+            h_all = equivalent_channel_matrix(engine.code, channel, cfg.n_fft)
+            w2 = whitening_weights(noise_covariance(engine.schedule, channel, engine.link))
+            decided = engine.decoder.grouped(received, h_all, pair_products(h_all), w2)
+            errors += sum(bin(int(a) ^ int(b)).count("1") for a, b in zip(tx.ravel(), decided.ravel()))
+            labels.extend(tx[:, 0])
+        assert max(labels) >= 256
+        assert point.bit_errors == errors > 0
+
     def test_engine_shares_the_decoder_of_the_per_subcarrier_functions(self):
         engine = _engine(named_code("relay4"))
         assert engine.decoder is coherent_decoder(engine.code, engine.link.power.cascade_gain)
+
+
+class TestDifferentialEngine:
+    def test_decisions_equal_the_einsum_oracle_on_replayed_units(self):
+        cfg = SimConfig(mode="differential", code="relay4_diff", n_fft=32, cp_len=8, power_db=(12.0,), diff_chain=5)
+        engine = _engine_for(cfg, 12.0)
+        codebook = engine.codebook
+        counted = []
+        for unit in range(4):
+            rng = frame_rng(cfg.seed, 0, unit)  # replay the unit's draws
+            channel = draw_channel(rng, 4, cfg.cp_len, cfg.delays)
+            state = initial_state(4, cfg.n_fft)
+            y_prev = run_frame(state.symbols, engine.schedule, channel, engine.link, cfg.noise, rng)
+            scales = np.ones(cfg.n_fft)
+            errors = 0
+            for _ in range(cfg.diff_chain - 1):
+                tx = rng.integers(0, codebook.num_words, size=cfg.n_fft)
+                state = diff_encode(state, tx, codebook)
+                y_now = run_frame(state.symbols, engine.schedule, channel, engine.link, cfg.noise, rng)
+                decided = diff_decisions(y_now, y_prev, scales, codebook)
+                assert np.array_equal(diff_decode_frame(y_now, y_prev, scales, codebook)[0], decided)
+                errors += sum(bin(int(a) ^ int(b)).count("1") for a, b in zip(tx, decided))
+                scales, y_prev = codebook.scales[decided], y_now
+            counted.append((errors, engine.bits_per_unit))
+        assert counted == [engine.simulate(frame_rng(cfg.seed, 0, unit)) for unit in range(4)]
+        assert sum(e for e, _ in counted) > 0
 
 
 class TestReproducibility:

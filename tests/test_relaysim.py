@@ -12,6 +12,7 @@ from asyncrelay.relaysim import (
     LinkConfig,
     PowerConfig,
     complex_noise,
+    destination_frontend,
     destination_receive,
     draw_channel,
     relay_process,
@@ -20,7 +21,7 @@ from asyncrelay.relaysim import (
 )
 from asyncrelay import spectral
 
-from oracles import expected_subcarrier_rx, slot_noise_variances
+from oracles import expected_subcarrier_rx, frontend_loop, relay_process_loop, sheared_code, slot_noise_variances
 
 
 def _random_frame(rng, nu, n):
@@ -152,6 +153,26 @@ class TestRelayProcess:
         out = relay_process(received, schedule, cfg)
         # periodic over the full window: sample p equals sample p + n
         assert np.allclose(out[:, 1, 8:], out[:, 1, :3])
+
+    @pytest.mark.parametrize("name", [*builtin_codes(), "sheared"])
+    @pytest.mark.parametrize("cp", [0, 1, 16])
+    def test_gather_equals_the_slot_loop_bit_for_bit(self, name, cp):
+        code = sheared_code() if name == "sheared" else named_code(name)
+        schedule = derive_schedule(code)
+        cfg = LinkConfig(32, cp, PowerConfig(7.3, 1.0, 0.3))
+        rng = np.random.default_rng(cp)
+        received = complex_noise(rng, (code.num_relays, schedule.num_blocks, cfg.symbol_len))
+        out = relay_process(received, schedule, cfg)
+        assert np.array_equal(out.view(float), relay_process_loop(received, schedule, cfg).view(float))
+        raw = complex_noise(rng, (schedule.num_slots, cfg.symbol_len))
+        assert np.array_equal(destination_frontend(raw, schedule, cfg), frontend_loop(raw, schedule, cfg))
+
+    def test_block_out_of_range_names_slot_relay_and_block(self):
+        schedule = derive_schedule(named_code("relay4"))
+        cfg = LinkConfig(8, 2, PowerConfig(1.0))
+        received = np.zeros((4, 2, 10), dtype=complex)  # blocks 2 and 3 were never received
+        with pytest.raises(ValueError, match="slot 0 tells relay 2 to forward block 2, but only 2 blocks"):
+            relay_process(received, schedule, cfg)
 
 
 class TestDestinationReceive:
