@@ -130,11 +130,41 @@ class RelayInstruction:
     conjugate: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelaySchedule:
+    """Per-block modulation, per-slot reversal and the (T, R) instruction table.
+
+    Schedules compare and hash by value, through a key of plain tuples and
+    its hash computed once: per-schedule tables are looked up by schedule on
+    every simulated frame, and points of a sweep hold equal schedules.
+    """
+
     source_modulation: tuple[str, ...]
     slot_reversed: tuple[bool, ...]
     instructions: tuple[tuple[RelayInstruction | None, ...], ...]
+    _key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        rows = tuple(
+            tuple(None if ins is None else (ins.block, ins.sign, ins.conjugate) for ins in row)
+            for row in self.instructions
+        )
+        key = (self.source_modulation, self.slot_reversed, rows)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        if not isinstance(other, RelaySchedule):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt on unpickling: string hashes differ between processes
+        return RelaySchedule, (self.source_modulation, self.slot_reversed, self.instructions)
 
     @property
     def num_blocks(self) -> int:
@@ -408,7 +438,7 @@ def _four_relay(rotation: float) -> CodeDefinition:
     )
 
 
-def _four_relay_differential() -> CodeDefinition:
+def _four_relay_differential(rotation: float) -> CodeDefinition:
     return CodeDefinition(
         name="relay4_diff",
         relay_matrices=_four_relay_matrices(),
@@ -473,6 +503,14 @@ def infeasible_example(rotation: float = DEFAULT_ROTATION) -> CodeDefinition:
     )
 
 
+_BUILTIN = {
+    "alamouti": _alamouti,
+    "relay4": _four_relay,
+    "relay5": _five_relay,
+    "relay4_diff": _four_relay_differential,
+}
+
+
 def builtin_codes(rotation: float = DEFAULT_ROTATION) -> dict[str, CodeDefinition]:
     """The shipped code library, keyed by name.
 
@@ -484,23 +522,19 @@ def builtin_codes(rotation: float = DEFAULT_ROTATION) -> dict[str, CodeDefinitio
     ``relay4_diff`` the relay matrices of ``relay4`` with the scaled-unitary
                     pair alphabet used by the differential codebook.
     """
-    return {
-        "alamouti": _alamouti(rotation),
-        "relay4": _four_relay(rotation),
-        "relay5": _five_relay(rotation),
-        "relay4_diff": _four_relay_differential(),
-    }
+    return {name: build(rotation) for name, build in _BUILTIN.items()}
 
 
 def named_code(name: str, rotation: float = DEFAULT_ROTATION) -> CodeDefinition:
     """Look up a code by built-in name (``infeasible_example`` included as
-    'example1' so the rejection path is reachable from the CLI)."""
-    codes = builtin_codes(rotation)
-    codes["example1"] = infeasible_example(rotation)
+    'example1' so the rejection path is reachable from the CLI); only the
+    requested code is built."""
+    builders = {**_BUILTIN, "example1": infeasible_example}
     try:
-        return codes[name]
+        build = builders[name]
     except KeyError:
-        raise KeyError(f"unknown code name {name!r}; available: {sorted(codes)}") from None
+        raise KeyError(f"unknown code name {name!r}; available: {sorted(builders)}") from None
+    return build(rotation)
 
 
 def _default_alphabet(groups, rotation: float) -> tuple[np.ndarray, ...]:

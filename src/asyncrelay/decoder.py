@@ -23,6 +23,15 @@ apply it to one ``SubcarrierModel``. The grouped
 search verifies the orthogonality for the channel at hand (tolerance 1e-9)
 and falls back to the exhaustive search with a warning if it fails, so
 grouping is an optimisation, never an approximation.
+
+Everything that depends only on the code, the schedule or n_fft is
+tabulated once and reused by every frame, with results bit-identical to
+computing it per frame: the delay rotations of ``equivalent_channel_matrix``
+(one (N, span) table per n_fft, gathered by the drawn delays), the
+conjugated-column mask per code, the slots of each schedule grouped by
+their count of active relays for ``noise_covariance``, and the per-group
+candidate tables of ``CoherentDecoder``, padded to the largest group
+alphabet so that one argmin over an (N, G, K) view searches every group.
 """
 
 from __future__ import annotations
@@ -89,7 +98,7 @@ class SubcarrierModel:
 
 def whitening_weights(noise_cov: np.ndarray) -> np.ndarray:
     """Whitening weights w_t^2 = 1 / var_t of a diagonal (T, T) covariance."""
-    return 1.0 / np.real(np.diag(noise_cov))
+    return 1.0 / np.asarray(noise_cov).diagonal().real
 
 
 def delay_phases(n_fft: int, delays: np.ndarray) -> np.ndarray:
@@ -99,14 +108,68 @@ def delay_phases(n_fft: int, delays: np.ndarray) -> np.ndarray:
     return np.exp(-2j * np.pi * k * delays[None, :] / n_fft)
 
 
+# n_fft -> (N, span) delay_phases of the delays 0 .. span - 1, span a power
+# of two; replaced by a wider table when a larger delay arrives
+_ROTATIONS: dict[int, np.ndarray] = {}
+
+
+def _delay_rotations(n_fft: int, largest: int) -> np.ndarray:
+    """Read-only table whose column tau is ``delay_phases`` of delay tau, for
+    every tau up to ``largest`` (< n_fft).
+
+    Entry (k, tau) is the same floating-point expression as entry (k, r) of
+    ``delay_phases`` for delays[r] = tau, so gathering columns reproduces it
+    bit for bit.
+    """
+    table = _ROTATIONS.get(n_fft)
+    if table is None or table.shape[1] <= largest:
+        table = delay_phases(n_fft, np.arange(1 << largest.bit_length()))
+        table.setflags(write=False)
+        _ROTATIONS[n_fft] = table
+    return table
+
+
+@functools.lru_cache(maxsize=16)
+def _conjugated(code: CodeDefinition) -> np.ndarray:
+    """(R,) mask of the code's conjugated columns, read-only."""
+    mask = np.isin(np.arange(code.num_relays), sorted(code.conjugated_columns))
+    mask.setflags(write=False)
+    return mask
+
+
 def equivalent_channel_matrix(
     code: CodeDefinition, channel: ChannelRealization, n_fft: int
 ) -> np.ndarray:
-    """Equivalent channel vectors for every subcarrier, shape (N, R)."""
-    f = channel.source_to_relay.copy()
-    conj_cols = sorted(code.conjugated_columns)
-    f[conj_cols] = np.conj(f[conj_cols])
-    return (f * channel.relay_to_dest)[None, :] * delay_phases(n_fft, channel.delays)
+    """Equivalent channel vectors for every subcarrier, shape (N, R).
+
+    The delay rotations are columns of one table per n_fft, kept across
+    calls and widened to the next power of two when a larger delay arrives:
+    drawn delays below cp_len settle on one table of at most twice (N,
+    cp_len), and fixed delays past the prefix widen it the same way. Delays
+    of a whole symbol or more (far outside the model) are not tabulated.
+    """
+    f = channel.source_to_relay
+    f = np.where(_conjugated(code), np.conj(f), f)
+    largest = int(channel.delays[-1])  # delays are non-decreasing
+    if largest < n_fft:
+        phases = _delay_rotations(n_fft, largest).take(channel.delays, axis=1)
+    else:
+        phases = delay_phases(n_fft, channel.delays)
+    return (f * channel.relay_to_dest)[None, :] * phases
+
+
+@functools.lru_cache(maxsize=16)
+def _slot_activity(schedule: RelaySchedule) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The slots with k > 0 active relays, per k: (slots (S,), relays (S, k))."""
+    by_count: dict[int, list] = {}
+    for slot in range(schedule.num_slots):
+        active = schedule.active_relays(slot)
+        if active:
+            by_count.setdefault(len(active), []).append((slot, active))
+    return tuple(
+        (np.array([slot for slot, _ in rows]), np.array([active for _, active in rows]))
+        for rows in by_count.values()
+    )
 
 
 def noise_covariance(
@@ -118,15 +181,18 @@ def noise_covariance(
     noise of each relay active in that slot; forwarding permutes white noise
     samples without reuse, so cross-slot terms vanish for any code whose
     relays forward distinct blocks in distinct slots.
+
+    The schedule's slots are tabulated once, grouped by their number k of
+    active relays; each group sums its (S, k) gathered |g|^2 per row, which
+    is numpy's sum of each slot's active relays bit for bit (a (T, R) mask
+    with zeros would change the summation order from 8 relays on).
     """
     boost = cfg.power.relay_noise_power
     g_sq = np.abs(channel.relay_to_dest) ** 2
-    diag = np.ones(schedule.num_slots)
-    for slot in range(schedule.num_slots):
-        active = schedule.active_relays(slot)
-        if active:
-            diag[slot] += boost * g_sq[list(active)].sum()
-    return np.diag(diag.astype(complex))
+    forwarded = np.zeros(schedule.num_slots)
+    for slots, relays in _slot_activity(schedule):
+        forwarded[slots] = g_sq[relays].sum(axis=1)
+    return np.diag((1.0 + boost * forwarded).astype(complex))
 
 
 def build_model(
@@ -201,15 +267,32 @@ def full_candidates(code: CodeDefinition) -> tuple[np.ndarray, np.ndarray]:
     row order is lexicographic in the group indices."""
     sizes = [table.shape[0] for table in code.alphabet]
     index_table = np.array(list(itertools.product(*(range(k) for k in sizes))), dtype=int)
-    return _assemble(group_candidates(code), index_table), index_table
+    return _Assembly(code)(index_table), index_table
 
 
-def _assemble(partials: list[np.ndarray], indices: np.ndarray) -> np.ndarray:
-    """Symbol vectors (..., nu) of per-group alphabet indices (..., G)."""
-    symbols = np.zeros(indices.shape[:-1] + partials[0].shape[1:], dtype=complex)
-    for g, partial in enumerate(partials):
-        symbols += partial[indices[..., g]]
-    return symbols
+class _Assembly:
+    """Symbol vectors (..., nu) of per-group alphabet indices (..., G) by one
+    gather: real coordinate c of group g, position j in the group, is entry
+    (i_g, j) of the group's alphabet table, i.e. element
+    offset[c] + i_g * width[c] of the concatenated flattened tables, and the
+    (..., 2 nu) interleaved coordinates read as complex are the symbols."""
+
+    def __init__(self, code: CodeDefinition):
+        group_of = np.empty(2 * code.symbol_count, dtype=int)
+        self.width = np.empty_like(group_of)
+        self.offset = np.empty_like(group_of)
+        start = 0
+        for g, (coords, table) in enumerate(zip(code.group_partition, code.alphabet)):
+            group_of[list(coords)] = g
+            self.width[list(coords)] = len(coords)
+            self.offset[list(coords)] = start + np.arange(len(coords))
+            start += table.size
+        self.group_of = group_of
+        self.values = np.concatenate([table.ravel() for table in code.alphabet])
+
+    def __call__(self, indices: np.ndarray) -> np.ndarray:
+        flat = np.asarray(indices)[..., self.group_of] * self.width + self.offset
+        return self.values.take(flat).view(complex)
 
 
 def pair_products(h_all: np.ndarray) -> np.ndarray:
@@ -277,24 +360,27 @@ class CoherentDecoder:
     def __init__(self, code: CodeDefinition, gain: float):
         self.code = code
         self.gain = gain
-        self._partials = group_candidates(code)
-        self._bounds = np.cumsum([0] + [p.shape[0] for p in self._partials])
+        self._assemble = _Assembly(code)
         self._gap_terms = _gap_terms(code)
-        fields = np.concatenate([codeword(code, p) for p in self._partials])
-        self._group_terms = _metric_terms(fields, gain)
+        # every group's candidates padded to the largest alphabet by repeating
+        # its last one, so one argmin over (N, G, K) searches all groups and a
+        # pad, equal to an earlier column, never wins (argmin takes the first)
+        partials = group_candidates(code)
+        self._width = max(p.shape[0] for p in partials)
+        padded = [np.concatenate((p, np.repeat(p[-1:], self._width - p.shape[0], axis=0))) for p in partials]
+        self._group_terms = _metric_terms(codeword(code, np.concatenate(padded)), gain)
         self._full = None  # (index table, metric terms) of the product alphabet
 
     def gap(self, pairs: np.ndarray, w2: np.ndarray) -> float:
         """Largest cross-group whitened Gram entry over all subcarriers."""
         gram = pairs @ (w2 @ self._gap_terms).reshape(pairs.shape[1], -1)
-        return float(np.max(np.abs(gram))) if gram.size else 0.0
+        return float(np.abs(gram).max()) if gram.size else 0.0
 
     def grouped(self, y: np.ndarray, h_all: np.ndarray, pairs: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """Per-group alphabet indices (N, G), each group searched with every
         other group at zero; the joint minimiser when ``gap`` vanishes."""
         metrics = self._metrics(self._group_terms, y, h_all, pairs, w2)
-        slices = zip(self._bounds[:-1], self._bounds[1:])
-        return np.stack([np.argmin(metrics[:, lo:hi], axis=1) for lo, hi in slices], axis=1)
+        return metrics.reshape(metrics.shape[0], -1, self._width).argmin(axis=2)
 
     def exhaustive(self, y: np.ndarray, h_all: np.ndarray, pairs: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """Per-group alphabet indices (N, G) of the minimiser over the full
@@ -307,7 +393,7 @@ class CoherentDecoder:
 
     def symbols(self, indices: np.ndarray) -> np.ndarray:
         """Symbol vectors (..., nu) of per-group alphabet indices (..., G)."""
-        return _assemble(self._partials, np.asarray(indices))
+        return self._assemble(indices)
 
     def indices(self, symbols: np.ndarray) -> np.ndarray:
         """Per-group indices (..., G) of the alphabet entries nearest to the

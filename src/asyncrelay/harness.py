@@ -36,6 +36,7 @@ from .codebook import (
     row_sets,
 )
 from .differential import (
+    DifferentialCodebook,
     build_codebook_4relay,
     diff_decode_frame,
     diff_encode,
@@ -185,6 +186,14 @@ def _resolve_code(cfg: SimConfig) -> CodeDefinition:
 
 
 def _validate(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule]:
+    """Check the configuration; return the code and its schedule."""
+    code, schedule, _ = _setup(cfg)
+    return code, schedule
+
+
+def _setup(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule, DifferentialCodebook | None]:
+    """``_validate``'s checks, also returning the differential codebook they
+    built and verified (None in coherent mode) for the engine to use."""
     if cfg.mode not in ("coherent", "differential"):
         raise ConfigError(f"mode must be 'coherent' or 'differential', got {cfg.mode!r}")
     if not cfg.power_db:
@@ -197,15 +206,19 @@ def _validate(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule]:
         raise ConfigError("max_frames cannot be smaller than frames")
     if cfg.workers < 1:
         raise ConfigError("workers must be at least 1")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     if cfg.diff_chain < 2:
         raise ConfigError("diff_chain needs at least a reference frame and one data frame")
 
     code = _resolve_code(cfg)
-    try:
-        for p_db in cfg.power_db:
+    for p_db in cfg.power_db:
+        try:
             LinkConfig(cfg.n_fft, cfg.cp_len, _power_config(cfg, code, p_db))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        except OverflowError as exc:
+            raise ConfigError(f"power {p_db!r} dB is out of range") from exc
     report = check_feasibility(row_sets(code))
     if not report:
         raise ScheduleError(f"code {code.name!r} fails feasibility condition {report.condition}: {report.detail}")
@@ -222,20 +235,19 @@ def _validate(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule]:
                 f"fixed delays {d} exceed the {cfg.cp_len}-sample cyclic prefix: the per-subcarrier "
                 "model does not hold and the results are out of contract",
                 UserWarning,
-                stacklevel=3,
+                stacklevel=4,  # run_sweep's caller
             )
 
-    if cfg.mode == "differential":
-        try:
-            codebook = build_codebook_4relay(code)
-        except ValueError as exc:
-            raise ScheduleError(f"code {code.name!r} has no differential codebook: {exc}") from exc
-        for report in (verify_scaled_unitary(codebook), verify_commutation(codebook, code)):
-            if not report:
-                raise ScheduleError(
-                    f"code {code.name!r} has no verified differential codebook: {report.detail}"
-                )
-    return code, schedule
+    if cfg.mode != "differential":
+        return code, schedule, None
+    try:
+        codebook = build_codebook_4relay(code)
+    except ValueError as exc:
+        raise ScheduleError(f"code {code.name!r} has no differential codebook: {exc}") from exc
+    for report in (verify_scaled_unitary(codebook), verify_commutation(codebook, code)):
+        if not report:
+            raise ScheduleError(f"code {code.name!r} has no verified differential codebook: {report.detail}")
+    return code, schedule, codebook
 
 
 def _power_config(cfg: SimConfig, code: CodeDefinition, p_db: float) -> PowerConfig:
@@ -259,12 +271,19 @@ class _CoherentEngine:
         self.link = LinkConfig(cfg.n_fft, cfg.cp_len, _power_config(cfg, code, p_db))
         self.decoder = _decoder.coherent_decoder(code, self.link.power.cascade_gain)
         self.bits_per_unit = sum(code.bits_per_group()) * cfg.n_fft
-        self._popcount = _popcount_table(max(t.shape[0] for t in code.alphabet))
+        sizes = [t.shape[0] for t in code.alphabet]
+        self._popcount = _popcount_table(max(sizes))
+        # a scalar bound when the alphabets are equal takes numpy's faster fill
+        self._label_bound = sizes[0] if len(set(sizes)) == 1 else np.array(sizes)[:, None]
         self._warned = False
 
     def _draw_frame(self, rng) -> tuple[np.ndarray, np.ndarray]:
-        """Per-group alphabet indices (N, G), drawn group by group, and the (nu, N) frame."""
-        tx = np.stack([rng.integers(0, t.shape[0], size=self.cfg.n_fft) for t in self.code.alphabet], axis=1)
+        """Per-group alphabet indices (N, G), drawn group by group, and the (nu, N) frame.
+
+        One (G, N) draw is the stream of G calls of N: each label takes one
+        32-bit output, as the alphabet sizes are powers of two.
+        """
+        tx = rng.integers(0, self._label_bound, size=(len(self.code.alphabet), self.cfg.n_fft)).T
         return tx, self.decoder.symbols(tx).T
 
     def _gap(self, pairs: np.ndarray, w2: np.ndarray) -> float:
@@ -300,14 +319,17 @@ class _CoherentEngine:
 
 
 class _DifferentialEngine:
-    """Per-point simulation state for differential chains."""
+    """Per-point simulation state for differential chains over the codebook
+    that ``_validate`` built and verified."""
 
-    def __init__(self, cfg: SimConfig, code: CodeDefinition, schedule: RelaySchedule, p_db: float):
+    def __init__(
+        self, cfg: SimConfig, code: CodeDefinition, schedule: RelaySchedule, p_db: float, codebook: DifferentialCodebook
+    ):
         self.cfg = cfg
         self.code = code
         self.schedule = schedule
         self.link = LinkConfig(cfg.n_fft, cfg.cp_len, _power_config(cfg, code, p_db))
-        self.codebook = build_codebook_4relay(code)
+        self.codebook = codebook
         self.bits_per_unit = self.codebook.bits_per_word * cfg.n_fft * (cfg.diff_chain - 1)
         self._popcount = _popcount_table(self.codebook.num_words)
 
@@ -332,9 +354,9 @@ class _DifferentialEngine:
 def _engine_for(cfg: SimConfig, p_db: float):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # run_sweep's own validation warned already
-        code, schedule = _validate(cfg)
-    if cfg.mode == "differential":
-        return _DifferentialEngine(cfg, code, schedule, p_db)
+        code, schedule, codebook = _setup(cfg)
+    if codebook is not None:
+        return _DifferentialEngine(cfg, code, schedule, p_db, codebook)
     return _CoherentEngine(cfg, code, schedule, p_db)
 
 

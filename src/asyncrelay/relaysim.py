@@ -24,7 +24,10 @@ equivalence, which is what the cyclic prefix contract is about.
 Forwarding and front-end realignment are exact sample permutations, signs
 of +/-1 and conjugations, so each runs as one gather through index tables
 built once per (schedule, n_fft, cp_len) instead of a loop over slots and
-relays.
+relays. Schedules hash once (``RelaySchedule``), so finding those tables
+costs one dictionary lookup per frame. Noise is drawn in one
+``standard_normal`` call per array, the stream of separate real and
+imaginary draws, and received signals are added to it in place.
 """
 
 from __future__ import annotations
@@ -69,10 +72,12 @@ class PowerConfig:
     relay_fraction: float = 0.25
 
     def __post_init__(self):
-        if self.total_power <= 0:
-            raise ValueError("total_power must be positive")
-        if self.source_fraction <= 0 or self.relay_fraction <= 0:
-            raise ValueError("power fractions must be positive")
+        if not (math.isfinite(self.total_power) and self.total_power > 0):
+            raise ValueError(f"total_power must be finite and positive, got {self.total_power!r}")
+        for name in ("source_fraction", "relay_fraction"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     @property
     def source_scale(self) -> float:
@@ -135,11 +140,12 @@ class ChannelRealization:
             raise ValueError("channel vectors must be 1-D with one entry per relay")
         if d.size == 0:
             raise ValueError("need at least one relay")
-        if d[0] != 0:
+        taus = d.tolist()  # R Python ints: cheaper to check than array reductions
+        if taus[0] != 0:
             raise ValueError("delays[0] must be 0 (first relay sets the timing origin)")
-        if np.any(np.diff(d) < 0):
+        if any(b < a for a, b in zip(taus, taus[1:])):
             raise ValueError("delays must be non-decreasing")
-        if np.any(d < 0):
+        if any(tau < 0 for tau in taus):
             raise ValueError("delays must be non-negative")
         for field_name, value in (("source_to_relay", f), ("relay_to_dest", g), ("delays", d)):
             value.setflags(write=False)
@@ -151,8 +157,18 @@ class ChannelRealization:
 
 
 def complex_noise(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circular complex Gaussian samples with unit variance per sample."""
-    return math.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    """Circular complex Gaussian samples with unit variance per sample.
+
+    The real parts of all samples are drawn first, then the imaginary parts,
+    in one ``standard_normal`` call (the stream of two calls of ``shape``).
+    """
+    shape = tuple(shape) if np.iterable(shape) else (shape,)
+    parts = rng.standard_normal((2, *shape))
+    out = np.empty(shape, dtype=complex)
+    out.real = parts[0]
+    out.imag = parts[1]
+    out *= math.sqrt(0.5)
+    return out
 
 
 def draw_channel(
@@ -172,8 +188,9 @@ def draw_channel(
     g = complex_noise(rng, num_relays)
     if delays is None:
         if cp_len > 0:
-            d = np.sort(rng.integers(0, cp_len, size=num_relays))
-            d = d - d[0]
+            d = rng.integers(0, cp_len, size=num_relays)
+            d.sort()
+            d -= d[0]
         else:
             d = np.zeros(num_relays, dtype=int)
     else:
@@ -191,7 +208,9 @@ def source_transmit(frame: np.ndarray, schedule: RelaySchedule, cfg: LinkConfig)
     blocks = np.empty_like(frame)
     for j, modulation in enumerate(schedule.source_modulation):
         blocks[j] = spectral.dft(frame[j]) if modulation == DFT else spectral.idft(frame[j])
-    return cfg.power.source_scale * spectral.add_cp(blocks, cfg.cp_len)
+    symbols = spectral.add_cp(blocks, cfg.cp_len)
+    symbols *= cfg.power.source_scale
+    return symbols
 
 
 def relay_receive(
@@ -202,11 +221,12 @@ def relay_receive(
 ) -> np.ndarray:
     """Per-relay received symbols, shape (R, nu, N + cp_len)."""
     symbols = np.asarray(symbols, dtype=complex)
-    received = channel.source_to_relay[:, None, None] * symbols[None, :, :]
-    if noise_on:
-        if rng is None:
-            raise ValueError("noise_on requires a random generator")
-        received = received + complex_noise(rng, received.shape)
+    if not noise_on:
+        return channel.source_to_relay[:, None, None] * symbols[None, :, :]
+    if rng is None:
+        raise ValueError("noise_on requires a random generator")
+    received = complex_noise(rng, (channel.num_relays, *symbols.shape))
+    received += channel.source_to_relay[:, None, None] * symbols[None, :, :]
     return received
 
 
@@ -286,7 +306,7 @@ def relay_process(
     if num_relays != schedule.num_relays or symbol_len != cfg.symbol_len:
         raise ValueError("received array does not match schedule/link dimensions")
     table = _forwarding_table(schedule, cfg.n_fft, cfg.cp_len, num_blocks)
-    symbols = np.take(received, table.sources)
+    symbols = received.take(table.sources)
     symbols *= table.signs
     np.conjugate(symbols, out=symbols, where=table.conjugate)
     out = np.zeros((num_relays * schedule.num_slots, symbol_len), dtype=complex)
@@ -307,21 +327,23 @@ def destination_receive(
     the following symbol would swallow them for in-contract delays).
     """
     transmitted = np.asarray(transmitted, dtype=complex)
-    num_relays, num_slots, symbol_len = transmitted.shape
-    out = np.zeros((num_slots, symbol_len), dtype=complex)
-    for relay in range(num_relays):
-        tau = int(channel.delays[relay])
-        if tau >= symbol_len:
-            continue
-        gain = channel.relay_to_dest[relay]
-        if tau == 0:
-            out += gain * transmitted[relay]
-        else:
-            out[:, tau:] += gain * transmitted[relay][:, : symbol_len - tau]
+    if transmitted.ndim != 3 or transmitted.shape[0] != channel.num_relays:
+        raise ValueError("transmitted array needs one (T, N + cp_len) block per relay of the channel")
+    symbol_len = transmitted.shape[-1]
+    # the fading coefficient is the first operand: numpy's complex product of
+    # a broadcast first operand matches the per-relay scalar product bit for
+    # bit, a broadcast second operand does not
+    faded = channel.relay_to_dest[:, None, None] * transmitted
+    out = faded[0]  # relay 0 sets the timing origin: delays[0] == 0
+    for relay, tau in enumerate(channel.delays.tolist()[1:], start=1):
+        if tau < symbol_len:
+            out[:, tau:] += faded[relay, :, : symbol_len - tau]
     if noise_on:
         if rng is None:
             raise ValueError("noise_on requires a random generator")
-        out = out + complex_noise(rng, out.shape)
+        noisy = complex_noise(rng, out.shape)
+        noisy += out
+        return noisy
     return out
 
 
@@ -334,7 +356,7 @@ def destination_frontend(raw: np.ndarray, schedule: RelaySchedule, cfg: LinkConf
     raw = np.asarray(raw, dtype=complex)
     if raw.shape != (schedule.num_slots, cfg.symbol_len):
         raise ValueError(f"raw frame shape {raw.shape} does not match schedule/link dimensions")
-    return spectral.dft(np.take(raw, _body_sources(schedule, cfg.n_fft, cfg.cp_len)))
+    return spectral.dft(raw.take(_body_sources(schedule, cfg.n_fft, cfg.cp_len)))
 
 
 def run_frame(

@@ -207,3 +207,87 @@ def diff_decisions(y_now: np.ndarray, y_prev: np.ndarray, scales_prev: np.ndarra
     for g in range(codebook.num_groups):
         indices = indices * codebook.choices_per_group + choice[g]
     return indices
+
+
+def complex_noise_two_calls(rng, shape) -> np.ndarray:
+    """Unit-variance circular complex Gaussian samples: one standard_normal
+    call for the real parts, a second one for the imaginary parts."""
+    return math.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def equivalent_channel_exp(code, channel, n_fft: int) -> np.ndarray:
+    """(N, R) equivalent channels with a fresh exp over (N, R) per call:
+    f (conjugated for conjugated columns) times g times exp(-2j pi k tau / N)."""
+    f = channel.source_to_relay.copy()
+    conj_cols = sorted(code.conjugated_columns)
+    f[conj_cols] = np.conj(f[conj_cols])
+    k = np.arange(n_fft)[:, None]
+    phases = np.exp(-2j * np.pi * k * np.asarray(channel.delays)[None, :] / n_fft)
+    return (f * channel.relay_to_dest)[None, :] * phases
+
+
+def noise_covariance_loop(schedule, channel, cfg) -> np.ndarray:
+    """(T, T) diagonal noise covariance slot by slot: 1 plus the relay noise
+    power times the sum of |g|^2 over the slot's active relays."""
+    boost = cfg.power.relay_noise_power
+    g_sq = np.abs(channel.relay_to_dest) ** 2
+    diag = np.ones(schedule.num_slots)
+    for slot, row in enumerate(schedule.instructions):
+        active = [relay for relay, instr in enumerate(row) if instr is not None]
+        if active:
+            diag[slot] += boost * g_sq[active].sum()
+    return np.diag(diag.astype(complex))
+
+
+def destination_receive_loop(transmitted: np.ndarray, channel, noise) -> np.ndarray:
+    """Delayed superposition relay by relay, each relay's samples scaled by
+    its fading coefficient and added ``delays[i]`` samples late, plus the
+    given (T, N + cp) noise (or None)."""
+    num_relays, num_slots, symbol_len = transmitted.shape
+    out = np.zeros((num_slots, symbol_len), dtype=complex)
+    for relay in range(num_relays):
+        tau = int(channel.delays[relay])
+        if tau >= symbol_len:
+            continue
+        gain = channel.relay_to_dest[relay]
+        if tau == 0:
+            out += gain * transmitted[relay]
+        else:
+            out[:, tau:] += gain * transmitted[relay][:, : symbol_len - tau]
+    return out if noise is None else out + noise
+
+
+def grouped_argmin_slices(metrics: np.ndarray, sizes) -> np.ndarray:
+    """Per-group choices (N, G): the argmin of each group's own block of
+    ``sizes[g]`` consecutive metric columns."""
+    bounds = np.cumsum([0] + list(sizes))
+    return np.stack([np.argmin(metrics[:, lo:hi], axis=1) for lo, hi in zip(bounds[:-1], bounds[1:])], axis=1)
+
+
+def draw_frame_per_group(rng, code, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group alphabet labels (N, G), one ``integers`` call per group, and
+    the (nu, N) frame summed from each group's partial symbol vectors."""
+    nu = code.symbol_count
+    tx = np.stack([rng.integers(0, table.shape[0], size=n_fft) for table in code.alphabet], axis=1)
+    symbols = np.zeros((n_fft, nu), dtype=complex)
+    for g, (coords, table) in enumerate(zip(code.group_partition, code.alphabet)):
+        real = np.zeros((n_fft, 2 * nu))
+        real[:, list(coords)] = table[tx[:, g]]
+        symbols += real[:, 0::2] + 1j * real[:, 1::2]
+    return tx, symbols.T
+
+
+def unequal_alphabet_code():
+    """relay4's relay matrices and groups with group alphabets of 4, 2, 8 and
+    1 points, so grouped search must cope with unequal alphabet sizes."""
+    from asyncrelay.codebook import CodeDefinition, named_code, qpsk_pairs
+
+    base = named_code("relay4")
+    eight = np.concatenate((qpsk_pairs(), 0.5 * qpsk_pairs(0.4)))
+    return CodeDefinition(
+        "unequal",
+        base.relay_matrices,
+        base.conjugated_columns,
+        base.group_partition,
+        (qpsk_pairs(0.3), qpsk_pairs()[:2], eight, np.array([[0.6, -0.2]])),
+    )

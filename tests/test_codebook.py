@@ -1,10 +1,13 @@
 """Code definitions, feasibility classification and schedule derivation."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from asyncrelay import codebook
 from asyncrelay.codebook import (
     DEFAULT_ROTATION,
     DFT,
@@ -237,6 +240,16 @@ class TestScheduleDerivation:
                     expected = (not is_dft) if instr.conjugate else is_dft
                     assert schedule.slot_reversed[slot] == expected
 
+    def test_schedules_compare_and_hash_by_value(self):
+        a, b = derive_schedule(named_code("relay5")), derive_schedule(named_code("relay5"))
+        assert a is not b and a == b and hash(a) == hash(b)
+        for copy in (pickle.loads(pickle.dumps(a)), dataclasses.replace(a)):
+            assert copy == a and hash(copy) == hash(a)
+        other = derive_schedule(named_code("relay4"))
+        assert a != other and len({a, b, other}) == 2
+        flipped = dataclasses.replace(a, slot_reversed=(True,) + a.slot_reversed[1:])
+        assert flipped != a
+
     def test_relay_forwarding_same_block_twice_rejected(self):
         twice = np.array([[1.0, 0.0], [1.0, 0.0]])
         code = CodeDefinition(
@@ -309,8 +322,19 @@ class TestTextFormat:
 
 class TestNamedCode:
     def test_unknown_name_lists_choices(self):
-        with pytest.raises(KeyError, match="alamouti"):
+        with pytest.raises(KeyError) as err:
             named_code("nope")
+        assert err.value.args[0] == (
+            "unknown code name 'nope'; available: ['alamouti', 'example1', 'relay4', 'relay4_diff', 'relay5']"
+        )
+
+    def test_only_the_requested_code_is_built(self, monkeypatch):
+        built = []
+        for name, build in list(codebook._BUILTIN.items()):
+            monkeypatch.setitem(codebook._BUILTIN, name, lambda rotation, n=name, b=build: built.append(n) or b(rotation))
+        assert named_code("relay5").name == "relay5"
+        assert built == ["relay5"]
+        assert sorted(builtin_codes()) == sorted(codebook._BUILTIN)
 
     def test_infeasible_example_is_reachable_by_name(self):
         code = named_code("example1")

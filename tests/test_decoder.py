@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from asyncrelay.codebook import builtin_codes, codeword, derive_schedule, named_code
+from asyncrelay.codebook import RelayInstruction, RelaySchedule, builtin_codes, codeword, derive_schedule, named_code
 from asyncrelay.decoder import (
+    CoherentDecoder,
     SubcarrierModel,
+    _metric_terms,
     build_model,
     complex_to_real,
     decomposition_gap,
@@ -20,12 +22,23 @@ from asyncrelay.decoder import (
     ml_decode_exhaustive,
     ml_decode_grouped,
     noise_covariance,
+    pair_products,
     real_to_complex,
     whitening_weights,
 )
 from asyncrelay.relaysim import ChannelRealization, LinkConfig, PowerConfig, complex_noise, draw_channel
 
-from oracles import equivalent_channel, exhaustive_ml, gram_gap, sheared_code, slot_noise_variances
+from oracles import (
+    equivalent_channel,
+    equivalent_channel_exp,
+    exhaustive_ml,
+    gram_gap,
+    grouped_argmin_slices,
+    noise_covariance_loop,
+    sheared_code,
+    slot_noise_variances,
+    unequal_alphabet_code,
+)
 
 
 def _model_for(code, rng, n=16, cp=4, power=10.0, subcarrier=3):
@@ -69,6 +82,73 @@ class TestChannelAssembly:
         channel = draw_channel(rng, 2, 2)
         with pytest.raises(ValueError):
             build_model(channel, schedule, code, cfg, 8)
+
+
+def _all_codes():
+    return [*builtin_codes().values(), sheared_code()]
+
+
+def _wide_schedule() -> RelaySchedule:
+    """Twelve relays over five slots with 12, 9, 8, 3 and no active relays:
+    from 8 terms on, numpy sums pairwise, so a sum over all twelve relays
+    with zeros for the silent ones would round differently."""
+    active = (range(12), range(9), range(2, 10), (1, 5, 7), ())
+    rows = tuple(
+        tuple(RelayInstruction(0, 1.0, False) if relay in slot else None for relay in range(12)) for slot in active
+    )
+    return RelaySchedule(("idft",), (False,) * len(rows), rows)
+
+
+class TestTablesReproduceThePerUnitComputation:
+    """Tables built once per code, schedule or n_fft give the per-unit
+    results they replace bit for bit (compared as float views)."""
+
+    @pytest.mark.parametrize("n, cp", [(8, 2), (64, 16), (256, 32), (1024, 64)])
+    def test_equivalent_channel_with_drawn_delays(self, n, cp):
+        rng = np.random.default_rng(n + cp)
+        for code in _all_codes():
+            for _ in range(25):
+                channel = draw_channel(rng, code.num_relays, cp)
+                got = equivalent_channel_matrix(code, channel, n)
+                assert np.array_equal(got.view(float), equivalent_channel_exp(code, channel, n).view(float))
+
+    @pytest.mark.parametrize("n, cp", [(16, 4), (64, 16)])
+    def test_equivalent_channel_with_fixed_delays_past_the_prefix(self, n, cp):
+        rng = np.random.default_rng(n)
+        for code in _all_codes():
+            for last in (cp + 1, 3 * cp, n - 1, n, n + cp, 5 * n):
+                delays = np.round(np.linspace(0, last, code.num_relays)).astype(int)
+                channel = draw_channel(rng, code.num_relays, cp, delays)
+                got = equivalent_channel_matrix(code, channel, n)
+                assert np.array_equal(got.view(float), equivalent_channel_exp(code, channel, n).view(float))
+
+    def test_noise_covariance_equals_the_slot_loop(self):
+        rng = np.random.default_rng(12)
+        for schedule in [*(derive_schedule(code) for code in _all_codes()), _wide_schedule()]:
+            for _ in range(20):
+                cfg = LinkConfig(16, 4, PowerConfig(rng.uniform(0.5, 500.0), 1.0, rng.uniform(0.05, 1.0)))
+                channel = draw_channel(rng, schedule.num_relays, 4)
+                got = noise_covariance(schedule, channel, cfg)
+                assert np.array_equal(got.view(float), noise_covariance_loop(schedule, channel, cfg).view(float))
+
+    def test_grouped_search_over_unequal_alphabets_equals_the_per_group_argmin(self):
+        code = unequal_alphabet_code()
+        sizes = [table.shape[0] for table in code.alphabet]
+        assert sizes == [4, 2, 8, 1]
+        rng = np.random.default_rng(13)
+        gain = 1.7
+        decoder = CoherentDecoder(code, gain)
+        unpadded = _metric_terms(codeword(code, np.concatenate(group_candidates(code))), gain)
+        for _ in range(10):
+            h_all = complex_noise(rng, (8, code.num_relays))
+            w2 = np.full(code.slot_count, rng.uniform(0.2, 1.0))  # relay4 slots share one variance
+            y = complex_noise(rng, (code.slot_count, 8)) * rng.uniform(0.5, 3.0)
+            pairs = pair_products(h_all)
+            decided = decoder.grouped(y, h_all, pairs, w2)
+            metrics = CoherentDecoder._metrics(unpadded, y, h_all, pairs, w2)
+            assert np.array_equal(decided, grouped_argmin_slices(metrics, sizes))
+            for k in range(8):  # the groups stay orthogonal, so this is the joint ML decision
+                assert tuple(int(i) for i in decided[k]) == exhaustive_ml(code, y[:, k], h_all[k], 1.0 / w2, gain)
 
 
 class TestModelContract:

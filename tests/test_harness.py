@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from asyncrelay import harness
 from asyncrelay.cli import build_parser, config_from_args
 from asyncrelay.cli import main as cli_main
 from asyncrelay.decoder import (
@@ -36,7 +37,7 @@ from asyncrelay.harness import (
 from asyncrelay.codebook import ScheduleError, derive_schedule, format_code_text, named_code
 from asyncrelay.relaysim import draw_channel, run_frame
 
-from oracles import diff_decisions, exhaustive_ml, gram_gap, sheared_code
+from oracles import diff_decisions, draw_frame_per_group, exhaustive_ml, gram_gap, sheared_code, unequal_alphabet_code
 
 FAST = dict(n_fft=8, cp_len=2, frames=20, min_errors=4, seed=13)
 
@@ -128,6 +129,29 @@ class TestConfigValidation:
         assert cli_main(["--mode", "differential", "--code", str(path), "--power", "30", "--frames", "1"]) == 3
         assert "not scaled unitary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(seed=-1),
+            dict(power_db=(math.nan,)),
+            dict(power_db=(10.0, math.inf)),
+            dict(power_db=(4000.0,)),  # 10^400 overflows a float
+            dict(relay_fraction=math.nan),
+            dict(relay_fraction=math.inf),
+            dict(source_fraction=math.nan),
+        ],
+    )
+    def test_out_of_contract_values_raise_config_error(self, kwargs):
+        with pytest.raises(ConfigError):
+            run_sweep(SimConfig(**{**FAST, **kwargs}))
+
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "-1"], ["--power", "nan"], ["--power", "inf"], ["--relay-fraction", "nan"]]
+    )
+    def test_out_of_contract_values_exit_2(self, flags, capsys):
+        assert cli_main([*flags, "--n", "8", "--cp", "2", "--frames", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_fixed_delays_past_the_prefix_warn_and_still_simulate(self):
         cfg = SimConfig(power_db=(20.0, 30.0), delays=(0, 1, 2, 5), **FAST)
         with pytest.warns(UserWarning, match="cyclic prefix"):
@@ -161,10 +185,10 @@ class TestCoherentEngine:
             assert abs(gap - expected) <= 1e-12
             assert (gap > 1e-9) == (name == "sheared")
 
-    @pytest.mark.parametrize("name", ["alamouti", "relay4", "relay5"])
+    @pytest.mark.parametrize("name", ["alamouti", "relay4", "relay5", "unequal"])
     def test_grouped_search_counts_the_same_errors_as_exhaustive_search(self, name, monkeypatch):
         # grouped search, the engine's exhaustive fallback and the residual-norm oracle
-        code = named_code(name)
+        code = unequal_alphabet_code() if name == "unequal" else named_code(name)
         engine = _engine(code, n_fft=8, cp_len=2, p_db=6.0)
         cfg = engine.cfg
         gain = engine.link.power.cascade_gain
@@ -212,12 +236,33 @@ class TestCoherentEngine:
         assert max(labels) >= 256
         assert point.bit_errors == errors > 0
 
+    @pytest.mark.parametrize("name", ["alamouti", "relay4", "relay5", "relay4_diff", "sheared", "unequal"])
+    @pytest.mark.parametrize("n_fft", [1, 16])
+    def test_frame_draw_equals_per_group_draws(self, name, n_fft):
+        code = {"sheared": sheared_code, "unequal": unequal_alphabet_code}.get(name, lambda: named_code(name))()
+        engine = _engine(code, n_fft=n_fft, cp_len=0)
+        for unit in range(5):
+            a, b = frame_rng(2, 0, unit), frame_rng(2, 0, unit)
+            tx, frame = engine._draw_frame(a)
+            tx_ref, frame_ref = draw_frame_per_group(b, code, n_fft)
+            assert np.array_equal(tx, tx_ref)
+            assert np.array_equal(frame.real, frame_ref.real) and np.array_equal(frame.imag, frame_ref.imag)
+            assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
+
     def test_engine_shares_the_decoder_of_the_per_subcarrier_functions(self):
         engine = _engine(named_code("relay4"))
         assert engine.decoder is coherent_decoder(engine.code, engine.link.power.cascade_gain)
 
 
 class TestDifferentialEngine:
+    def test_a_sweep_builds_the_codebook_once_per_validation(self, monkeypatch):
+        builds = []
+        build = harness.build_codebook_4relay
+        monkeypatch.setattr(harness, "build_codebook_4relay", lambda code: builds.append(code) or build(code))
+        _engine_for.cache_clear()
+        run_sweep(SimConfig(mode="differential", code="relay4_diff", power_db=(10.0, 20.0, 30.0), **FAST))
+        assert len(builds) == 1 + 3  # run_sweep's validation, then each point's engine
+
     def test_decisions_equal_the_einsum_oracle_on_replayed_units(self):
         cfg = SimConfig(mode="differential", code="relay4_diff", n_fft=32, cp_len=8, power_db=(12.0,), diff_chain=5)
         engine = _engine_for(cfg, 12.0)

@@ -16,12 +16,21 @@ from asyncrelay.relaysim import (
     destination_receive,
     draw_channel,
     relay_process,
+    relay_receive,
     run_frame,
     source_transmit,
 )
 from asyncrelay import spectral
 
-from oracles import expected_subcarrier_rx, frontend_loop, relay_process_loop, sheared_code, slot_noise_variances
+from oracles import (
+    complex_noise_two_calls,
+    destination_receive_loop,
+    expected_subcarrier_rx,
+    frontend_loop,
+    relay_process_loop,
+    sheared_code,
+    slot_noise_variances,
+)
 
 
 def _random_frame(rng, nu, n):
@@ -43,6 +52,12 @@ class TestPowerConfig:
             PowerConfig(total_power=1.0, source_fraction=-1.0)
         with pytest.raises(ValueError):
             PowerConfig(total_power=1.0, relay_fraction=0.0)
+
+    @pytest.mark.parametrize("field", ["total_power", "source_fraction", "relay_fraction"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_values_that_are_not_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            PowerConfig(**{"total_power": 1.0, field: value})
 
 
 class TestLinkConfig:
@@ -173,6 +188,50 @@ class TestRelayProcess:
         received = np.zeros((4, 2, 10), dtype=complex)  # blocks 2 and 3 were never received
         with pytest.raises(ValueError, match="slot 0 tells relay 2 to forward block 2, but only 2 blocks"):
             relay_process(received, schedule, cfg)
+
+
+class TestNoiseAndReceiveArithmetic:
+    """One-call noise draws and in-place signal sums give the two-call
+    streams and the per-relay loops bit for bit (compared as float views)."""
+
+    @pytest.mark.parametrize("shape", [4, (4,), (3, 5), (4, 4, 80)])
+    def test_complex_noise_is_the_two_call_stream(self, shape):
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        assert np.array_equal(complex_noise(a, shape).view(float), complex_noise_two_calls(b, shape).view(float))
+        assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
+
+    @pytest.mark.parametrize("name", ["alamouti", "relay4", "relay5", "relay4_diff", "sheared"])
+    def test_receive_stages_equal_their_loops(self, name):
+        code = sheared_code() if name == "sheared" else named_code(name)
+        schedule = derive_schedule(code)
+        n, cp = 16, 4
+        cfg = LinkConfig(n, cp, PowerConfig(30.0, 1.0, 1.0 / code.num_relays))
+        rng = np.random.default_rng(17)
+        shape = (code.num_relays, code.symbol_count, n + cp)
+        fixed = (None, tuple(np.round(np.linspace(0, 3 * cp, code.num_relays)).astype(int)), (0,) * (code.num_relays - 1) + (n + cp,))
+        for delays in fixed:
+            channel = draw_channel(rng, code.num_relays, cp, delays)
+            frame = _random_frame(rng, code.symbol_count, n)
+            symbols = source_transmit(frame, schedule, cfg)
+            blocks = [spectral.dft(f) if m == "dft" else spectral.idft(f) for f, m in zip(frame, schedule.source_modulation)]
+            assert np.array_equal(
+                symbols.view(float), (cfg.power.source_scale * spectral.add_cp(np.array(blocks), cp)).view(float)
+            )
+            a, b = np.random.default_rng(18), np.random.default_rng(18)
+            received = relay_receive(symbols, channel, True, a)
+            expected = channel.source_to_relay[:, None, None] * symbols[None, :, :] + complex_noise_two_calls(b, shape)
+            assert np.array_equal(received.view(float), expected.view(float))
+            transmitted = relay_process(received, schedule, cfg)
+            raw = destination_receive(transmitted, channel, True, a)
+            noise = complex_noise_two_calls(b, (code.slot_count, n + cp))
+            assert np.array_equal(raw.view(float), destination_receive_loop(transmitted, channel, noise).view(float))
+            noiseless = destination_receive(transmitted, channel, noise_on=False)
+            assert np.array_equal(noiseless.view(float), destination_receive_loop(transmitted, channel, None).view(float))
+
+    def test_destination_needs_one_block_per_relay(self):
+        ch = ChannelRealization(np.ones(2, dtype=complex), np.ones(2, dtype=complex), np.array([0, 1]))
+        with pytest.raises(ValueError, match="one .* block per relay"):
+            destination_receive(np.ones((1, 1, 6), dtype=complex), ch, noise_on=False)
 
 
 class TestDestinationReceive:
