@@ -210,6 +210,8 @@ class CodeDefinition:
         for i, m in enumerate(matrices):
             if m.shape != (nu, nu):
                 raise ValueError(f"relay matrix {i} has shape {m.shape}, expected ({nu}, {nu})")
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"relay matrix {i} has a non-finite entry")
             nonzero_per_row = np.count_nonzero(m, axis=1)
             if np.any(nonzero_per_row > 1):
                 bad = int(np.argmax(nonzero_per_row > 1))
@@ -238,6 +240,8 @@ class CodeDefinition:
         for g, (coords, table) in enumerate(zip(partition, alphabet)):
             if table.ndim != 2 or table.shape[1] != len(coords) or table.shape[0] < 1:
                 raise ValueError(f"alphabet table {g} must have shape (K, {len(coords)})")
+            if not np.all(np.isfinite(table)):
+                raise ValueError(f"alphabet table {g} has a non-finite entry")
             k = table.shape[0]
             if k & (k - 1):
                 raise ValueError(f"alphabet table {g} has {k} entries; bit labels need a power of two")

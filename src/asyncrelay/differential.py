@@ -37,11 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codebook import SCALED_UNITARY_PAIRS, CodeDefinition, codeword
+from .codebook import SCALED_UNITARY_PAIRS, CodeDefinition, codeword, named_code
 
 __all__ = [
     "CodebookReport",
-    "DecodedStep",
     "DifferentialCodebook",
     "DifferentialState",
     "build_codebook_4relay",
@@ -84,12 +83,6 @@ class DifferentialCodebook:
     def bits_per_word(self) -> int:
         return self.num_words.bit_length() - 1
 
-    def index_of(self, group_choice) -> int:
-        idx = 0
-        for c in group_choice:
-            idx = idx * self.choices_per_group + int(c)
-        return idx
-
 
 def _metric_terms(group_fields: np.ndarray) -> np.ndarray:
     """Coefficients of the grouped metric as a real linear form.
@@ -121,9 +114,7 @@ def build_codebook_4relay(code: CodeDefinition | None = None) -> DifferentialCod
     and ``verify_commutation`` check that.
     """
     if code is None:
-        from .codebook import builtin_codes
-
-        code = builtin_codes()["relay4_diff"]
+        code = named_code("relay4_diff")
     nu = code.symbol_count
     pair_set = SCALED_UNITARY_PAIRS
     k = pair_set.shape[0]
@@ -224,43 +215,15 @@ def diff_encode(
     return DifferentialState(symbols=new_symbols, scales=codebook.scales[word_indices])
 
 
-@dataclass(frozen=True)
-class DecodedStep:
-    word_index: int
-    group_choice: tuple[int, ...]
-    scale: float
-    matrix: np.ndarray
-
-
 def diff_decode(
-    y_now: np.ndarray,
-    y_prev: np.ndarray,
-    scale_prev: float,
-    codebook: DifferentialCodebook,
-    grouped: bool = True,
-) -> DecodedStep:
-    """Pick the codebook word minimising || y_now - C y_prev / scale_prev ||.
-
-    The grouped search is the one-subcarrier case of ``diff_decode_frame``,
-    relying on the codebook's cross-group orthogonality; ``grouped=False``
-    scans all words. No channel state enters anywhere.
-    """
+    y_now: np.ndarray, y_prev: np.ndarray, scale_prev: float, codebook: DifferentialCodebook
+) -> tuple[int, float]:
+    """Word index and scale minimising || y_now - C y_prev / scale_prev ||
+    on one subcarrier: the one-column case of ``diff_decode_frame``."""
     y_now = np.asarray(y_now, dtype=complex)
     y_prev = np.asarray(y_prev, dtype=complex)
-    if grouped:
-        indices, _ = diff_decode_frame(y_now[:, None], y_prev[:, None], np.array([scale_prev]), codebook)
-        idx = int(indices[0])
-    else:
-        v = (codebook.matrices @ y_prev) / scale_prev
-        residual = y_now[None, :] - v
-        metrics = np.einsum("ct,ct->c", residual, residual.conj()).real
-        idx = int(np.argmin(metrics))
-    return DecodedStep(
-        word_index=idx,
-        group_choice=tuple(int(c) for c in codebook.group_indices[idx]),
-        scale=float(codebook.scales[idx]),
-        matrix=codebook.matrices[idx],
-    )
+    indices, scales = diff_decode_frame(y_now[:, None], y_prev[:, None], np.array([scale_prev]), codebook)
+    return int(indices[0]), float(scales[0])
 
 
 def diff_decode_frame(

@@ -10,11 +10,16 @@ evaluated only at fixed batch boundaries for the same reason.
 A sweep point simulates at least ``frames`` units and keeps going in whole
 batches until ``min_errors`` error events are seen (noise on) or the
 ``max_frames`` cap is reached, whichever comes first.
+
+``run_sweep`` builds its state once per call: it reads the code (a built-in
+name or the code file as it is at call time), checks its feasibility,
+derives its schedule and, in differential mode, builds and verifies its
+codebook, then builds one engine per power point. Pool workers receive
+those engines once, when the pool starts. Nothing is kept between sweeps.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 import warnings
@@ -187,13 +192,6 @@ def _resolve_code(cfg: SimConfig) -> CodeDefinition:
 
 def _validate(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule]:
     """Check the configuration; return the code and its schedule."""
-    code, schedule, _ = _setup(cfg)
-    return code, schedule
-
-
-def _setup(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule, DifferentialCodebook | None]:
-    """``_validate``'s checks, also returning the differential codebook they
-    built and verified (None in coherent mode) for the engine to use."""
     if cfg.mode not in ("coherent", "differential"):
         raise ConfigError(f"mode must be 'coherent' or 'differential', got {cfg.mode!r}")
     if not cfg.power_db:
@@ -210,15 +208,10 @@ def _setup(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule, DifferentialC
         raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     if cfg.diff_chain < 2:
         raise ConfigError("diff_chain needs at least a reference frame and one data frame")
+    if cfg.rotation_deg is not None and not math.isfinite(cfg.rotation_deg):
+        raise ConfigError(f"rotation_deg must be finite, got {cfg.rotation_deg!r}")
 
     code = _resolve_code(cfg)
-    for p_db in cfg.power_db:
-        try:
-            LinkConfig(cfg.n_fft, cfg.cp_len, _power_config(cfg, code, p_db))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        except OverflowError as exc:
-            raise ConfigError(f"power {p_db!r} dB is out of range") from exc
     report = check_feasibility(row_sets(code))
     if not report:
         raise ScheduleError(f"code {code.name!r} fails feasibility condition {report.condition}: {report.detail}")
@@ -237,9 +230,11 @@ def _setup(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule, DifferentialC
                 UserWarning,
                 stacklevel=4,  # run_sweep's caller
             )
+    return code, schedule
 
-    if cfg.mode != "differential":
-        return code, schedule, None
+
+def _verified_codebook(code: CodeDefinition) -> DifferentialCodebook:
+    """The code's own differential codebook, once it passes both checks."""
     try:
         codebook = build_codebook_4relay(code)
     except ValueError as exc:
@@ -247,7 +242,7 @@ def _setup(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule, DifferentialC
     for report in (verify_scaled_unitary(codebook), verify_commutation(codebook, code)):
         if not report:
             raise ScheduleError(f"code {code.name!r} has no verified differential codebook: {report.detail}")
-    return code, schedule, codebook
+    return codebook
 
 
 def _power_config(cfg: SimConfig, code: CodeDefinition, p_db: float) -> PowerConfig:
@@ -264,11 +259,11 @@ class _CoherentEngine:
     ``decoder.coherent_decoder`` of the code and gain decides every
     subcarrier of a frame at once."""
 
-    def __init__(self, cfg: SimConfig, code: CodeDefinition, schedule: RelaySchedule, p_db: float):
+    def __init__(self, cfg: SimConfig, code: CodeDefinition, schedule: RelaySchedule, link: LinkConfig):
         self.cfg = cfg
         self.code = code
         self.schedule = schedule
-        self.link = LinkConfig(cfg.n_fft, cfg.cp_len, _power_config(cfg, code, p_db))
+        self.link = link
         self.decoder = _decoder.coherent_decoder(code, self.link.power.cascade_gain)
         self.bits_per_unit = sum(code.bits_per_group()) * cfg.n_fft
         sizes = [t.shape[0] for t in code.alphabet]
@@ -319,16 +314,16 @@ class _CoherentEngine:
 
 
 class _DifferentialEngine:
-    """Per-point simulation state for differential chains over the codebook
-    that ``_validate`` built and verified."""
+    """Per-point simulation state for differential chains over the sweep's
+    verified codebook."""
 
     def __init__(
-        self, cfg: SimConfig, code: CodeDefinition, schedule: RelaySchedule, p_db: float, codebook: DifferentialCodebook
+        self, cfg: SimConfig, code: CodeDefinition, schedule: RelaySchedule, link: LinkConfig, codebook: DifferentialCodebook
     ):
         self.cfg = cfg
         self.code = code
         self.schedule = schedule
-        self.link = LinkConfig(cfg.n_fft, cfg.cp_len, _power_config(cfg, code, p_db))
+        self.link = link
         self.codebook = codebook
         self.bits_per_unit = self.codebook.bits_per_word * cfg.n_fft * (cfg.diff_chain - 1)
         self._popcount = _popcount_table(self.codebook.num_words)
@@ -350,23 +345,44 @@ class _DifferentialEngine:
         return errors, self.bits_per_unit
 
 
-@functools.lru_cache(maxsize=8)
-def _engine_for(cfg: SimConfig, p_db: float):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # run_sweep's own validation warned already
-        code, schedule, codebook = _setup(cfg)
-    if codebook is not None:
-        return _DifferentialEngine(cfg, code, schedule, p_db, codebook)
-    return _CoherentEngine(cfg, code, schedule, p_db)
+def _sweep_engines(cfg: SimConfig) -> list:
+    """Validate ``cfg`` once and build the engine of every power point, in
+    ascending order; all of them share one code, schedule and codebook."""
+    code, schedule = _validate(cfg)
+    codebook = _verified_codebook(code) if cfg.mode == "differential" else None
+    engines = []
+    for p_db in sorted(cfg.power_db):
+        try:
+            link = LinkConfig(cfg.n_fft, cfg.cp_len, _power_config(cfg, code, p_db))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        except OverflowError as exc:
+            raise ConfigError(f"power {p_db!r} dB is out of range") from exc
+        if codebook is None:
+            engines.append(_CoherentEngine(cfg, code, schedule, link))
+        else:
+            engines.append(_DifferentialEngine(cfg, code, schedule, link, codebook))
+    return engines
+
+
+_pool_engines: list = []  # a pool worker's engines, set once by _init_pool
+
+
+def _init_pool(engines: list) -> None:
+    global _pool_engines
+    _pool_engines = engines
 
 
 def _chunk_task(args) -> tuple[int, int]:
-    cfg, p_db, point_index, start, stop = args
-    engine = _engine_for(cfg, p_db)
+    """Errors and bits of units [start, stop) of one point; a pool worker
+    gets None for the engine and uses the one its pool started with."""
+    engine, point_index, start, stop = args
+    if engine is None:
+        engine = _pool_engines[point_index]
     errors = 0
     bits = 0
     for unit in range(start, stop):
-        e, b = engine.simulate(frame_rng(cfg.seed, point_index, unit))
+        e, b = engine.simulate(frame_rng(engine.cfg.seed, point_index, unit))
         errors += e
         bits += b
     return errors, bits
@@ -386,7 +402,8 @@ def _split_range(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
     return out
 
 
-def _run_point(cfg: SimConfig, p_db: float, point_index: int, executor) -> BerPoint:
+def _run_point(engine, p_db: float, point_index: int, executor) -> BerPoint:
+    cfg = engine.cfg
     max_frames = cfg.max_frames if cfg.max_frames is not None else cfg.frames * 20
     started = time.perf_counter()
     errors = 0
@@ -397,11 +414,10 @@ def _run_point(cfg: SimConfig, p_db: float, point_index: int, executor) -> BerPo
         if batch <= 0:
             break
         ranges = _split_range(total, total + batch, cfg.workers)
-        tasks = [(cfg, p_db, point_index, a, b) for a, b in ranges]
         if executor is None:
-            results = [_chunk_task(t) for t in tasks]
+            results = [_chunk_task((engine, point_index, a, b)) for a, b in ranges]
         else:
-            results = list(executor.map(_chunk_task, tasks))
+            results = list(executor.map(_chunk_task, [(None, point_index, a, b) for a, b in ranges]))
         for e, b in results:
             errors += e
             bits += b
@@ -425,13 +441,15 @@ def _run_point(cfg: SimConfig, p_db: float, point_index: int, executor) -> BerPo
 
 def run_sweep(cfg: SimConfig) -> list[BerPoint]:
     """Simulate every power point of the sweep, ascending, and return the curve."""
-    _validate(cfg)
-    points_db = tuple(sorted(cfg.power_db))
+    engines = _sweep_engines(cfg)
     executor = None
     try:
         if cfg.workers > 1:
-            executor = ProcessPoolExecutor(max_workers=cfg.workers)
-        return [_run_point(cfg, p_db, idx, executor) for idx, p_db in enumerate(points_db)]
+            executor = ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_pool, initargs=(engines,))
+        return [
+            _run_point(engine, p_db, idx, executor)
+            for idx, (p_db, engine) in enumerate(zip(sorted(cfg.power_db), engines))
+        ]
     finally:
         if executor is not None:
             executor.shutdown()

@@ -28,9 +28,7 @@ __all__ = [
     "add_cp",
     "dft",
     "idft",
-    "remove_cp",
     "reverse",
-    "shift_tail_to_head",
 ]
 
 
@@ -70,20 +68,3 @@ def add_cp(block: np.ndarray, cp_len: int) -> np.ndarray:
         return x.copy()
     return np.concatenate((x[..., n - cp_len:], x), axis=-1)
 
-
-def remove_cp(block: np.ndarray, cp_len: int) -> np.ndarray:
-    """Drop the leading ``cp_len`` samples, returning the symbol body."""
-    x = np.asarray(block)
-    total = x.shape[-1]
-    if cp_len < 0 or 2 * cp_len >= total:
-        raise ValueError(f"cyclic prefix length {cp_len} invalid for {total}-sample block")
-    return x[..., cp_len:]
-
-
-def shift_tail_to_head(block: np.ndarray, cp_len: int) -> np.ndarray:
-    """Move the last ``cp_len`` samples to the front (circular right shift)."""
-    x = np.asarray(block)
-    n = x.shape[-1]
-    if not 0 <= cp_len < n:
-        raise ValueError(f"shift length {cp_len} must lie in [0, {n})")
-    return np.roll(x, cp_len, axis=-1)

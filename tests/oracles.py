@@ -209,6 +209,23 @@ def diff_decisions(y_now: np.ndarray, y_prev: np.ndarray, scales_prev: np.ndarra
     return indices
 
 
+def diff_decode_scan(y_now: np.ndarray, y_prev: np.ndarray, scale_prev: float, codebook) -> tuple[int, float]:
+    """Differential decision on one subcarrier by scanning every code word
+    for the least || y_now - C y_prev / scale_prev ||; returns (word, scale)."""
+    v = (codebook.matrices @ np.asarray(y_prev, dtype=complex)) / scale_prev
+    residual = np.asarray(y_now, dtype=complex)[None, :] - v
+    idx = int(np.argmin(np.einsum("ct,ct->c", residual, residual.conj()).real))
+    return idx, float(codebook.scales[idx])
+
+
+def word_index(codebook, group_choice) -> int:
+    """Codebook word of one choice per group, first group most significant."""
+    idx = 0
+    for c in group_choice:
+        idx = idx * codebook.choices_per_group + int(c)
+    return idx
+
+
 def complex_noise_two_calls(rng, shape) -> np.ndarray:
     """Unit-variance circular complex Gaussian samples: one standard_normal
     call for the real parts, a second one for the imaginary parts."""

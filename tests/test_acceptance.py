@@ -48,7 +48,7 @@ from asyncrelay.relaysim import (
     run_frame,
 )
 
-from oracles import expected_subcarrier_rx
+from oracles import diff_decode_scan, expected_subcarrier_rx
 
 
 @contextmanager
@@ -204,9 +204,7 @@ def test_criterion_04_grouped_decoding_is_exact(capsys):
             word = int(rng.integers(0, 256))
             scale = rng.uniform(0.7, 1.4)
             y_now = codebook.matrices[word] @ y_prev / scale + 0.3 * complex_noise(rng, 4)
-            grouped = diff_decode(y_now, y_prev, scale, codebook, grouped=True)
-            full = diff_decode(y_now, y_prev, scale, codebook, grouped=False)
-            assert grouped.word_index == full.word_index
+            assert diff_decode(y_now, y_prev, scale, codebook)[0] == diff_decode_scan(y_now, y_prev, scale, codebook)[0]
 
         elapsed = time.perf_counter() - started
         assert elapsed < 120.0

@@ -78,6 +78,15 @@ class TestCodeDefinitionValidation:
         with pytest.raises(ValueError, match="nonzero"):
             self._make((np.eye(2), bad))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, value):
+        with pytest.raises(ValueError, match="relay matrix 1 has a non-finite entry"):
+            self._make((np.eye(2), np.array([[value, 0.0], [0.0, 1.0]])))
+        alphabet = qpsk_pairs().copy()
+        alphabet[2, 1] = value
+        with pytest.raises(ValueError, match="alphabet table 1 has a non-finite entry"):
+            self._make((np.eye(2),), alphabet=(qpsk_pairs(), alphabet))
+
     def test_non_square_matrix_rejected(self):
         with pytest.raises(ValueError):
             self._make((np.ones((2, 3)),))

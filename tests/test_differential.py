@@ -18,7 +18,7 @@ from asyncrelay.differential import (
 )
 from asyncrelay.relaysim import LinkConfig, PowerConfig, complex_noise, draw_channel, run_frame
 
-from oracles import diff_decisions
+from oracles import diff_decisions, diff_decode_scan, word_index
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ class TestCodebookStructure:
     def test_word_index_is_base_4_natural_binary(self, codebook):
         idx = 0b01101100  # digits (1, 2, 3, 0), one per group
         assert list(codebook.group_indices[idx]) == [1, 2, 3, 0]
-        assert codebook.index_of((1, 2, 3, 0)) == idx
+        assert word_index(codebook, (1, 2, 3, 0)) == idx
 
     def test_matrices_assemble_from_group_fields(self, codebook):
         idx = 137
@@ -144,9 +144,7 @@ class TestDecoding:
             y_prev = complex_noise(rng, 4) * rng.uniform(0.5, 2.0)
             y_now = complex_noise(rng, 4) * rng.uniform(0.5, 2.0)
             scale = rng.uniform(0.5, 1.5)
-            grouped = diff_decode(y_now, y_prev, scale, codebook, grouped=True)
-            full = diff_decode(y_now, y_prev, scale, codebook, grouped=False)
-            assert grouped.word_index == full.word_index
+            assert diff_decode(y_now, y_prev, scale, codebook)[0] == diff_decode_scan(y_now, y_prev, scale, codebook)[0]
 
     def test_frame_decode_matches_scalar_decode(self, codebook):
         rng = np.random.default_rng(51)
@@ -155,9 +153,9 @@ class TestDecoding:
         scales = rng.uniform(0.5, 1.5, size=6)
         indices, out_scales = diff_decode_frame(y_now, y_prev, scales, codebook)
         for k in range(6):
-            step = diff_decode(y_now[:, k], y_prev[:, k], scales[k], codebook, grouped=False)
-            assert indices[k] == step.word_index
-            assert out_scales[k] == pytest.approx(step.scale)
+            word, scale = diff_decode_scan(y_now[:, k], y_prev[:, k], scales[k], codebook)
+            assert indices[k] == word
+            assert out_scales[k] == pytest.approx(scale)
 
     def test_frame_decode_equals_the_einsum_oracle(self, codebook):
         rng = np.random.default_rng(53)
@@ -178,8 +176,7 @@ class TestDecoding:
         scale_prev = 1.0
         word = 201
         y_next = codebook.matrices[word] @ y / scale_prev
-        step = diff_decode(y_next, y, scale_prev, codebook)
-        assert step.word_index == word
+        assert diff_decode(y_next, y, scale_prev, codebook) == (word, codebook.scales[word])
 
 
 class TestPipelineChain:

@@ -79,6 +79,7 @@ def test_non_orthogonal_code_file_falls_back_to_exhaustive_search(tmp_path):
         max_frames=20,
         seed=11,
     )
-    with pytest.warns(UserWarning, match="exhaustive"):
-        points = run_sweep(cfg)
-    assert [(p.bit_errors, p.bits, p.frames) for p in points] == [(103, 640, 20), (11, 640, 20)]
+    for _ in range(2):  # an identical second sweep warns again
+        with pytest.warns(UserWarning, match="exhaustive"):
+            points = run_sweep(cfg)
+        assert [(p.bit_errors, p.bits, p.frames) for p in points] == [(103, 640, 20), (11, 640, 20)]

@@ -20,7 +20,7 @@ from asyncrelay.decoder import (
 from asyncrelay.differential import diff_decode_frame, diff_encode, initial_state
 from asyncrelay.harness import (
     _CoherentEngine,
-    _engine_for,
+    _sweep_engines,
     CSV_HEADER,
     BerPoint,
     ConfigError,
@@ -35,7 +35,7 @@ from asyncrelay.harness import (
     wilson_interval,
 )
 from asyncrelay.codebook import ScheduleError, derive_schedule, format_code_text, named_code
-from asyncrelay.relaysim import draw_channel, run_frame
+from asyncrelay.relaysim import LinkConfig, draw_channel, run_frame
 
 from oracles import diff_decisions, draw_frame_per_group, exhaustive_ml, gram_gap, sheared_code, unequal_alphabet_code
 
@@ -139,6 +139,8 @@ class TestConfigValidation:
             dict(relay_fraction=math.nan),
             dict(relay_fraction=math.inf),
             dict(source_fraction=math.nan),
+            dict(rotation_deg=math.nan),
+            dict(rotation_deg=-math.inf),
         ],
     )
     def test_out_of_contract_values_raise_config_error(self, kwargs):
@@ -146,7 +148,15 @@ class TestConfigValidation:
             run_sweep(SimConfig(**{**FAST, **kwargs}))
 
     @pytest.mark.parametrize(
-        "flags", [["--seed", "-1"], ["--power", "nan"], ["--power", "inf"], ["--relay-fraction", "nan"]]
+        "flags",
+        [
+            ["--seed", "-1"],
+            ["--power", "nan"],
+            ["--power", "inf"],
+            ["--relay-fraction", "nan"],
+            ["--rotation-deg", "nan"],
+            ["--rotation-deg", "inf"],
+        ],
     )
     def test_out_of_contract_values_exit_2(self, flags, capsys):
         assert cli_main([*flags, "--n", "8", "--cp", "2", "--frames", "1"]) == 2
@@ -167,7 +177,8 @@ class TestConfigValidation:
 
 def _engine(code, n_fft=16, cp_len=4, p_db=12.0):
     cfg = SimConfig(code=code.name, n_fft=n_fft, cp_len=cp_len)
-    return _CoherentEngine(cfg, code, derive_schedule(code), p_db)
+    link = LinkConfig(n_fft, cp_len, harness._power_config(cfg, code, p_db))
+    return _CoherentEngine(cfg, code, derive_schedule(code), link)
 
 
 class TestCoherentEngine:
@@ -220,7 +231,7 @@ class TestCoherentEngine:
         path.write_text(f"5 5 1\ncolumn conj=0\n{rows}\ngroups 0 1 2 3 4 5 6 7 8 | 9\n")
         cfg = SimConfig(code=str(path), n_fft=8, cp_len=2, power_db=(3.0,), frames=3, min_errors=0, max_frames=3)
         (point,) = run_sweep(cfg)
-        engine = _engine_for(cfg, 3.0)
+        (engine,) = _sweep_engines(cfg)
         assert engine.code.alphabet[0].shape[0] == 512
         errors, labels = 0, []
         for unit in range(3):
@@ -256,16 +267,24 @@ class TestCoherentEngine:
 
 class TestDifferentialEngine:
     def test_a_sweep_builds_the_codebook_once_per_validation(self, monkeypatch):
-        builds = []
-        build = harness.build_codebook_4relay
-        monkeypatch.setattr(harness, "build_codebook_4relay", lambda code: builds.append(code) or build(code))
-        _engine_for.cache_clear()
-        run_sweep(SimConfig(mode="differential", code="relay4_diff", power_db=(10.0, 20.0, 30.0), **FAST))
-        assert len(builds) == 1 + 3  # run_sweep's validation, then each point's engine
+        # the code, its feasibility check, its schedule and its codebook: once per sweep, not per point
+        builders = ("_resolve_code", "check_feasibility", "derive_schedule", "build_codebook_4relay")
+        calls = []
+        for name in builders:
+            build = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *a, name=name, build=build: calls.append(name) or build(*a))
+        cfg = SimConfig(mode="differential", code="relay4_diff", power_db=(30.0, 10.0, 20.0), **FAST)
+        for sweeps in (1, 2):
+            run_sweep(cfg)
+            assert sorted(calls) == sorted(builders * sweeps)
+        engines = _sweep_engines(cfg)
+        assert [e.link.power.total_power for e in engines] == [10.0, 100.0, 1000.0]
+        for e in engines:
+            assert (e.code, e.schedule, e.codebook) == (engines[0].code, engines[0].schedule, engines[0].codebook)
 
     def test_decisions_equal_the_einsum_oracle_on_replayed_units(self):
         cfg = SimConfig(mode="differential", code="relay4_diff", n_fft=32, cp_len=8, power_db=(12.0,), diff_chain=5)
-        engine = _engine_for(cfg, 12.0)
+        (engine,) = _sweep_engines(cfg)
         codebook = engine.codebook
         counted = []
         for unit in range(4):
@@ -307,6 +326,18 @@ class TestReproducibility:
             emit_csv(points, path)
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_sweep_reads_the_code_file_as_it_is_at_call_time(self, workers, tmp_path):
+        path = tmp_path / "rewritten.code"
+        cfg = SimConfig(code=str(path), power_db=(6.0,), workers=workers, **FAST)
+        for name in ("relay4", "alamouti"):
+            text = format_code_text(named_code(name))
+            path.write_text(text)
+            (tmp_path / f"{name}.code").write_text(text)
+            (expected,) = run_sweep(dataclasses.replace(cfg, code=str(tmp_path / f"{name}.code"), workers=1))
+            (point,) = run_sweep(cfg)
+            assert (point.bit_errors, point.bits) == (expected.bit_errors, expected.bits)
 
     def test_repeated_run_is_identical(self):
         def counts(points):
@@ -513,9 +544,10 @@ class TestCli:
 
     def test_malformed_code_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.code"
-        bad.write_text("2 2\ncolumn conj=0\n1 0\n0 1\n")
-        assert cli_main(["--code", str(bad), "--power", "10", "--frames", "1"]) == 2
-        assert "malformed" in capsys.readouterr().err
+        for text in ("2 2\ncolumn conj=0\n1 0\n0 1\n", "2 2 1\ncolumn conj=0\n1 0\n0 nan\n"):
+            bad.write_text(text)
+            assert cli_main(["--code", str(bad), "--power", "10", "--frames", "1"]) == 2
+            assert "malformed" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
