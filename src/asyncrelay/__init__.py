@@ -30,7 +30,7 @@ from .decoder import SubcarrierModel, build_model, ml_decode_exhaustive, ml_deco
 from .differential import DifferentialCodebook, build_codebook_4relay, diff_decode, diff_encode, verify_commutation
 from .harness import BerPoint, ConfigError, SimConfig, emit_csv, emit_plotscript, parse_csv, run_sweep
 from .relaysim import ChannelRealization, LinkConfig, PowerConfig, draw_channel, run_frame
-from .spectral import add_cp, dft, idft, reverse
+from .spectral import add_cp, dft, idft
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "ml_decode_grouped",
     "named_code",
     "parse_csv",
-    "reverse",
     "row_sets",
     "run_frame",
     "run_sweep",

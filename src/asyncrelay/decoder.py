@@ -19,7 +19,10 @@ vectors of different groups are orthogonal under the real inner product.
 grouped search and the exhaustive search for all N subcarriers of a frame
 at once, one shared instance per code and gain (``coherent_decoder``);
 ``decomposition_gap``, ``ml_decode_grouped`` and ``ml_decode_exhaustive``
-apply it to one ``SubcarrierModel``. The grouped
+apply it to one ``SubcarrierModel``. Its second caller is differential
+decoding: ``differential.diff_decode_frame`` runs ``grouped`` over the
+codebook's pair code with the scaled previous block y^{t-1} / a_{t-1} as
+the channel and unit slot weights. The grouped
 search verifies the orthogonality for the channel at hand (tolerance 1e-9)
 and falls back to the exhaustive search with a warning if it fails, so
 grouping is an optimisation, never an approximation.

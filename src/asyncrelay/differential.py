@@ -10,18 +10,16 @@ same recursion, y^t ~ C_t y^{t-1} / a_{t-1}, in any fading and for any
 in-contract delays. The decoder therefore compares y^t against C y^{t-1}
 over the codebook, tracking the scale chain decision-directedly.
 
-The codebook is generated by four independent real coordinate pairs, one
-per decoding group, so the decoder metric splits into four 4-way searches
-instead of one 256-way search; the two searches agree except on exact ties.
-With y_hat = y^{t-1} / a_{t-1}, the metric of partial matrix M_gc of group g,
-
-    ||M_gc y_hat||^2 - 2 Re(y^t^H M_gc y_hat),
-
-is a real linear form in the real and imaginary parts of the products
-conj(y_hat_i) y_hat_j and conj(y^t_i) y_hat_j. The codebook tabulates its
-coefficients once (``metric_terms``), so decoding a frame is one real
-(N, 4 nu^2) @ (4 nu^2, G K) product, for G groups of K choices, followed
-by an argmin per group.
+The codebook words are the coherent code words of a pair code: the code's
+own relay matrices and groups, with every group's alphabet the four
+generating pairs ``SCALED_UNITARY_PAIRS``, at gain 1/sqrt(nu). With
+y_hat = y^{t-1} / a_{t-1} in the place of the channel, the differential
+metric ||y^t - C y_hat||^2 is the coherent ML metric of that pair code with
+unit slot weights, so ``diff_decode_frame`` is the coherent grouped search
+(``decoder.CoherentDecoder.grouped``): four 4-way searches instead of one
+256-way search. The search is exact because the cross-group gap of the pair
+code vanishes on any y_hat for paired groups (``codebook.decoder.gap``
+measures it); the grouped and the full search agree except on exact ties.
 
 ``build_codebook_4relay(code)`` builds the words from the code's own
 relay matrices and groups, which makes them scaled unitary and commuting
@@ -32,12 +30,12 @@ code in differential mode unless its own codebook passes them.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .codebook import SCALED_UNITARY_PAIRS, CodeDefinition, codeword, named_code
+from .decoder import CoherentDecoder, full_candidates, pair_products
 
 __all__ = [
     "CodebookReport",
@@ -55,48 +53,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DifferentialCodebook:
-    """All code matrices plus the structure needed for group-wise decoding."""
+    """The code words, their scales and the grouped search that decodes them."""
 
     matrices: np.ndarray  # (C, nu, nu) complex
     scales: np.ndarray  # (C,) positive: a with C^H C = a^2 I
-    group_indices: np.ndarray  # (C, G) per-group choice behind each matrix
-    group_fields: np.ndarray  # (G, K, nu, nu) partial matrices per group choice
-    pair_set: np.ndarray  # (K, 2) generating coordinate pairs
-    metric_terms: np.ndarray = field(init=False, repr=False)  # (4 nu^2, G K) real, from group_fields
-
-    def __post_init__(self):
-        object.__setattr__(self, "metric_terms", _metric_terms(self.group_fields))
+    decoder: CoherentDecoder  # grouped search over the pair code, gain 1/sqrt(nu)
 
     @property
     def num_words(self) -> int:
         return self.matrices.shape[0]
 
     @property
-    def num_groups(self) -> int:
-        return self.group_fields.shape[0]
-
-    @property
-    def choices_per_group(self) -> int:
-        return self.group_fields.shape[1]
-
-    @property
     def bits_per_word(self) -> int:
         return self.num_words.bit_length() - 1
-
-
-def _metric_terms(group_fields: np.ndarray) -> np.ndarray:
-    """Coefficients of the grouped metric as a real linear form.
-
-    For the (N, 2 nu, nu) products z[k, i, j] = conj(x_i) y_hat_j with
-    x = (y_hat, y_now) at subcarrier k, the metric of partial matrix M is
-    Re sum_ij B_ij z_ij with B = (M^H M; -2 M). With z read as interleaved
-    real pairs (Re z, Im z), column g K + c of the returned table holds
-    B of M_gc as interleaved pairs (Re B, -Im B).
-    """
-    num_groups, k, nu, _ = group_fields.shape
-    fields = group_fields.reshape(num_groups * k, nu, nu)
-    coeffs = np.concatenate((np.conj(fields).transpose(0, 2, 1) @ fields, -2.0 * fields), axis=1)
-    return np.ascontiguousarray(np.stack((coeffs.real, -coeffs.imag), axis=-1).reshape(num_groups * k, -1).T)
 
 
 def build_codebook_4relay(code: CodeDefinition | None = None) -> DifferentialCodebook:
@@ -116,35 +85,19 @@ def build_codebook_4relay(code: CodeDefinition | None = None) -> DifferentialCod
     if code is None:
         code = named_code("relay4_diff")
     nu = code.symbol_count
-    pair_set = SCALED_UNITARY_PAIRS
-    k = pair_set.shape[0]
     groups = code.group_partition
     if nu != 4 or len(groups) != 4 or any(len(g) != 2 for g in groups):
         raise ValueError(
             f"the four-relay codebook needs 4 symbols in four coordinate pairs, not {nu} symbols in groups {groups}"
         )
-    scale = 1.0 / np.sqrt(nu)
-
-    group_fields = np.zeros((len(groups), k, nu, nu), dtype=complex)
-    for g, coords in enumerate(groups):
-        for c in range(k):
-            real = np.zeros(2 * nu)
-            real[list(coords)] = pair_set[c]
-            z = real[0::2] + 1j * real[1::2]
-            group_fields[g, c] = scale * codeword(code, z)
-
-    choices = np.array(list(itertools.product(*(range(k),) * len(groups))), dtype=int)
-    matrices = np.zeros((len(choices), nu, nu), dtype=complex)
-    for g in range(len(groups)):
-        matrices += group_fields[g, choices[:, g]]
-    norms = (pair_set**2).sum(axis=1)
-    scales = np.sqrt(norms[choices].sum(axis=1) / nu)
+    pair_code = replace(code, alphabet=(SCALED_UNITARY_PAIRS,) * len(groups))
+    decoder = CoherentDecoder(pair_code, 1.0 / np.sqrt(nu))
+    symbols, choices = full_candidates(pair_code)
+    norms = (SCALED_UNITARY_PAIRS**2).sum(axis=1)
     return DifferentialCodebook(
-        matrices=matrices,
-        scales=scales,
-        group_indices=choices,
-        group_fields=group_fields,
-        pair_set=pair_set,
+        matrices=decoder.gain * codeword(pair_code, symbols),
+        scales=np.sqrt(norms[choices].sum(axis=1) / nu),
+        decoder=decoder,
     )
 
 
@@ -235,17 +188,12 @@ def diff_decode_frame(
     """Grouped decode across all subcarriers at once.
 
     ``y_now``/``y_prev`` are (T, N); returns (word indices (N,), scales (N,))
-    for the decision-directed chain. Every group's candidates are scored by
-    one product with ``codebook.metric_terms``.
+    for the decision-directed chain. The codebook's coherent grouped search
+    decides, with y_hat = y_prev / scales_prev as the channel and unit slot
+    weights; the per-group choices are the word's base-4 digits.
     """
-    y_now = np.asarray(y_now, dtype=complex)
     y_hat = (np.asarray(y_prev, dtype=complex) / np.asarray(scales_prev, dtype=float)).T  # (N, nu)
-    n = y_hat.shape[0]
-    x = np.conj(np.concatenate((y_hat, y_now.T), axis=1))
-    z = np.multiply(x[:, :, None], y_hat[:, None, :], order="C")  # (N, 2 nu, nu)
-    metrics = z.reshape(n, -1).view(np.float64) @ codebook.metric_terms
-    choice = metrics.reshape(n, codebook.num_groups, codebook.choices_per_group).argmin(axis=2)  # (N, G)
-    indices = np.zeros(n, dtype=int)
-    for g in range(codebook.num_groups):
-        indices = indices * codebook.choices_per_group + choice[:, g]
+    decoder = codebook.decoder
+    choice = decoder.grouped(np.asarray(y_now, dtype=complex), y_hat, pair_products(y_hat), np.ones(y_hat.shape[1]))
+    indices = np.ravel_multi_index(tuple(choice.T), [table.shape[0] for table in decoder.code.alphabet])
     return indices, codebook.scales[indices]

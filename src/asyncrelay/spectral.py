@@ -12,7 +12,10 @@ and makes the circular-reversal identity
 
 hold exactly. ``reverse`` is the circular index reversal n -> (N - n) mod N,
 which fixes sample 0 and reverses the rest; it is the N-point body operation
-realised by a relay that time-reverses a cyclic-prefixed symbol.
+realised by a relay that time-reverses a cyclic-prefixed symbol. The relays
+apply it inside their forwarding gather (``relaysim``), so this module has
+no function for it; the tests check the identities with the reference
+``reverse`` in ``tests/oracles.py``.
 
 The transforms are numpy's FFT (``norm="ortho"``). Block lengths must be
 powers of two: that is part of the ``LinkConfig`` contract (``n_fft``), not
@@ -28,7 +31,6 @@ __all__ = [
     "add_cp",
     "dft",
     "idft",
-    "reverse",
 ]
 
 
@@ -48,14 +50,6 @@ def dft(block: np.ndarray) -> np.ndarray:
 def idft(block: np.ndarray) -> np.ndarray:
     """Unitary inverse discrete Fourier transform along the last axis."""
     return np.fft.ifft(_checked(block), norm="ortho")
-
-
-def reverse(block: np.ndarray) -> np.ndarray:
-    """Circular index reversal: output n holds input (N - n) mod N."""
-    x = np.asarray(block)
-    if x.shape[-1] < 1:
-        raise ValueError("cannot reverse an empty block")
-    return np.roll(x[..., ::-1], 1, axis=-1)
 
 
 def add_cp(block: np.ndarray, cp_len: int) -> np.ndarray:

@@ -40,6 +40,15 @@ def idft_direct(x: np.ndarray) -> np.ndarray:
     return out / math.sqrt(n)
 
 
+def reverse(block: np.ndarray) -> np.ndarray:
+    """Circular index reversal: output n holds input (N - n) mod N, the body
+    operation of a relay that time-reverses a cyclic-prefixed symbol."""
+    x = np.asarray(block)
+    if x.shape[-1] < 1:
+        raise ValueError("cannot reverse an empty block")
+    return np.roll(x[..., ::-1], 1, axis=-1)
+
+
 def reverse_direct(x: np.ndarray) -> np.ndarray:
     """Circular reversal by explicit index arithmetic."""
     x = np.asarray(x)
@@ -195,17 +204,53 @@ def frontend_loop(raw: np.ndarray, schedule, cfg) -> np.ndarray:
     return np.fft.fft(out, norm="ortho")
 
 
-def diff_decisions(y_now: np.ndarray, y_prev: np.ndarray, scales_prev: np.ndarray, codebook) -> np.ndarray:
+def diff_group_fields(code) -> np.ndarray:
+    """(G, K, nu, nu) partial matrices of the differential codebook: matrix
+    (g, c) is 1/sqrt(nu) times the code word at the symbol vector whose group
+    g coordinates are generating pair c and whose other coordinates are 0."""
+    from asyncrelay.codebook import SCALED_UNITARY_PAIRS, codeword
+
+    nu = code.symbol_count
+    groups = code.group_partition
+    k = SCALED_UNITARY_PAIRS.shape[0]
+    scale = 1.0 / np.sqrt(nu)
+    group_fields = np.zeros((len(groups), k, nu, nu), dtype=complex)
+    for g, coords in enumerate(groups):
+        for c in range(k):
+            real = np.zeros(2 * nu)
+            real[list(coords)] = SCALED_UNITARY_PAIRS[c]
+            z = real[0::2] + 1j * real[1::2]
+            group_fields[g, c] = scale * codeword(code, z)
+    return group_fields
+
+
+def diff_codebook_assembly(code) -> tuple[np.ndarray, np.ndarray]:
+    """Differential code words (C, nu, nu) summed from ``diff_group_fields``
+    over every per-group choice, last group fastest, and their scales (C,)
+    from the squared norms of the chosen pairs."""
+    from asyncrelay.codebook import SCALED_UNITARY_PAIRS
+
+    group_fields = diff_group_fields(code)
+    num_groups, k, nu, _ = group_fields.shape
+    choices = np.array(list(itertools.product(*(range(k),) * num_groups)), dtype=int)
+    matrices = np.zeros((len(choices), nu, nu), dtype=complex)
+    for g in range(num_groups):
+        matrices += group_fields[g, choices[:, g]]
+    norms = (SCALED_UNITARY_PAIRS**2).sum(axis=1)
+    return matrices, np.sqrt(norms[choices].sum(axis=1) / nu)
+
+
+def diff_decisions(y_now: np.ndarray, y_prev: np.ndarray, scales_prev: np.ndarray, code) -> np.ndarray:
     """Grouped differential decisions from explicit candidate vectors: for
     every group g and choice c, v = M_gc y_prev / scale_prev is scored by
     ||v||^2 - 2 Re(y_now^H v); the best choices form the word index."""
-    v = np.einsum("gcij,jk->gcik", codebook.group_fields, y_prev) / scales_prev[None, None, None, :]
+    v = np.einsum("gcij,jk->gcik", diff_group_fields(code), y_prev) / scales_prev[None, None, None, :]
     cross = np.real(np.einsum("gcik,ik->gck", v, y_now.conj()))
     energy = np.real(np.einsum("gcik,gcik->gck", v, v.conj()))
     choice = np.argmin(energy - 2.0 * cross, axis=1)  # (G, N)
     indices = np.zeros(y_now.shape[1], dtype=int)
-    for g in range(codebook.num_groups):
-        indices = indices * codebook.choices_per_group + choice[g]
+    for g in range(choice.shape[0]):
+        indices = indices * v.shape[1] + choice[g]
     return indices
 
 
@@ -218,11 +263,12 @@ def diff_decode_scan(y_now: np.ndarray, y_prev: np.ndarray, scale_prev: float, c
     return idx, float(codebook.scales[idx])
 
 
-def word_index(codebook, group_choice) -> int:
-    """Codebook word of one choice per group, first group most significant."""
+def word_index(group_choice) -> int:
+    """Codebook word of one choice (of 4) per group, first group most
+    significant."""
     idx = 0
     for c in group_choice:
-        idx = idx * codebook.choices_per_group + int(c)
+        idx = idx * 4 + int(c)
     return idx
 
 

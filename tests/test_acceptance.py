@@ -5,6 +5,7 @@ line (with its headline numbers) directly to the terminal, bypassing
 pytest capture. Tolerances and time limits are asserted, not advisory.
 """
 
+import dataclasses
 import math
 import time
 from contextlib import contextmanager
@@ -30,7 +31,6 @@ from asyncrelay.decoder import (
     noise_covariance,
 )
 from asyncrelay.differential import (
-    DifferentialCodebook,
     build_codebook_4relay,
     diff_decode,
     diff_decode_frame,
@@ -48,7 +48,7 @@ from asyncrelay.relaysim import (
     run_frame,
 )
 
-from oracles import diff_decode_scan, expected_subcarrier_rx
+from oracles import diff_decode_scan, expected_subcarrier_rx, reverse
 
 
 @contextmanager
@@ -115,7 +115,7 @@ def test_criterion_01_transform_identities(capsys):
             )
             worst = max(
                 worst,
-                float(np.abs(spectral.dft(spectral.reverse(spectral.dft(x))) - x).max()),
+                float(np.abs(spectral.dft(reverse(spectral.dft(x))) - x).max()),
             )
         elapsed = time.perf_counter() - started
         assert worst < 1e-10
@@ -230,13 +230,7 @@ def test_criterion_05_differential_codebook_structure(capsys):
 
         mutated = codebook.matrices.copy()
         mutated[200, 1, 2] += 1e-6
-        broken = DifferentialCodebook(
-            matrices=mutated,
-            scales=codebook.scales,
-            group_indices=codebook.group_indices,
-            group_fields=codebook.group_fields,
-            pair_set=codebook.pair_set,
-        )
+        broken = dataclasses.replace(codebook, matrices=mutated)
         assert not verify_commutation(broken, code)
 
         out["text"] = (

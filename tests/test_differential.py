@@ -1,13 +1,14 @@
 """Differential codebook structure and the channel-blind decoding chain."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from asyncrelay.codebook import derive_schedule, format_code_text, named_code, parse_code_text
+from asyncrelay.decoder import pair_products
 from asyncrelay.differential import (
-    DifferentialCodebook,
     build_codebook_4relay,
     diff_decode,
     diff_decode_frame,
@@ -18,7 +19,7 @@ from asyncrelay.differential import (
 )
 from asyncrelay.relaysim import LinkConfig, PowerConfig, complex_noise, draw_channel, run_frame
 
-from oracles import diff_decisions, diff_decode_scan, word_index
+from oracles import diff_codebook_assembly, diff_decisions, diff_decode_scan, diff_group_fields, word_index
 
 
 @pytest.fixture(scope="module")
@@ -26,11 +27,16 @@ def codebook():
     return build_codebook_4relay()
 
 
+def unpaired_groups_code():
+    """relay4_diff's matrices with each symbol's (Re, Im) as one group."""
+    text = format_code_text(named_code("relay4_diff"))
+    return parse_code_text(text.replace("0 2 | 1 3 | 4 6 | 5 7", "0 1 | 2 3 | 4 5 | 6 7"))
+
+
 class TestCodebookStructure:
     def test_sizes(self, codebook):
         assert codebook.num_words == 256
-        assert codebook.num_groups == 4
-        assert codebook.choices_per_group == 4
+        assert [table.shape[0] for table in codebook.decoder.code.alphabet] == [4, 4, 4, 4]
         assert codebook.bits_per_word == 8
         assert codebook.matrices.shape == (256, 4, 4)
 
@@ -62,14 +68,25 @@ class TestCodebookStructure:
 
     def test_word_index_is_base_4_natural_binary(self, codebook):
         idx = 0b01101100  # digits (1, 2, 3, 0), one per group
-        assert list(codebook.group_indices[idx]) == [1, 2, 3, 0]
-        assert word_index(codebook, (1, 2, 3, 0)) == idx
-
-    def test_matrices_assemble_from_group_fields(self, codebook):
-        idx = 137
-        digits = codebook.group_indices[idx]
-        assembled = sum(codebook.group_fields[g, c] for g, c in enumerate(digits))
+        assert word_index((1, 2, 3, 0)) == idx
+        fields = diff_group_fields(named_code("relay4_diff"))
+        assembled = sum(fields[g, c] for g, c in enumerate((1, 2, 3, 0)))
         assert np.allclose(assembled, codebook.matrices[idx])
+        y = complex_noise(np.random.default_rng(54), 4)
+        assert diff_decode(codebook.matrices[idx] @ y, y, 1.0, codebook)[0] == idx
+
+    # the code file carries relay4's matrices and groups (and its own
+    # alphabet, which the codebook replaces by the generating pairs)
+    @pytest.mark.parametrize(
+        "code",
+        [named_code("relay4_diff"), parse_code_text(format_code_text(named_code("relay4")))],
+        ids=["relay4_diff", "relay4 code file"],
+    )
+    def test_matrices_assemble_from_group_fields(self, code):
+        codebook = build_codebook_4relay(code)
+        matrices, scales = diff_codebook_assembly(code)
+        assert np.array_equal(codebook.matrices.view(np.float64), matrices.view(np.float64))
+        assert np.array_equal(codebook.scales.view(np.float64), scales.view(np.float64))
 
 
 class TestCommutation:
@@ -81,13 +98,7 @@ class TestCommutation:
     def test_single_entry_mutation_is_caught(self, codebook):
         mutated = codebook.matrices.copy()
         mutated[17, 2, 3] += 1e-6
-        broken = DifferentialCodebook(
-            matrices=mutated,
-            scales=codebook.scales,
-            group_indices=codebook.group_indices,
-            group_fields=codebook.group_fields,
-            pair_set=codebook.pair_set,
-        )
+        broken = dataclasses.replace(codebook, matrices=mutated)
         report = verify_commutation(broken, named_code("relay4_diff"))
         assert not report
         assert report.max_error > 1e-7
@@ -103,10 +114,7 @@ class TestScaledUnitary:
         assert report and report.max_error < 1e-12
 
     def test_unpaired_groups_give_words_that_are_not_scaled_unitary(self):
-        # relay4_diff's matrices with each symbol's (Re, Im) as one group
-        text = format_code_text(named_code("relay4_diff"))
-        code = parse_code_text(text.replace("0 2 | 1 3 | 4 6 | 5 7", "0 1 | 2 3 | 4 5 | 6 7"))
-        report = verify_scaled_unitary(build_codebook_4relay(code))
+        report = verify_scaled_unitary(build_codebook_4relay(unpaired_groups_code()))
         assert not report
         assert "not scaled unitary" in report.detail
 
@@ -167,7 +175,7 @@ class TestDecoding:
             clean = np.einsum("kij,jk->ik", codebook.matrices[words], y_prev) / scales
             y_now = clean + rng.uniform(0.0, 1.5, size=n) * complex_noise(rng, (4, n))
             indices, out_scales = diff_decode_frame(y_now, y_prev, scales, codebook)
-            assert np.array_equal(indices, diff_decisions(y_now, y_prev, scales, codebook))
+            assert np.array_equal(indices, diff_decisions(y_now, y_prev, scales, named_code("relay4_diff")))
             assert np.array_equal(out_scales, codebook.scales[indices])
 
     def test_exact_recursion_decodes_noiselessly(self, codebook):
@@ -177,6 +185,25 @@ class TestDecoding:
         word = 201
         y_next = codebook.matrices[word] @ y / scale_prev
         assert diff_decode(y_next, y, scale_prev, codebook) == (word, codebook.scales[word])
+
+
+class TestGroupedSearchIsExact:
+    """The grouped search decides like the full search exactly when the
+    cross-group gap of the codebook's pair code vanishes on y_hat."""
+
+    @staticmethod
+    def _worst_gap(code) -> float:
+        decoder = build_codebook_4relay(code).decoder
+        rng = np.random.default_rng(55)
+        y_hat = complex_noise(rng, (1000, 4)) * rng.uniform(0.2, 3.0, size=(1000, 1))
+        return decoder.gap(pair_products(y_hat), np.ones(4))
+
+    @pytest.mark.parametrize("name", ["relay4_diff", "relay4"])
+    def test_paired_groups_have_no_gap(self, name):
+        assert self._worst_gap(named_code(name)) <= 1e-12
+
+    def test_unpaired_groups_have_a_gap(self):
+        assert self._worst_gap(unpaired_groups_code()) > 1e-9
 
 
 class TestPipelineChain:

@@ -298,7 +298,7 @@ class TestDifferentialEngine:
                 tx = rng.integers(0, codebook.num_words, size=cfg.n_fft)
                 state = diff_encode(state, tx, codebook)
                 y_now = run_frame(state.symbols, engine.schedule, channel, engine.link, cfg.noise, rng)
-                decided = diff_decisions(y_now, y_prev, scales, codebook)
+                decided = diff_decisions(y_now, y_prev, scales, engine.code)
                 assert np.array_equal(diff_decode_frame(y_now, y_prev, scales, codebook)[0], decided)
                 errors += sum(bin(int(a) ^ int(b)).count("1") for a, b in zip(tx, decided))
                 scales, y_prev = codebook.scales[decided], y_now
