@@ -9,7 +9,10 @@ evaluated only at fixed batch boundaries for the same reason.
 
 A sweep point simulates at least ``frames`` units and keeps going in whole
 batches until ``min_errors`` error events are seen (noise on) or the
-``max_frames`` cap is reached, whichever comes first.
+``max_frames`` cap is reached, whichever comes first. One scheduler runs the
+points of a sweep: every unfinished point keeps one batch in flight, so a
+pool always has other points' work queued while a point's stopping rule is
+applied, and the results stay byte-identical for any worker count.
 
 ``run_sweep`` builds its state once per call: it reads the code (a built-in
 name or the code file as it is at call time), checks its feasibility,
@@ -23,8 +26,10 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -210,6 +215,8 @@ def _validate(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule]:
         raise ConfigError("diff_chain needs at least a reference frame and one data frame")
     if cfg.rotation_deg is not None and not math.isfinite(cfg.rotation_deg):
         raise ConfigError(f"rotation_deg must be finite, got {cfg.rotation_deg!r}")
+    if cfg.out is not None and not Path(cfg.out).parent.is_dir():
+        raise ConfigError(f"the directory of output {cfg.out!r} does not exist")
 
     code = _resolve_code(cfg)
     report = check_feasibility(row_sets(code))
@@ -402,57 +409,68 @@ def _split_range(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
     return out
 
 
-def _run_point(engine, p_db: float, point_index: int, executor) -> BerPoint:
-    cfg = engine.cfg
+def _run_points(cfg: SimConfig, powers: list[float], dispatch) -> list[BerPoint]:
+    """Simulate every power point in whole batches, with one batch of each
+    unfinished point in flight; results are read in dispatch order.
+
+    ``dispatch(point_index, ranges)`` starts one batch of a point and returns
+    its (errors, bits) per unit range, as a list or a lazy iterator. A
+    point's ``seconds`` runs from its first dispatch to its last result.
+    """
     max_frames = cfg.max_frames if cfg.max_frames is not None else cfg.frames * 20
-    started = time.perf_counter()
-    errors = 0
-    bits = 0
-    total = 0
-    while True:
-        batch = min(cfg.frames, max_frames - total)
-        if batch <= 0:
-            break
-        ranges = _split_range(total, total + batch, cfg.workers)
-        if executor is None:
-            results = [_chunk_task((engine, point_index, a, b)) for a, b in ranges]
-        else:
-            results = list(executor.map(_chunk_task, [(None, point_index, a, b) for a, b in ranges]))
+    errors = [0] * len(powers)
+    bits = [0] * len(powers)
+    total = [0] * len(powers)
+    started = [0.0] * len(powers)
+    points: list = [None] * len(powers)
+    in_flight: deque = deque()
+
+    def submit(idx: int) -> None:
+        batch = min(cfg.frames, max_frames - total[idx])
+        in_flight.append((idx, dispatch(idx, _split_range(total[idx], total[idx] + batch, cfg.workers))))
+        total[idx] += batch
+
+    for idx in range(len(powers)):
+        started[idx] = time.perf_counter()
+        submit(idx)
+    while in_flight:
+        idx, results = in_flight.popleft()
         for e, b in results:
-            errors += e
-            bits += b
-        total += batch
-        if total >= cfg.frames:
-            if not cfg.noise or errors >= cfg.min_errors or total >= max_frames:
-                break
-    ber = errors / bits if bits else 0.0
-    lo, hi = wilson_interval(errors, bits)
-    return BerPoint(
-        power_db=p_db,
-        bit_errors=errors,
-        bits=bits,
-        ber=ber,
-        ci_lo=lo,
-        ci_hi=hi,
-        frames=total,
-        seconds=time.perf_counter() - started,
-    )
+            errors[idx] += e
+            bits[idx] += b
+        # every point has run at least `frames` units here: max_frames >= frames
+        if cfg.noise and errors[idx] < cfg.min_errors and total[idx] < max_frames:
+            submit(idx)
+            continue
+        lo, hi = wilson_interval(errors[idx], bits[idx])
+        points[idx] = BerPoint(
+            power_db=powers[idx],
+            bit_errors=errors[idx],
+            bits=bits[idx],
+            ber=errors[idx] / bits[idx] if bits[idx] else 0.0,
+            ci_lo=lo,
+            ci_hi=hi,
+            frames=total[idx],
+            seconds=time.perf_counter() - started[idx],
+        )
+    return points
 
 
 def run_sweep(cfg: SimConfig) -> list[BerPoint]:
     """Simulate every power point of the sweep, ascending, and return the curve."""
     engines = _sweep_engines(cfg)
-    executor = None
+    powers = sorted(cfg.power_db)
+    if cfg.workers == 1:
+        return _run_points(cfg, powers, lambda idx, ranges: [_chunk_task((engines[idx], idx, a, b)) for a, b in ranges])
+    executor = ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_pool, initargs=(engines,))
     try:
-        if cfg.workers > 1:
-            executor = ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_pool, initargs=(engines,))
-        return [
-            _run_point(engine, p_db, idx, executor)
-            for idx, (p_db, engine) in enumerate(zip(sorted(cfg.power_db), engines))
-        ]
+        # one map per batch: perfbench's traced run counts them, and its map returns a list
+        return _run_points(
+            cfg, powers, lambda idx, ranges: executor.map(_chunk_task, [(None, idx, a, b) for a, b in ranges])
+        )
     finally:
-        if executor is not None:
-            executor.shutdown()
+        # a batch that raised leaves other points' batches queued: cancel them
+        executor.shutdown(cancel_futures=True)
 
 
 def emit_csv(points: list[BerPoint], path) -> None:

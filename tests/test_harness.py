@@ -1,8 +1,12 @@
 """Sweep harness: reproducibility, stopping rule, CSV contract and CLI."""
 
 import dataclasses
+import functools
 import math
+import multiprocessing
+import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -40,6 +44,18 @@ from asyncrelay.relaysim import LinkConfig, draw_channel, run_frame
 from oracles import diff_decisions, draw_frame_per_group, exhaustive_ml, gram_gap, sheared_code, unequal_alphabet_code
 
 FAST = dict(n_fft=8, cp_len=2, frames=20, min_errors=4, seed=13)
+
+
+def _pool_with(monkeypatch, method: str) -> None:
+    """Make the harness's pools start their workers by ``method``."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=context))
+
+
+def _counts(points):
+    return [(p.power_db, p.bit_errors, p.bits, p.frames) for p in points]
 
 
 class TestWilsonInterval:
@@ -105,6 +121,7 @@ class TestConfigValidation:
             dict(delays=(1, 2, 3, 4)),
             dict(max_frames=5, frames=10),
             dict(code="/no/such/file.code"),
+            dict(out="/no/such/dir/sweep.csv"),
         ]
         for kwargs in bad:
             with pytest.raises(ConfigError):
@@ -327,6 +344,55 @@ class TestReproducibility:
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "mode,code,power_db",
+        [("coherent", "relay4", (0.0, 10.0, 35.0)), ("differential", "relay4_diff", (5.0, 15.0, 35.0))],
+    )
+    def test_points_stopping_after_different_batch_counts_are_worker_invariant(self, mode, code, power_db, tmp_path):
+        cfg = SimConfig(
+            mode=mode, code=code, n_fft=8, cp_len=2, power_db=power_db, frames=4, min_errors=40, max_frames=40, seed=3
+        )
+        outputs = []
+        for workers in (1, 2, 3):
+            points = run_sweep(dataclasses.replace(cfg, workers=workers))
+            # one batch (min_errors), three batches (min_errors), ten batches (max_frames)
+            assert [p.frames for p in points] == [4, 12, 40]
+            path = tmp_path / f"w{workers}.csv"
+            emit_csv(points, path)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_a_pool_started_by_any_method_gives_the_in_process_results(self, method, monkeypatch):
+        _pool_with(monkeypatch, method)
+        for mode, code in (("coherent", "relay4"), ("differential", "relay4_diff"), ("coherent", "relay5")):
+            cfg = SimConfig(
+                mode=mode, code=code, n_fft=16, cp_len=4, power_db=(10.0, 20.0), frames=6, min_errors=20, max_frames=24, seed=2
+            )
+            assert _counts(run_sweep(dataclasses.replace(cfg, workers=2))) == _counts(run_sweep(cfg))
+
+    def test_a_failing_batch_ends_the_sweep_and_cancels_queued_batches(self, monkeypatch, tmp_path):
+        log = tmp_path / "units.log"
+
+        def simulate(engine, rng):
+            if engine.link.power.total_power == 1.0:  # the 0 dB point, dispatched first
+                raise RuntimeError("engine failure")
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write("unit\n")
+            time.sleep(0.01)
+            return 0, engine.bits_per_unit
+
+        # the patched engine reaches the workers only through fork
+        _pool_with(monkeypatch, "fork")
+        monkeypatch.setattr(_CoherentEngine, "simulate", simulate)
+        powers = tuple(float(p) for p in range(12))
+        cfg = SimConfig(power_db=powers, frames=10, min_errors=0, max_frames=10, workers=2, n_fft=8, cp_len=2, seed=1)
+        with pytest.raises(RuntimeError, match="engine failure"):
+            run_sweep(cfg)
+        ran = len(log.read_text(encoding="utf-8").splitlines()) if log.exists() else 0
+        # run to completion, the other 11 points' first batches are 110 units
+        assert ran < 55
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_sweep_reads_the_code_file_as_it_is_at_call_time(self, workers, tmp_path):
         path = tmp_path / "rewritten.code"
@@ -548,6 +614,16 @@ class TestCli:
             bad.write_text(text)
             assert cli_main(["--code", str(bad), "--power", "10", "--frames", "1"]) == 2
             assert "malformed" in capsys.readouterr().err
+
+    def test_missing_output_directory_exits_2_before_any_unit_runs(self, tmp_path, monkeypatch, capsys):
+        def simulate(engine, rng):
+            raise AssertionError("a unit ran")
+
+        monkeypatch.setattr(_CoherentEngine, "simulate", simulate)
+        out = tmp_path / "missing" / "x.csv"
+        assert cli_main(["--code", "alamouti", "--power", "10", "--frames", "1", "--out", str(out)]) == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
