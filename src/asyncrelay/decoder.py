@@ -35,6 +35,22 @@ conjugated-column mask per code, the slots of each schedule grouped by
 their count of active relays for ``noise_covariance``, and the per-group
 candidate tables of ``CoherentDecoder``, padded to the largest group
 alphabet so that one argmin over an (N, G, K) view searches every group.
+
+The decoder's tables are compact. In each slot only a few relays are
+active, so most coefficients of the metric and of the Gram entries are
+zero in every slot: relay5's grouped metric reads 29 of its 2*R*R + 2*T*R
+= 110 features, and its gap 9 of the 50 pair features and 10 of the 54
+cross-group entries. Each table keeps only the rows (and, for the gap, the
+Gram columns) that are nonzero in some slot, in their original order, and
+the decoder forms only the products h_r conj(h_s) and conj(y_t) h_r those
+rows read, each the same single complex product as in the full layout.
+``pairs`` forms the pair products that the gap and the grouped search
+read, once per frame. OpenBLAS's GEMM adds each output element's terms in
+order, so dropping exactly-zero terms changes no bit: on N >= 2
+subcarriers the metrics and Gram entries equal those of the full tables.
+On a single subcarrier numpy takes the GEMV path, whose partial sums
+depend on the row count, so the last bits may differ from the full
+tables'; the decisions still match.
 """
 
 from __future__ import annotations
@@ -61,7 +77,6 @@ __all__ = [
     "full_candidates",
     "ml_decode_exhaustive",
     "ml_decode_grouped",
-    "pair_products",
     "whitening_weights",
 ]
 
@@ -298,14 +313,56 @@ class _Assembly:
         return self.values.take(flat).view(complex)
 
 
-def pair_products(h_all: np.ndarray) -> np.ndarray:
-    """[Re, Im] of h_r * conj(h_s) per subcarrier, shape (N, 2*R*R)."""
-    pairs = (h_all[:, :, None] * np.conj(h_all)[:, None, :]).reshape(h_all.shape[0], -1)
-    return np.concatenate((pairs.real, pairs.imag), axis=1)
+def _used(terms: np.ndarray, axis: tuple[int, ...]) -> np.ndarray:
+    """Indices along the axis not in ``axis`` of a coefficient table where
+    some entry is nonzero, ascending."""
+    return np.flatnonzero(np.any(terms != 0, axis=axis))
+
+
+def _read(rows: np.ndarray, count: int) -> np.ndarray:
+    """The products p_i, ascending, that rows of the layout [Re p_0 ..
+    Re p_{count-1}, Im p_0 .. Im p_{count-1}] read (a bincount, as
+    ``np.unique`` would import ``numpy.ma`` into every fresh process)."""
+    return np.flatnonzero(np.bincount(rows % count, minlength=count))
+
+
+class _Columns:
+    """Real feature columns read from complex products, in the order of
+    ``rows``, which index the full layout [Re p_0 .. Re p_{count-1},
+    Im p_0 .. Im p_{count-1}] of ``count`` products; ``formed`` lists the
+    products at hand, in the order of their columns.
+
+    The rows split into runs that read one part (Re or Im) each; a run is a
+    slice of that part where its products are adjacent in ``formed``, and a
+    gather only where they are not.
+    """
+
+    def __init__(self, rows: np.ndarray, count: int, formed: np.ndarray):
+        position = np.empty(count, dtype=int)
+        position[formed] = np.arange(len(formed))
+        self.runs = []
+        for imag, run in itertools.groupby(zip(rows >= count, position[rows % count]), key=lambda row: row[0]):
+            at = np.array([p for _, p in run])
+            if np.array_equal(at, np.arange(at[0], at[0] + len(at))):
+                at = slice(int(at[0]), int(at[-1]) + 1)
+            self.runs.append(("imag" if imag else "real", at))
+
+    def __call__(self, products: np.ndarray) -> list[np.ndarray]:
+        return [getattr(products, part)[:, at] for part, at in self.runs]
+
+
+def _pair_products(h_all: np.ndarray, factors) -> np.ndarray:
+    """h_r * conj(h_s) per subcarrier, (N, P), for index arrays (r, s)."""
+    return h_all[:, factors[0]] * np.conj(h_all)[:, factors[1]]
+
+
+def _observation_products(y: np.ndarray, h_all: np.ndarray, factors) -> np.ndarray:
+    """conj(y_t) * h_r per subcarrier, (N, P), for index arrays (t, r)."""
+    return np.conj(y.T)[:, factors[0]] * h_all[:, factors[1]]
 
 
 def _gap_terms(code: CodeDefinition) -> np.ndarray:
-    """Real coefficients of the cross-group Gram entries, (T, 2*R*R * X).
+    """Real coefficients of the cross-group Gram entries, (T, 2*R*R, X).
 
     E[r] is relay r's (2*nu, T) dispersion basis, i.e. the dispersion
     basis of the channel with h_r = 1 and every other entry 0. The
@@ -322,11 +379,11 @@ def _gap_terms(code: CodeDefinition) -> np.ndarray:
     m, n = np.nonzero(np.triu(group_of[:, None] != group_of[None, :]))
     terms = disp[:, None, m, :] * np.conj(disp[None, :, n, :])  # (R, R, X, T)
     terms = np.moveaxis(terms, -1, 0).reshape(code.slot_count, num_relays * num_relays, len(m))
-    return np.concatenate((terms.real, -terms.imag), axis=1).reshape(code.slot_count, -1)
+    return np.concatenate((terms.real, -terms.imag), axis=1)
 
 
 def _metric_terms(fields: np.ndarray, gain: float) -> np.ndarray:
-    """Real coefficients of the search metric, (T, (2*R*R + 2*T*R) * C).
+    """Real coefficients of the search metric, (T, 2*R*R + 2*T*R, C).
 
     For candidate c with code word F_c (T, R) (``fields`` is (C, T, R)), the
     whitened ML metric minus the candidate-independent ||W y||^2 is
@@ -345,54 +402,114 @@ def _metric_terms(fields: np.ndarray, gain: float) -> np.ndarray:
         cross[t, t] = fields[:, t, :].T
     cross = cross.reshape(slots, slots * num_relays, -1)
     parts = (gain**2 * quad.real, gain**2 * quad.imag, -2.0 * gain * cross.real, 2.0 * gain * cross.imag)
-    return np.concatenate(parts, axis=1).reshape(slots, -1)
+    return np.concatenate(parts, axis=1)
+
+
+class _Form:
+    """Real linear form of a (T, F, C) coefficient table, weighted per call by
+    ``w2``, over the F rows used in some slot: (N, F') features @ (F', C)."""
+
+    def __init__(self, terms: np.ndarray, rows: np.ndarray, columns=slice(None)):
+        self.rows, self.columns = rows, columns
+        kept = terms[:, rows][:, :, columns]
+        self.shape = kept.shape[1:]
+        self.terms = kept.reshape(len(kept), -1)
+
+    def __call__(self, features: list[np.ndarray], w2: np.ndarray) -> np.ndarray:
+        joined = features[0] if len(features) == 1 else np.concatenate(features, axis=1)
+        return joined @ (w2 @ self.terms).reshape(self.shape)
+
+
+class _Metric:
+    """Search metrics (N, C) of a (T, F, C) metric table over its used rows:
+    pair rows read from the caller's products ``formed``, observation rows
+    from the products it forms itself."""
+
+    def __init__(self, terms: np.ndarray, code: CodeDefinition, formed: np.ndarray):
+        num_relays, count = code.num_relays, code.slot_count * code.num_relays
+        split = 2 * num_relays * num_relays
+        self.form = _Form(terms, _used(terms, (0, 2)))
+        rows = self.form.rows
+        self._pairs = _Columns(rows[rows < split], num_relays * num_relays, formed)
+        obs_rows = rows[rows >= split] - split
+        obs_formed = _read(obs_rows, count)
+        self._obs = _Columns(obs_rows, count, obs_formed)
+        self._obs_factors = np.divmod(obs_formed, num_relays)
+
+    def __call__(self, pairs: np.ndarray, y: np.ndarray, h_all: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        obs = _observation_products(y, h_all, self._obs_factors)
+        return self.form(self._pairs(pairs) + self._obs(obs), w2)
+
+
+def _pair_rows(terms: np.ndarray, num_relays: int) -> np.ndarray:
+    """Indices of the pair products (r * R + s) whose Re or Im row of a (T, F,
+    C) table is used in some slot, ascending."""
+    return _read(_used(terms[:, : 2 * num_relays * num_relays], (0, 2)), num_relays * num_relays)
 
 
 class CoherentDecoder:
     """Whitened ML for one code and cascade gain over a frame of N subcarriers.
 
-    Operations take the (N, 2*R*R) ``pairs = pair_products(h_all)`` of the
-    (N, R) equivalent channels, the (T,) whitening weights ``w2`` (w_t^2 =
-    1 / var_t) and, to search, ``h_all`` and the (T, N) observations ``y``.
+    Operations take the pair products ``pairs = decoder.pairs(h_all)`` of
+    the (N, R) equivalent channels, the (T,) whitening weights ``w2`` (w_t^2
+    = 1 / var_t) and, to search, ``h_all`` and the (T, N) observations ``y``.
     Gram entries and metrics are real linear forms in h_r conj(h_s) and
     conj(y_t) h_r whose per-slot coefficients are tabulated once and
-    weighted by one ``w2 @ terms`` product per call; the exhaustive search
-    builds its tables on first use.
+    weighted by one ``w2 @ terms`` product per call. Each table keeps only
+    its rows (and Gram columns) that are nonzero in some slot, in their
+    original order, and only the products those rows read are formed; the
+    exhaustive search builds its table on first use.
     """
 
     def __init__(self, code: CodeDefinition, gain: float):
         self.code = code
         self.gain = gain
         self._assemble = _Assembly(code)
-        self._gap_terms = _gap_terms(code)
+        num_relays = code.num_relays
         # every group's candidates padded to the largest alphabet by repeating
         # its last one, so one argmin over (N, G, K) searches all groups and a
         # pad, equal to an earlier column, never wins (argmin takes the first)
         partials = group_candidates(code)
         self._width = max(p.shape[0] for p in partials)
         padded = [np.concatenate((p, np.repeat(p[-1:], self._width - p.shape[0], axis=0))) for p in partials]
-        self._group_terms = _metric_terms(codeword(code, np.concatenate(padded)), gain)
-        self._full = None  # (index table, metric terms) of the product alphabet
+        group_terms = _metric_terms(codeword(code, np.concatenate(padded)), gain)
+        gap_terms = _gap_terms(code)
+        # the pair products that the grouped search or the gap reads, formed
+        # once per frame: the search's first, so that its columns are slices
+        searched, gap_read = _pair_rows(group_terms, num_relays), _pair_rows(gap_terms, num_relays)
+        formed = np.concatenate((searched, gap_read[~np.isin(gap_read, searched)]))
+        self._pair_factors = np.divmod(formed, num_relays)
+        self._group = _Metric(group_terms, code, formed)
+        self._gap = _Form(gap_terms, _used(gap_terms, (0, 2)), _used(gap_terms, (0, 1)))
+        self._gap_pairs = _Columns(self._gap.rows, num_relays * num_relays, formed)
+        self._full = None  # (index table, pair factors, metric) of the product alphabet
+
+    def pairs(self, h_all: np.ndarray) -> np.ndarray:
+        """The (N, P) products h_r conj(h_s) that ``gap`` and ``grouped`` read."""
+        return _pair_products(h_all, self._pair_factors)
 
     def gap(self, pairs: np.ndarray, w2: np.ndarray) -> float:
         """Largest cross-group whitened Gram entry over all subcarriers."""
-        gram = pairs @ (w2 @ self._gap_terms).reshape(pairs.shape[1], -1)
-        return float(np.abs(gram).max()) if gram.size else 0.0
+        if not self._gap.terms.size:  # no cross-group entry is nonzero in any slot
+            return 0.0
+        return float(np.abs(self._gap(self._gap_pairs(pairs), w2)).max())
 
     def grouped(self, y: np.ndarray, h_all: np.ndarray, pairs: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """Per-group alphabet indices (N, G), each group searched with every
         other group at zero; the joint minimiser when ``gap`` vanishes."""
-        metrics = self._metrics(self._group_terms, y, h_all, pairs, w2)
+        metrics = self._group(pairs, y, h_all, w2)
         return metrics.reshape(metrics.shape[0], -1, self._width).argmin(axis=2)
 
-    def exhaustive(self, y: np.ndarray, h_all: np.ndarray, pairs: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    def exhaustive(self, y: np.ndarray, h_all: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """Per-group alphabet indices (N, G) of the minimiser over the full
         product alphabet; ties go to the lexicographically first candidate."""
         if self._full is None:
             symbols, index_table = full_candidates(self.code)
-            self._full = index_table, _metric_terms(codeword(self.code, symbols), self.gain)
-        index_table, terms = self._full
-        return index_table[np.argmin(self._metrics(terms, y, h_all, pairs, w2), axis=1)]
+            terms = _metric_terms(codeword(self.code, symbols), self.gain)
+            formed = _pair_rows(terms, self.code.num_relays)
+            self._full = index_table, np.divmod(formed, self.code.num_relays), _Metric(terms, self.code, formed)
+        index_table, factors, metric = self._full
+        return index_table[np.argmin(metric(_pair_products(h_all, factors), y, h_all, w2), axis=1)]
 
     def symbols(self, indices: np.ndarray) -> np.ndarray:
         """Symbol vectors (..., nu) of per-group alphabet indices (..., G)."""
@@ -405,17 +522,11 @@ class CoherentDecoder:
         tables = zip(self.code.group_partition, self.code.alphabet)
         return np.stack([np.abs(t - coords[..., list(g)]).sum(-1).argmin(-1) for g, t in tables], axis=-1)
 
-    @staticmethod
-    def _metrics(terms, y, h_all, pairs, w2) -> np.ndarray:
-        obs = (np.conj(y.T)[:, :, None] * h_all[:, None, :]).reshape(h_all.shape[0], -1)  # conj(y_t) h_r
-        features = np.concatenate((pairs, obs.real, obs.imag), axis=1)
-        return features @ (w2 @ terms).reshape(features.shape[1], -1)
-
 
 @functools.lru_cache(maxsize=2)
 def coherent_decoder(code: CodeDefinition, gain: float) -> CoherentDecoder:
     """The shared decoder of a (code, gain) pair, kept for the two most
-    recent pairs (exhaustive tables reach tens of MB)."""
+    recent pairs (relay5's exhaustive table takes 7.1 MiB)."""
     return CoherentDecoder(code, gain)
 
 
@@ -423,7 +534,7 @@ def decomposition_gap(code: CodeDefinition, model: SubcarrierModel) -> float:
     """Largest cross-group real inner product of whitened dispersion vectors,
     over the model's subcarriers."""
     decoder = coherent_decoder(code, model.gain)
-    return decoder.gap(pair_products(model.channels), whitening_weights(model.noise_cov))
+    return decoder.gap(decoder.pairs(model.channels), whitening_weights(model.noise_cov))
 
 
 def _decide(decoder: CoherentDecoder, search, y: np.ndarray, model: SubcarrierModel) -> np.ndarray:
@@ -433,7 +544,7 @@ def _decide(decoder: CoherentDecoder, search, y: np.ndarray, model: SubcarrierMo
     expected = w2.shape + model.channel.shape[:-1]  # (T,) or (T, N)
     if y.shape != expected:
         raise ValueError(f"observation shape {y.shape} does not match the model's {expected}")
-    indices = search(y.reshape(len(y), -1), h_all, pair_products(h_all), w2)
+    indices = search(y.reshape(len(y), -1), h_all, w2)
     return decoder.symbols(indices).reshape(y.shape[1:] + (-1,))
 
 
@@ -461,4 +572,4 @@ def ml_decode_grouped(y: np.ndarray, model: SubcarrierModel, code: CodeDefinitio
             stacklevel=2,
         )
         return ml_decode_exhaustive(y, model, code)
-    return _decide(decoder, decoder.grouped, y, model)
+    return _decide(decoder, lambda y, h_all, w2: decoder.grouped(y, h_all, decoder.pairs(h_all), w2), y, model)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # imported here, so that forked pool workers inherit it
 
 from . import decoder as _decoder
 from .codebook import (
@@ -302,7 +303,7 @@ class _CoherentEngine:
         h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft)
         cov = _decoder.noise_covariance(self.schedule, channel, self.link)
         w2 = _decoder.whitening_weights(cov)
-        pairs = _decoder.pair_products(h_all)
+        pairs = self.decoder.pairs(h_all)
         if self._gap(pairs, w2) > 1e-9:
             if not self._warned:
                 warnings.warn(

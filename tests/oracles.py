@@ -320,6 +320,27 @@ def destination_receive_loop(transmitted: np.ndarray, channel, noise) -> np.ndar
     return out if noise is None else out + noise
 
 
+def pair_products(h_all: np.ndarray) -> np.ndarray:
+    """[Re, Im] of every h_r * conj(h_s) per subcarrier, (N, 2*R*R) in
+    r-major order: the pair features of the full coefficient tables."""
+    pairs = (h_all[:, :, None] * np.conj(h_all)[:, None, :]).reshape(h_all.shape[0], -1)
+    return np.concatenate((pairs.real, pairs.imag), axis=1)
+
+
+def full_features(y: np.ndarray, h_all: np.ndarray) -> np.ndarray:
+    """Every feature of the full metric table, (N, 2*R*R + 2*T*R): the pair
+    features, then [Re, Im] of conj(y_t) * h_r in t-major order."""
+    obs = (np.conj(y.T)[:, :, None] * h_all[:, None, :]).reshape(h_all.shape[0], -1)
+    return np.concatenate((pair_products(h_all), obs.real, obs.imag), axis=1)
+
+
+def full_form(features: np.ndarray, terms: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """A full (T, F, C) coefficient table weighted by the slot weights and
+    applied to all F feature columns, (N, C): every row multiplied, zero or
+    not."""
+    return features @ (w2 @ terms.reshape(len(terms), -1)).reshape(terms.shape[1], -1)
+
+
 def grouped_argmin_slices(metrics: np.ndarray, sizes) -> np.ndarray:
     """Per-group choices (N, G): the argmin of each group's own block of
     ``sizes[g]`` consecutive metric columns."""

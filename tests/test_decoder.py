@@ -1,5 +1,7 @@
 """Whitened maximum-likelihood decoding and its group decomposition."""
 
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -10,7 +12,9 @@ from asyncrelay.codebook import RelayInstruction, RelaySchedule, builtin_codes, 
 from asyncrelay.decoder import (
     CoherentDecoder,
     SubcarrierModel,
+    _gap_terms,
     _metric_terms,
+    _pair_products,
     build_model,
     complex_to_real,
     decomposition_gap,
@@ -22,19 +26,22 @@ from asyncrelay.decoder import (
     ml_decode_exhaustive,
     ml_decode_grouped,
     noise_covariance,
-    pair_products,
     real_to_complex,
     whitening_weights,
 )
+from asyncrelay.differential import build_codebook_4relay
 from asyncrelay.relaysim import ChannelRealization, LinkConfig, PowerConfig, complex_noise, draw_channel
 
 from oracles import (
     equivalent_channel,
     equivalent_channel_exp,
     exhaustive_ml,
+    full_features,
+    full_form,
     gram_gap,
     grouped_argmin_slices,
     noise_covariance_loop,
+    pair_products,
     sheared_code,
     slot_noise_variances,
     unequal_alphabet_code,
@@ -143,9 +150,8 @@ class TestTablesReproduceThePerUnitComputation:
             h_all = complex_noise(rng, (8, code.num_relays))
             w2 = np.full(code.slot_count, rng.uniform(0.2, 1.0))  # relay4 slots share one variance
             y = complex_noise(rng, (code.slot_count, 8)) * rng.uniform(0.5, 3.0)
-            pairs = pair_products(h_all)
-            decided = decoder.grouped(y, h_all, pairs, w2)
-            metrics = CoherentDecoder._metrics(unpadded, y, h_all, pairs, w2)
+            decided = decoder.grouped(y, h_all, decoder.pairs(h_all), w2)
+            metrics = full_form(full_features(y, h_all), unpadded, w2)
             assert np.array_equal(decided, grouped_argmin_slices(metrics, sizes))
             for k in range(8):  # the groups stay orthogonal, so this is the joint ML decision
                 assert tuple(int(i) for i in decided[k]) == exhaustive_ml(code, y[:, k], h_all[k], 1.0 / w2, gain)
@@ -326,3 +332,141 @@ class TestDecoding:
         with pytest.warns(UserWarning, match="exhaustive"):
             fallback = ml_decode_grouped(y, model, code)
         assert np.allclose(fallback, ml_decode_exhaustive(y, model, code))
+
+
+def _compact_code(name):
+    if name == "pair":  # the differential codebook's pair code
+        return build_codebook_4relay().decoder.code
+    return {"sheared": sheared_code, "unequal": unequal_alphabet_code}.get(name, lambda: named_code(name))()
+
+
+def _padded_group_terms(code, gain):
+    """The full (T, F, C) metric table of the grouped search: every group's
+    candidates padded to the largest alphabet by repeating its last one."""
+    partials = group_candidates(code)
+    width = max(len(p) for p in partials)
+    padded = [np.concatenate((p, np.repeat(p[-1:], width - len(p), axis=0))) for p in partials]
+    return _metric_terms(codeword(code, np.concatenate(padded)), gain)
+
+
+def _exhaustive_metric(decoder, y, h_all, w2):
+    """The decoder's exhaustive table and its compact metrics (N, C)."""
+    decoder.exhaustive(y, h_all, w2)  # builds the table on first use
+    index_table, factors, metric = decoder._full
+    return index_table, metric, metric(_pair_products(h_all, factors), y, h_all, w2)
+
+
+def _draw(rng, code, n):
+    h_all = complex_noise(rng, (n, code.num_relays)) * rng.uniform(0.1, 10.0)
+    y = complex_noise(rng, (code.slot_count, n)) * rng.uniform(0.1, 10.0)
+    return h_all, y, rng.uniform(0.1, 2.0, size=code.slot_count)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
+
+
+COMPACT_CODES = ["alamouti", "relay4", "relay5", "relay4_diff", "sheared", "unequal", "pair"]
+
+
+class TestCompactTables:
+    """Each table keeps the rows (and Gram columns) that are nonzero in some
+    slot, in their original order, and the decoder forms only the products
+    they read. On N >= 2 subcarriers the products are GEMMs, which add the
+    kept terms in the same order, so compact metrics and Gram entries equal
+    the oracle's full-table products bit for bit. On N = 1 numpy takes the
+    GEMV path instead, whose last bits may differ; decisions still match."""
+
+    @pytest.mark.parametrize("n", [2, 16, 64, 1024])
+    @pytest.mark.parametrize("name", COMPACT_CODES)
+    def test_metrics_and_gram_entries_equal_the_full_tables(self, name, n):
+        code = _compact_code(name)
+        gain = 1.3
+        decoder = CoherentDecoder(code, gain)
+        group_terms, gap_terms = _padded_group_terms(code, gain), _gap_terms(code)
+        rng = np.random.default_rng(n)
+        for _ in range(3 if n == 1024 else 20):
+            h_all, y, w2 = _draw(rng, code, n)
+            pairs = decoder.pairs(h_all)
+            metrics = decoder._group(pairs, y, h_all, w2)
+            assert _same_bits(metrics, full_form(full_features(y, h_all), group_terms, w2))
+            gram = decoder._gap(decoder._gap_pairs(pairs), w2)
+            assert _same_bits(gram, full_form(pair_products(h_all), gap_terms, w2)[:, decoder._gap.columns])
+
+    @pytest.mark.parametrize("n", [2, 16, 64, 1024])
+    @pytest.mark.parametrize("name", ["sheared", "relay5"])
+    def test_exhaustive_metrics_equal_the_full_table(self, name, n):
+        code = _compact_code(name)
+        gain = 0.8
+        decoder = CoherentDecoder(code, gain)
+        symbols, _ = full_candidates(code)
+        full_terms = _metric_terms(codeword(code, symbols), gain)
+        rng = np.random.default_rng(n + 1)
+        for _ in range(1 if n == 1024 else 4):
+            h_all, y, w2 = _draw(rng, code, n)
+            _, _, metrics = _exhaustive_metric(decoder, y, h_all, w2)
+            assert _same_bits(metrics, full_form(full_features(y, h_all), full_terms, w2))
+
+    @pytest.mark.parametrize("name", COMPACT_CODES)
+    def test_one_subcarrier_gives_the_decisions_of_the_full_tables(self, name):
+        code = _compact_code(name)
+        gain = 1.1
+        decoder = CoherentDecoder(code, gain)
+        group_terms, gap_terms = _padded_group_terms(code, gain), _gap_terms(code)
+        symbols, index_table = full_candidates(code)
+        full_terms = _metric_terms(codeword(code, symbols), gain)
+        rng = np.random.default_rng(70)
+        for _ in range(100):
+            h_all, y, w2 = _draw(rng, code, 1)
+            full = full_form(full_features(y, h_all), group_terms, w2)
+            expected = full.reshape(1, -1, decoder._width).argmin(axis=2)
+            assert np.array_equal(decoder.grouped(y, h_all, decoder.pairs(h_all), w2), expected)
+            gap = np.abs(full_form(pair_products(h_all), gap_terms, w2)).max()
+            assert decoder.gap(decoder.pairs(h_all), w2) == pytest.approx(gap, rel=1e-12, abs=1e-12)
+            exhaustive = index_table[full_form(full_features(y, h_all), full_terms, w2).argmin(axis=1)]
+            assert np.array_equal(decoder.exhaustive(y, h_all, w2), exhaustive)
+
+    @pytest.mark.parametrize("name", COMPACT_CODES)
+    def test_dropped_rows_and_columns_are_zero_in_every_slot(self, name):
+        code = _compact_code(name)
+        gain = 1.3
+        decoder = CoherentDecoder(code, gain)
+        h_all, y, w2 = _draw(np.random.default_rng(71), code, 2)
+        _, metric, _ = _exhaustive_metric(decoder, y, h_all, w2)
+        symbols, _ = full_candidates(code)
+        tables = [
+            (decoder._group.form, _padded_group_terms(code, gain)),
+            (decoder._gap, _gap_terms(code)),
+            (metric.form, _metric_terms(codeword(code, symbols), gain)),
+        ]
+        for form, full in tables:
+            columns = np.arange(full.shape[2])[form.columns]
+            assert np.all(np.diff(form.rows) > 0) and np.all(np.diff(columns) > 0)  # original order
+            assert not np.delete(full, form.rows, axis=1).any()
+            assert not np.delete(full, columns, axis=2).any()
+            kept = full[:, form.rows][:, :, columns]
+            assert kept.any(axis=(0, 2)).all() and kept.any(axis=(0, 1)).all()  # nothing used is dropped
+            assert np.array_equal(form.terms.reshape(kept.shape), kept)
+
+    def test_relay5_tables_keep_the_rows_its_slots_use(self):
+        decoder = CoherentDecoder(named_code("relay5"), 1.0)
+        assert len(decoder._group.form.rows) == 29  # of 2*25 + 2*30 features
+        assert len(decoder._gap.rows) == 9  # of 2*25 pair features
+        assert len(decoder._gap.columns) == 10  # of 54 cross-group Gram entries
+        assert decoder.pairs(np.ones((3, 5), dtype=complex)).shape == (3, 9)
+
+    def test_a_single_group_code_reports_no_gap(self):
+        base = named_code("alamouti")
+        grid = np.array(list(itertools.product((0.7, -0.7), repeat=4)))
+        code = dataclasses.replace(base, name="single", group_partition=((0, 1, 2, 3),), alphabet=(grid,))
+        decoder = CoherentDecoder(code, 1.0)
+        assert decoder._gap.terms.size == 0
+        rng = np.random.default_rng(72)
+        for n in (1, 16):
+            h_all, y, w2 = _draw(rng, code, n)
+            assert decoder.gap(decoder.pairs(h_all), w2) == 0.0
+            model = SubcarrierModel(h_all, np.diag(1.0 / w2), 1.0)
+            assert decomposition_gap(code, model) == 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no fallback
+                assert np.array_equal(ml_decode_grouped(y, model, code), ml_decode_exhaustive(y, model, code))

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from asyncrelay.codebook import derive_schedule, format_code_text, named_code, parse_code_text
-from asyncrelay.decoder import pair_products
 from asyncrelay.differential import (
     build_codebook_4relay,
     diff_decode,
@@ -196,7 +195,7 @@ class TestGroupedSearchIsExact:
         decoder = build_codebook_4relay(code).decoder
         rng = np.random.default_rng(55)
         y_hat = complex_noise(rng, (1000, 4)) * rng.uniform(0.2, 3.0, size=(1000, 1))
-        return decoder.gap(pair_products(y_hat), np.ones(4))
+        return decoder.gap(decoder.pairs(y_hat), np.ones(4))
 
     @pytest.mark.parametrize("name", ["relay4_diff", "relay4"])
     def test_paired_groups_have_no_gap(self, name):

@@ -4,9 +4,13 @@ import dataclasses
 import functools
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,6 @@ from asyncrelay.decoder import (
     coherent_decoder,
     equivalent_channel_matrix,
     noise_covariance,
-    pair_products,
     whitening_weights,
 )
 from asyncrelay.differential import diff_decode_frame, diff_encode, initial_state
@@ -208,7 +211,7 @@ class TestCoherentEngine:
             channel = draw_channel(rng, code.num_relays, engine.link.cp_len)
             h_all = equivalent_channel_matrix(code, channel, engine.link.n_fft)
             variances = np.real(np.diag(noise_covariance(engine.schedule, channel, engine.link)))
-            gap = engine._gap(pair_products(h_all), 1.0 / variances)
+            gap = engine._gap(engine.decoder.pairs(h_all), 1.0 / variances)
             expected = max(gram_gap(code, h, variances) for h in h_all)
             assert abs(gap - expected) <= 1e-12
             assert (gap > 1e-9) == (name == "sheared")
@@ -258,7 +261,7 @@ class TestCoherentEngine:
             received = run_frame(frame, engine.schedule, channel, engine.link, cfg.noise, rng)
             h_all = equivalent_channel_matrix(engine.code, channel, cfg.n_fft)
             w2 = whitening_weights(noise_covariance(engine.schedule, channel, engine.link))
-            decided = engine.decoder.grouped(received, h_all, pair_products(h_all), w2)
+            decided = engine.decoder.grouped(received, h_all, engine.decoder.pairs(h_all), w2)
             errors += sum(bin(int(a) ^ int(b)).count("1") for a, b in zip(tx.ravel(), decided.ravel()))
             labels.extend(tx[:, 0])
         assert max(labels) >= 256
@@ -361,6 +364,15 @@ class TestReproducibility:
             emit_csv(points, path)
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_importing_the_harness_loads_numpy_random(self):
+        # forked pool workers inherit it, so a sweep whose parent ran no unit
+        # does not import it again in every worker
+        script = "import sys, asyncrelay.harness; print('numpy.random' in sys.modules)"
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "True"
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_a_pool_started_by_any_method_gives_the_in_process_results(self, method, monkeypatch):
