@@ -22,10 +22,20 @@ at once, one shared instance per code and gain (``coherent_decoder``);
 apply it to one ``SubcarrierModel``. Its second caller is differential
 decoding: ``differential.diff_decode_frame`` runs ``grouped`` over the
 codebook's pair code with the scaled previous block y^{t-1} / a_{t-1} as
-the channel and unit slot weights. The grouped
-search verifies the orthogonality for the channel at hand (tolerance 1e-9)
-and falls back to the exhaustive search with a warning if it fails, so
-grouping is an optimisation, never an approximation.
+the channel and unit slot weights.
+
+Group decodability is proven once per code, with the gap's table
+(``_gap_check``), which the code's decoders of every gain share. Slots
+with the same set of active relays form a class and share one noise
+variance. If the cross-group Gram coefficients, folded onto the
+independent features of h_r conj(h_s) and summed over each class, are all
+exactly 0.0, the Gram entries vanish for every channel whose slot weights
+are constant on each class (``_proof``). ``gap`` then returns 0.0 for such
+weights, which weights from ``noise_covariance`` always are, and computes
+the largest Gram entry for any other weights and for a code the proof does
+not cover. The grouped search falls back to the exhaustive search with a
+warning when that gap exceeds 1e-9, so grouping is an optimisation, never
+an approximation.
 
 Everything that depends only on the code, the schedule or n_fft is
 tabulated once and reused by every frame, with results bit-identical to
@@ -44,13 +54,13 @@ cross-group entries. Each table keeps only the rows (and, for the gap, the
 Gram columns) that are nonzero in some slot, in their original order, and
 the decoder forms only the products h_r conj(h_s) and conj(y_t) h_r those
 rows read, each the same single complex product as in the full layout.
-``pairs`` forms the pair products that the gap and the grouped search
-read, once per frame. OpenBLAS's GEMM adds each output element's terms in
-order, so dropping exactly-zero terms changes no bit: on N >= 2
-subcarriers the metrics and Gram entries equal those of the full tables.
-On a single subcarrier numpy takes the GEMV path, whose partial sums
-depend on the row count, so the last bits may differ from the full
-tables'; the decisions still match.
+``pairs`` forms the pair products that the grouped search reads, once per
+frame, and the gap's computed path forms its own. OpenBLAS's GEMM adds
+each output element's terms in order, so dropping exactly-zero terms
+changes no bit: on N >= 2 subcarriers the metrics and Gram entries equal
+those of the full tables. On a single subcarrier numpy takes the GEMV
+path, whose partial sums depend on the row count, so the last bits may
+differ from the full tables'; the decisions still match.
 """
 
 from __future__ import annotations
@@ -207,10 +217,13 @@ def noise_covariance(
     """
     boost = cfg.power.relay_noise_power
     g_sq = np.abs(channel.relay_to_dest) ** 2
-    forwarded = np.zeros(schedule.num_slots)
+    num_slots = schedule.num_slots
+    forwarded = np.zeros(num_slots)
     for slots, relays in _slot_activity(schedule):
-        forwarded[slots] = g_sq[relays].sum(axis=1)
-    return np.diag((1.0 + boost * forwarded).astype(complex))
+        forwarded[slots] = np.add.reduce(g_sq[relays], axis=1)
+    cov = np.zeros((num_slots, num_slots), dtype=complex)
+    cov.flat[:: num_slots + 1] = 1.0 + boost * forwarded
+    return cov
 
 
 def build_model(
@@ -382,6 +395,37 @@ def _gap_terms(code: CodeDefinition) -> np.ndarray:
     return np.concatenate((terms.real, -terms.imag), axis=1)
 
 
+def _proof(code: CodeDefinition, terms: np.ndarray) -> tuple[tuple[int, int], ...] | None:
+    """Every slot paired with the first slot of its class, for slots that
+    are not first, if the Gram entries of the (T, 2*R*R, X) gap table vanish
+    identically whenever the slot weights are constant on each class; else
+    None.
+
+    Slots with the same set of active relays form a class; they share one
+    noise variance, so ``noise_covariance`` gives them bit-equal weights.
+    As p_sr = conj(p_rs) and Im p_rr = 0 for p_rs = h_r conj(h_s), a Gram
+    entry is a real linear form in the independent features Re p_rs and
+    Im p_rs (r < s) and Re p_rr, whose coefficients fold the table's:
+    Re p_rs + Re p_sr, Im p_rs - Im p_sr and Re p_rr. Weighted by a
+    per-class constant, the entry is the sum over classes of that weight
+    times the class's summed folded coefficients, so every such sum being
+    exactly 0.0 proves it zero for any channel. Any nonzero residue, however
+    small, leaves the proof out.
+    """
+    num_relays = code.num_relays
+    r, s = np.triu_indices(num_relays, 1)
+    rs, sr, rr = r * num_relays + s, s * num_relays + r, np.arange(num_relays) * (num_relays + 1)
+    re, im = terms[:, : num_relays * num_relays], terms[:, num_relays * num_relays :]
+    folded = np.concatenate((re[:, rs] + re[:, sr], im[:, rs] - im[:, sr], re[:, rr]), axis=1)
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for slot in range(code.slot_count):
+        active = tuple(i for i, a in enumerate(code.relay_matrices) if a[slot].any())
+        classes.setdefault(active, []).append(slot)
+    if any(folded[slots].sum(axis=0).any() for slots in classes.values()):
+        return None
+    return tuple((slot, slots[0]) for slots in classes.values() for slot in slots[1:])
+
+
 def _metric_terms(fields: np.ndarray, gain: float) -> np.ndarray:
     """Real coefficients of the search metric, (T, 2*R*R + 2*T*R, C).
 
@@ -447,12 +491,25 @@ def _pair_rows(terms: np.ndarray, num_relays: int) -> np.ndarray:
     return _read(_used(terms[:, : 2 * num_relays * num_relays], (0, 2)), num_relays * num_relays)
 
 
+@functools.lru_cache(maxsize=16)
+def _gap_check(code: CodeDefinition) -> tuple:
+    """The gap's compact form, the factors of the pair products it reads,
+    their columns, and the code's ``_proof``: built once per code and
+    shared by its decoders of every gain."""
+    num_relays = code.num_relays
+    terms = _gap_terms(code)
+    form = _Form(terms, _used(terms, (0, 2)), _used(terms, (0, 1)))
+    read = _read(form.rows, num_relays * num_relays)
+    return form, np.divmod(read, num_relays), _Columns(form.rows, num_relays * num_relays, read), _proof(code, terms)
+
+
 class CoherentDecoder:
     """Whitened ML for one code and cascade gain over a frame of N subcarriers.
 
-    Operations take the pair products ``pairs = decoder.pairs(h_all)`` of
-    the (N, R) equivalent channels, the (T,) whitening weights ``w2`` (w_t^2
-    = 1 / var_t) and, to search, ``h_all`` and the (T, N) observations ``y``.
+    Operations take the (N, R) equivalent channels ``h_all``, the (T,)
+    whitening weights ``w2`` (w_t^2 = 1 / var_t) and, to search, the (T, N)
+    observations ``y``; the grouped search also takes the pair products
+    ``pairs = decoder.pairs(h_all)`` it reads.
     Gram entries and metrics are real linear forms in h_r conj(h_s) and
     conj(y_t) h_r whose per-slot coefficients are tabulated once and
     weighted by one ``w2 @ terms`` product per call. Each table keeps only
@@ -473,26 +530,30 @@ class CoherentDecoder:
         self._width = max(p.shape[0] for p in partials)
         padded = [np.concatenate((p, np.repeat(p[-1:], self._width - p.shape[0], axis=0))) for p in partials]
         group_terms = _metric_terms(codeword(code, np.concatenate(padded)), gain)
-        gap_terms = _gap_terms(code)
-        # the pair products that the grouped search or the gap reads, formed
-        # once per frame: the search's first, so that its columns are slices
-        searched, gap_read = _pair_rows(group_terms, num_relays), _pair_rows(gap_terms, num_relays)
-        formed = np.concatenate((searched, gap_read[~np.isin(gap_read, searched)]))
-        self._pair_factors = np.divmod(formed, num_relays)
-        self._group = _Metric(group_terms, code, formed)
-        self._gap = _Form(gap_terms, _used(gap_terms, (0, 2)), _used(gap_terms, (0, 1)))
-        self._gap_pairs = _Columns(self._gap.rows, num_relays * num_relays, formed)
+        searched = _pair_rows(group_terms, num_relays)
+        self._pair_factors = np.divmod(searched, num_relays)
+        self._group = _Metric(group_terms, code, searched)
+        self._gap, self._gap_factors, self._gap_pairs, self._proof = _gap_check(code)
         self._full = None  # (index table, pair factors, metric) of the product alphabet
 
     def pairs(self, h_all: np.ndarray) -> np.ndarray:
-        """The (N, P) products h_r conj(h_s) that ``gap`` and ``grouped`` read."""
+        """The (N, P) products h_r conj(h_s) that ``grouped`` reads."""
         return _pair_products(h_all, self._pair_factors)
 
-    def gap(self, pairs: np.ndarray, w2: np.ndarray) -> float:
-        """Largest cross-group whitened Gram entry over all subcarriers."""
+    def _gram(self, h_all: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        """The kept cross-group whitened Gram entries (N, X), computed."""
+        return self._gap(self._gap_pairs(_pair_products(h_all, self._gap_factors)), w2)
+
+    def gap(self, h_all: np.ndarray, w2: np.ndarray) -> float:
+        """Largest cross-group whitened Gram entry over all subcarriers: 0.0
+        where the code's proof covers ``w2``, computed everywhere else."""
         if not self._gap.terms.size:  # no cross-group entry is nonzero in any slot
             return 0.0
-        return float(np.abs(self._gap(self._gap_pairs(pairs), w2)).max())
+        if self._proof is not None:
+            w = w2.tolist()  # T Python floats: cheaper to compare than arrays
+            if all(w[slot] == w[first] for slot, first in self._proof):
+                return 0.0
+        return float(np.abs(self._gram(h_all, w2)).max())
 
     def grouped(self, y: np.ndarray, h_all: np.ndarray, pairs: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """Per-group alphabet indices (N, G), each group searched with every
@@ -534,7 +595,7 @@ def decomposition_gap(code: CodeDefinition, model: SubcarrierModel) -> float:
     """Largest cross-group real inner product of whitened dispersion vectors,
     over the model's subcarriers."""
     decoder = coherent_decoder(code, model.gain)
-    return decoder.gap(decoder.pairs(model.channels), whitening_weights(model.noise_cov))
+    return decoder.gap(model.channels, whitening_weights(model.noise_cov))
 
 
 def _decide(decoder: CoherentDecoder, search, y: np.ndarray, model: SubcarrierModel) -> np.ndarray:

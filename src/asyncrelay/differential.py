@@ -18,8 +18,8 @@ metric ||y^t - C y_hat||^2 is the coherent ML metric of that pair code with
 unit slot weights, so ``diff_decode_frame`` is the coherent grouped search
 (``decoder.CoherentDecoder.grouped``): four 4-way searches instead of one
 256-way search. The search is exact because the cross-group gap of the pair
-code vanishes on any y_hat for paired groups (``codebook.decoder.gap``
-measures it); the grouped and the full search agree except on exact ties.
+code vanishes on any y_hat for paired groups (the decoder proves it once
+per code); the grouped and the full search agree except on exact ties.
 
 ``build_codebook_4relay(code)`` builds the words from the code's own
 relay matrices and groups, which makes them scaled unitary and commuting

@@ -202,6 +202,8 @@ def _validate(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule]:
         raise ConfigError(f"mode must be 'coherent' or 'differential', got {cfg.mode!r}")
     if not cfg.power_db:
         raise ConfigError("power sweep is empty")
+    if len(set(cfg.power_db)) != len(cfg.power_db):
+        raise ConfigError(f"power points must be distinct, got {cfg.power_db}")
     if cfg.frames < 1:
         raise ConfigError("frames must be at least 1")
     if cfg.min_errors < 0:
@@ -289,10 +291,10 @@ class _CoherentEngine:
         tx = rng.integers(0, self._label_bound, size=(len(self.code.alphabet), self.cfg.n_fft)).T
         return tx, self.decoder.symbols(tx).T
 
-    def _gap(self, pairs: np.ndarray, w2: np.ndarray) -> float:
+    def _gap(self, h_all: np.ndarray, w2: np.ndarray) -> float:
         """Largest cross-group whitened Gram entry; above 1e-9 the unit is
         decoded by exhaustive search."""
-        return self.decoder.gap(pairs, w2)
+        return self.decoder.gap(h_all, w2)
 
     def simulate(self, rng: np.random.Generator) -> tuple[int, int]:
         cfg = self.cfg
@@ -303,8 +305,7 @@ class _CoherentEngine:
         h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft)
         cov = _decoder.noise_covariance(self.schedule, channel, self.link)
         w2 = _decoder.whitening_weights(cov)
-        pairs = self.decoder.pairs(h_all)
-        if self._gap(pairs, w2) > 1e-9:
+        if self._gap(h_all, w2) > 1e-9:
             if not self._warned:
                 warnings.warn(
                     f"code {self.code.name!r}: grouped decoding invalid for a drawn channel; "
@@ -317,7 +318,7 @@ class _CoherentEngine:
             model = _decoder.SubcarrierModel(h_all, cov, self.link.power.cascade_gain)
             decided = self.decoder.indices(_decoder.ml_decode_exhaustive(received, model, self.code))
         else:
-            decided = self.decoder.grouped(received, h_all, pairs, w2)
+            decided = self.decoder.grouped(received, h_all, self.decoder.pairs(h_all), w2)
         return int(self._popcount[np.bitwise_xor(tx, decided)].sum()), self.bits_per_unit
 
 

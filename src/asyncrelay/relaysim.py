@@ -184,8 +184,13 @@ def draw_channel(
     ``delays`` sequence bypasses the draw entirely (no generator samples are
     consumed for it, so runs with different fixed delays share fading).
     """
-    f = complex_noise(rng, num_relays)
-    g = complex_noise(rng, num_relays)
+    # f's real and imaginary parts, then g's: the stream of two complex_noise calls
+    parts = rng.standard_normal((2, 2, num_relays))
+    fading = np.empty((2, num_relays), dtype=complex)
+    fading.real = parts[:, 0]
+    fading.imag = parts[:, 1]
+    fading *= math.sqrt(0.5)
+    f, g = fading
     if delays is None:
         if cp_len > 0:
             d = rng.integers(0, cp_len, size=num_relays)
@@ -205,10 +210,13 @@ def source_transmit(frame: np.ndarray, schedule: RelaySchedule, cfg: LinkConfig)
         raise ValueError(
             f"frame shape {frame.shape} does not match ({schedule.num_blocks}, {cfg.n_fft})"
         )
-    blocks = np.empty_like(frame)
+    # each block is transformed into the body of its symbol, and the prefix
+    # copied from the body's tail: ``spectral.add_cp`` of the blocks
+    n, cp = cfg.n_fft, cfg.cp_len
+    symbols = np.empty((schedule.num_blocks, n + cp), dtype=complex)
     for j, modulation in enumerate(schedule.source_modulation):
-        blocks[j] = spectral.dft(frame[j]) if modulation == DFT else spectral.idft(frame[j])
-    symbols = spectral.add_cp(blocks, cfg.cp_len)
+        symbols[j, cp:] = spectral.dft(frame[j]) if modulation == DFT else spectral.idft(frame[j])
+    symbols[:, :cp] = symbols[:, n:]
     symbols *= cfg.power.source_scale
     return symbols
 
@@ -298,8 +306,8 @@ def relay_process(
     conjugated, time reversed when the slot is reversed, and scaled by the
     fixed relay amplification. One gather through the schedule's cached
     index table collects every active (relay, block) row, already time
-    reversed where needed; one sign product, one masked conjugate and one
-    gain product scattered into the output follow.
+    reversed where needed; one product by sign times gain and one masked
+    conjugate follow, scattered into the output.
     """
     received = np.asarray(received, dtype=complex)
     num_relays, num_blocks, symbol_len = received.shape
@@ -307,10 +315,10 @@ def relay_process(
         raise ValueError("received array does not match schedule/link dimensions")
     table = _forwarding_table(schedule, cfg.n_fft, cfg.cp_len, num_blocks)
     symbols = received.take(table.sources)
-    symbols *= table.signs
+    symbols *= table.signs * cfg.power.relay_gain  # signs are +/-1: exact
     np.conjugate(symbols, out=symbols, where=table.conjugate)
     out = np.zeros((num_relays * schedule.num_slots, symbol_len), dtype=complex)
-    out[table.targets] = cfg.power.relay_gain * symbols
+    out[table.targets] = symbols
     return out.reshape(num_relays, schedule.num_slots, symbol_len)
 
 

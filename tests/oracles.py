@@ -375,3 +375,11 @@ def unequal_alphabet_code():
         base.group_partition,
         (qpsk_pairs(0.3), qpsk_pairs()[:2], eight, np.array([[0.6, -0.2]])),
     )
+
+
+def unpaired_groups_code():
+    """relay4_diff's matrices with each symbol's (Re, Im) as one group."""
+    from asyncrelay.codebook import format_code_text, named_code, parse_code_text
+
+    text = format_code_text(named_code("relay4_diff"))
+    return parse_code_text(text.replace("0 2 | 1 3 | 4 6 | 5 7", "0 1 | 2 3 | 4 5 | 6 7"))

@@ -45,6 +45,7 @@ from oracles import (
     sheared_code,
     slot_noise_variances,
     unequal_alphabet_code,
+    unpaired_groups_code,
 )
 
 
@@ -369,6 +370,79 @@ def _same_bits(a, b):
 COMPACT_CODES = ["alamouti", "relay4", "relay5", "relay4_diff", "sheared", "unequal", "pair"]
 
 
+def _proof_decoder(name):
+    """The decoder of a built-in code, or of the differential pair code."""
+    if name == "pair":
+        return build_codebook_4relay().decoder
+    return CoherentDecoder(named_code(name), 1.7)
+
+
+def _slot_classes(code) -> list[list[int]]:
+    """Slots grouped by their set of active relays, read off the schedule."""
+    schedule = derive_schedule(code)
+    classes: dict = {}
+    for slot in range(schedule.num_slots):
+        classes.setdefault(schedule.active_relays(slot), []).append(slot)
+    return list(classes.values())
+
+
+class TestDecodabilityProof:
+    """A code is proven group-decodable once, with its gap table: the
+    cross-group Gram coefficients, folded onto the independent features of
+    h_r conj(h_s) and summed over each class of slots with one set of active
+    relays, are exactly zero. ``gap`` then reports 0.0 for weights constant
+    on each class and computes the Gram entries for any other weights."""
+
+    PROVEN = ["alamouti", "relay4", "relay5", "relay4_diff", "pair"]
+
+    @pytest.mark.parametrize("name", PROVEN)
+    def test_builtin_codes_and_the_pair_code_are_proven(self, name):
+        assert _proof_decoder(name)._proof is not None
+
+    def test_sheared_and_unpaired_codes_are_not_proven(self):
+        assert CoherentDecoder(sheared_code(), 1.0)._proof is None
+        assert build_codebook_4relay(unpaired_groups_code()).decoder._proof is None
+
+    @pytest.mark.parametrize("name", PROVEN)
+    def test_proven_codes_have_no_gap_for_class_constant_weights(self, name, monkeypatch):
+        decoder = _proof_decoder(name)
+        code = decoder.code
+        classes = _slot_classes(code)
+        monkeypatch.setattr(decoder, "_gram", lambda h_all, w2: pytest.fail("numeric gap path taken"))
+        rng = np.random.default_rng(80)
+        worst = 0.0
+        for _ in range(200):
+            h = complex_noise(rng, code.num_relays) * rng.uniform(0.1, 3.0)
+            variances = np.empty(code.slot_count)
+            for slots in classes:
+                variances[slots] = rng.uniform(1.0, 50.0)
+            worst = max(worst, gram_gap(code, h, variances))
+            assert decoder.gap(h[None, :], 1.0 / variances) == 0.0
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("name", PROVEN)
+    def test_weights_varying_within_a_class_take_the_numeric_path(self, name):
+        decoder = _proof_decoder(name)
+        code = decoder.code
+        assert any(len(slots) > 1 for slots in _slot_classes(code))
+        rng = np.random.default_rng(81)
+        for _ in range(20):
+            h_all = complex_noise(rng, (4, code.num_relays))
+            variances = rng.uniform(1.0, 4.0, size=code.slot_count)
+            gap = decoder.gap(h_all, 1.0 / variances)
+            assert gap == float(np.abs(decoder._gram(h_all, 1.0 / variances)).max())
+            assert abs(gap - max(gram_gap(code, h, variances) for h in h_all)) <= 1e-12
+
+    def test_an_unproven_code_takes_the_numeric_path_for_any_weights(self):
+        code = sheared_code()
+        decoder = CoherentDecoder(code, 1.0)
+        rng = np.random.default_rng(82)
+        h_all = complex_noise(rng, (4, code.num_relays))
+        gap = decoder.gap(h_all, np.ones(code.slot_count))
+        assert gap == pytest.approx(max(gram_gap(code, h, np.ones(code.slot_count)) for h in h_all), abs=1e-12)
+        assert gap > 1e-9
+
+
 class TestCompactTables:
     """Each table keeps the rows (and Gram columns) that are nonzero in some
     slot, in their original order, and the decoder forms only the products
@@ -390,7 +464,7 @@ class TestCompactTables:
             pairs = decoder.pairs(h_all)
             metrics = decoder._group(pairs, y, h_all, w2)
             assert _same_bits(metrics, full_form(full_features(y, h_all), group_terms, w2))
-            gram = decoder._gap(decoder._gap_pairs(pairs), w2)
+            gram = decoder._gram(h_all, w2)
             assert _same_bits(gram, full_form(pair_products(h_all), gap_terms, w2)[:, decoder._gap.columns])
 
     @pytest.mark.parametrize("n", [2, 16, 64, 1024])
@@ -422,7 +496,7 @@ class TestCompactTables:
             expected = full.reshape(1, -1, decoder._width).argmin(axis=2)
             assert np.array_equal(decoder.grouped(y, h_all, decoder.pairs(h_all), w2), expected)
             gap = np.abs(full_form(pair_products(h_all), gap_terms, w2)).max()
-            assert decoder.gap(decoder.pairs(h_all), w2) == pytest.approx(gap, rel=1e-12, abs=1e-12)
+            assert decoder.gap(h_all, w2) == pytest.approx(gap, rel=1e-12, abs=1e-12)
             exhaustive = index_table[full_form(full_features(y, h_all), full_terms, w2).argmin(axis=1)]
             assert np.array_equal(decoder.exhaustive(y, h_all, w2), exhaustive)
 
@@ -464,7 +538,7 @@ class TestCompactTables:
         rng = np.random.default_rng(72)
         for n in (1, 16):
             h_all, y, w2 = _draw(rng, code, n)
-            assert decoder.gap(decoder.pairs(h_all), w2) == 0.0
+            assert decoder.gap(h_all, w2) == 0.0
             model = SubcarrierModel(h_all, np.diag(1.0 / w2), 1.0)
             assert decomposition_gap(code, model) == 0.0
             with warnings.catch_warnings():

@@ -18,18 +18,12 @@ from asyncrelay.differential import (
 )
 from asyncrelay.relaysim import LinkConfig, PowerConfig, complex_noise, draw_channel, run_frame
 
-from oracles import diff_codebook_assembly, diff_decisions, diff_decode_scan, diff_group_fields, word_index
+from oracles import diff_codebook_assembly, diff_decisions, diff_decode_scan, diff_group_fields, unpaired_groups_code, word_index
 
 
 @pytest.fixture(scope="module")
 def codebook():
     return build_codebook_4relay()
-
-
-def unpaired_groups_code():
-    """relay4_diff's matrices with each symbol's (Re, Im) as one group."""
-    text = format_code_text(named_code("relay4_diff"))
-    return parse_code_text(text.replace("0 2 | 1 3 | 4 6 | 5 7", "0 1 | 2 3 | 4 5 | 6 7"))
 
 
 class TestCodebookStructure:
@@ -195,7 +189,7 @@ class TestGroupedSearchIsExact:
         decoder = build_codebook_4relay(code).decoder
         rng = np.random.default_rng(55)
         y_hat = complex_noise(rng, (1000, 4)) * rng.uniform(0.2, 3.0, size=(1000, 1))
-        return decoder.gap(decoder.pairs(y_hat), np.ones(4))
+        return decoder.gap(y_hat, np.ones(4))
 
     @pytest.mark.parametrize("name", ["relay4_diff", "relay4"])
     def test_paired_groups_have_no_gap(self, name):

@@ -116,6 +116,8 @@ class TestConfigValidation:
             dict(n_fft=12),
             dict(cp_len=8, n_fft=8),
             dict(power_db=()),
+            dict(power_db=(20.0, 20.0)),
+            dict(power_db=(10.0, 20, 15.0, 20.0)),
             dict(frames=0),
             dict(min_errors=-1),
             dict(workers=0),
@@ -211,7 +213,7 @@ class TestCoherentEngine:
             channel = draw_channel(rng, code.num_relays, engine.link.cp_len)
             h_all = equivalent_channel_matrix(code, channel, engine.link.n_fft)
             variances = np.real(np.diag(noise_covariance(engine.schedule, channel, engine.link)))
-            gap = engine._gap(engine.decoder.pairs(h_all), 1.0 / variances)
+            gap = engine._gap(h_all, 1.0 / variances)
             expected = max(gram_gap(code, h, variances) for h in h_all)
             assert abs(gap - expected) <= 1e-12
             assert (gap > 1e-9) == (name == "sheared")
@@ -224,7 +226,7 @@ class TestCoherentEngine:
         cfg = engine.cfg
         gain = engine.link.power.cascade_gain
         grouped = [engine.simulate(frame_rng(3, 0, unit)) for unit in range(4)]
-        monkeypatch.setattr(_CoherentEngine, "_gap", lambda self, pairs, w2: 1.0)
+        monkeypatch.setattr(_CoherentEngine, "_gap", lambda self, h_all, w2: 1.0)
         with pytest.warns(UserWarning, match="exhaustive"):
             exhaustive = [engine.simulate(frame_rng(3, 0, unit)) for unit in range(4)]
         assert grouped == exhaustive
@@ -636,6 +638,14 @@ class TestCli:
         assert cli_main(["--code", "alamouti", "--power", "10", "--frames", "1", "--out", str(out)]) == 2
         assert "does not exist" in capsys.readouterr().err
         assert not out.parent.exists()
+
+    def test_duplicate_power_points_exit_2_before_any_unit_runs(self, monkeypatch, capsys):
+        def simulate(engine, rng):
+            raise AssertionError("a unit ran")
+
+        monkeypatch.setattr(_CoherentEngine, "simulate", simulate)
+        assert cli_main(["--code", "alamouti", "--power", "20,20", "--frames", "1"]) == 2
+        assert "distinct" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
