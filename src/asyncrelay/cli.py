@@ -21,6 +21,7 @@ from .harness import (
     emit_plotscript,
     parse_delay_spec,
     parse_power_spec,
+    plot_script_path,
     run_sweep,
 )
 
@@ -173,7 +174,7 @@ def main(argv=None) -> int:
     if cfg.out:
         out = Path(cfg.out)
         emit_csv(points, out)
-        script = out.with_suffix(".gp")
+        script = plot_script_path(out)
         emit_plotscript(points, script, csv_name=out.name)
         print(f"wrote {out} and {script}")
     return _EXIT_OK

@@ -218,8 +218,17 @@ def _validate(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule]:
         raise ConfigError("diff_chain needs at least a reference frame and one data frame")
     if cfg.rotation_deg is not None and not math.isfinite(cfg.rotation_deg):
         raise ConfigError(f"rotation_deg must be finite, got {cfg.rotation_deg!r}")
-    if cfg.out is not None and not Path(cfg.out).parent.is_dir():
-        raise ConfigError(f"the directory of output {cfg.out!r} does not exist")
+    if cfg.out:  # the command line writes no files for an empty path
+        out = Path(cfg.out)
+        if not out.parent.is_dir():
+            raise ConfigError(f"the directory of output {cfg.out!r} does not exist")
+        if out.is_dir():
+            raise ConfigError(f"output {cfg.out!r} is a directory")
+        script = plot_script_path(out)
+        if script == out:
+            raise ConfigError(f"output {cfg.out!r} is the path of its own .gp plot script")
+        if script.is_dir():
+            raise ConfigError(f"the plot script {str(script)!r} of output {cfg.out!r} is a directory")
 
     code = _resolve_code(cfg)
     report = check_feasibility(row_sets(code))
@@ -510,6 +519,11 @@ def parse_csv(path) -> list[BerPoint]:
             )
         )
     return points
+
+
+def plot_script_path(out) -> Path:
+    """The path of the plot script written beside the CSV output ``out``."""
+    return Path(out).with_suffix(".gp")
 
 
 def emit_plotscript(points: list[BerPoint], path, csv_name: str = "ber.csv") -> None:

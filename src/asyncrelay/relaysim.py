@@ -21,18 +21,28 @@ cp_len (inclusive) the front-end output per subcarrier k reduces exactly to
 with f_i conjugated for conjugated columns; larger delays break the
 equivalence, which is what the cyclic prefix contract is about.
 
-Forwarding and front-end realignment are exact sample permutations, signs
-of +/-1 and conjugations, so each runs as one gather through index tables
-built once per (schedule, n_fft, cp_len) instead of a loop over slots and
-relays. Schedules hash once (``RelaySchedule``), so finding those tables
-costs one dictionary lookup per frame. Noise is drawn in one
-``standard_normal`` call per array, the stream of separate real and
-imaginary draws, and received signals are added to it in place.
+The relay link carries one row per forwarding instruction, not a dense
+array per relay: a relay that is silent in a slot forms, forwards and adds
+nothing there. ``relay_receive`` returns the received block of each
+forwarded (relay, block), ``relay_process`` the transmitted symbol of the
+same row, and ``destination_receive`` adds each row into its slot at its
+relay's delay. All three read one row order from the schedule's cached
+forwarding table: relay-major, each relay's rows in slot order, so a
+relay's rows are one slice. Forwarding and front-end realignment are exact
+sample permutations, signs of +/-1 and conjugations, so each runs as one
+gather through index tables built once per (schedule, n_fft, cp_len)
+instead of a loop over slots and relays. Schedules hash once
+(``RelaySchedule``), so finding those tables costs one dictionary lookup
+per frame. Noise is drawn in one ``standard_normal`` call per array, the
+stream of separate real and imaginary draws: the relays' call still draws
+every (relay, block), so the stream does not depend on which rows are
+forwarded. Received signals are added to the noise in place.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -221,67 +231,66 @@ def source_transmit(frame: np.ndarray, schedule: RelaySchedule, cfg: LinkConfig)
     return symbols
 
 
-def relay_receive(
-    symbols: np.ndarray,
-    channel: ChannelRealization,
-    noise_on: bool = True,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Per-relay received symbols, shape (R, nu, N + cp_len)."""
-    symbols = np.asarray(symbols, dtype=complex)
-    if not noise_on:
-        return channel.source_to_relay[:, None, None] * symbols[None, :, :]
-    if rng is None:
-        raise ValueError("noise_on requires a random generator")
-    received = complex_noise(rng, (channel.num_relays, *symbols.shape))
-    received += channel.source_to_relay[:, None, None] * symbols[None, :, :]
-    return received
-
-
 @dataclass(frozen=True)
 class _ForwardingTable:
-    """Index tables of one schedule for a (R, B, N + cp_len) received array.
+    """The forwarding instructions of one schedule, one row each.
 
-    Row a describes the a-th active (slot, relay) instruction in slot-major
-    order. ``sources[a, p]`` is the flat index of the received sample that
-    transmit sample p carries: column p for plain slots and (cp_len - p)
-    mod N for reversed ones, in the forwarded block of the relay.
-    ``targets[a]`` is the row of the (R * T, N + cp_len) output it fills.
+    Rows are in relay-major order and each relay's rows in slot order: the
+    row order of ``relay_receive``, ``relay_process`` and
+    ``destination_receive``. ``spans`` holds, for each relay that forwards
+    anything and in ascending relay order, the relay, the slice of its rows
+    and the slots they fill: a slice when those slots are contiguous, else
+    an index array.
     """
 
-    sources: np.ndarray  # (A, N + cp_len)
+    relays: np.ndarray  # (A,)
+    blocks: np.ndarray  # (A,)
     signs: np.ndarray  # (A, 1)
     conjugate: np.ndarray  # (A, 1) bool
-    targets: np.ndarray  # (A,)
+    reversed: np.ndarray  # (A, 1) bool: the row's slot is time reversed
+    spans: tuple  # ((relay, rows, slots), ...)
+    last_block: int  # the highest block any row forwards, -1 with no rows
 
 
 @functools.lru_cache(maxsize=16)
-def _forwarding_table(schedule: RelaySchedule, n_fft: int, cp_len: int, num_blocks: int) -> _ForwardingTable:
-    rows = []
-    for slot, instructions in enumerate(schedule.instructions):
-        for relay, instr in enumerate(instructions):
-            if instr is None:
-                continue
-            if not 0 <= instr.block < num_blocks:
-                raise ValueError(
-                    f"slot {slot} tells relay {relay} to forward block {instr.block}, "
-                    f"but only {num_blocks} blocks were received"
-                )
-            rows.append((slot, relay, instr.block, instr.sign, instr.conjugate))
-    slots, relays, blocks, signs, conjugate = (
-        np.array([row[i] for row in rows], dtype=dtype).reshape(-1, 1)
-        for i, dtype in enumerate((int, int, int, float, bool))
+def _forwarding_table(schedule: RelaySchedule) -> _ForwardingTable:
+    """The forwarding table of ``schedule``, built once: every stage of the
+    relay link looks it up once per frame."""
+    rows = [
+        (relay, slot, instr)
+        for relay in range(schedule.num_relays)
+        for slot, instructions in enumerate(schedule.instructions)
+        if (instr := instructions[relay]) is not None
+    ]
+    spans, start = [], 0
+    for relay, group in itertools.groupby(rows, key=lambda row: row[0]):
+        slots = [slot for _, slot, _ in group]
+        contiguous = slots[-1] - slots[0] == len(slots) - 1
+        index = slice(slots[0], slots[-1] + 1) if contiguous else np.array(slots)
+        spans.append((relay, slice(start, start + len(slots)), index))
+        start += len(slots)
+    blocks = [instr.block for _, _, instr in rows]
+    return _ForwardingTable(
+        relays=np.array([relay for relay, _, _ in rows], dtype=np.intp),
+        blocks=np.array(blocks, dtype=np.intp),
+        signs=np.array([instr.sign for _, _, instr in rows], dtype=float).reshape(-1, 1),
+        conjugate=np.array([instr.conjugate for _, _, instr in rows], dtype=bool).reshape(-1, 1),
+        reversed=np.array([schedule.slot_reversed[slot] for _, slot, _ in rows], dtype=bool).reshape(-1, 1),
+        spans=tuple(spans),
+        last_block=max(blocks, default=-1),
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _forwarding_sources(schedule: RelaySchedule, n_fft: int, cp_len: int) -> np.ndarray:
+    """Flat indices into the (A, N + cp_len) received rows: transmit sample p
+    of row a carries received sample p of that row for plain slots and
+    (cp_len - p) mod N for reversed ones."""
+    table = _forwarding_table(schedule)
     symbol_len = n_fft + cp_len
     p = np.arange(symbol_len)
-    reversed_slots = np.array(schedule.slot_reversed, dtype=bool)
-    columns = np.where(reversed_slots[slots], (cp_len - p) % n_fft, p)
-    return _ForwardingTable(
-        sources=(relays * num_blocks + blocks) * symbol_len + columns,
-        signs=signs,
-        conjugate=conjugate,
-        targets=(relays * schedule.num_slots + slots)[:, 0],
-    )
+    columns = np.where(table.reversed, (cp_len - p) % n_fft, p)
+    return np.arange(table.relays.size)[:, None] * symbol_len + columns
 
 
 @functools.lru_cache(maxsize=16)
@@ -294,58 +303,118 @@ def _body_sources(schedule: RelaySchedule, n_fft: int, cp_len: int) -> np.ndarra
     return np.arange(schedule.num_slots)[:, None] * (n_fft + cp_len) + columns
 
 
+def _check_relays(schedule: RelaySchedule, channel: ChannelRealization) -> None:
+    if channel.num_relays != schedule.num_relays:
+        raise ValueError(
+            f"the channel has {channel.num_relays} relays, the schedule {schedule.num_relays}"
+        )
+
+
+def relay_receive(
+    symbols: np.ndarray,
+    schedule: RelaySchedule,
+    channel: ChannelRealization,
+    noise_on: bool = True,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Received block of each forwarding instruction, shape (A, N + cp_len).
+
+    Row a is the block that row a of the schedule's forwarding table
+    forwards, as its relay received it: noise plus f_r times the source
+    symbol. The noise of every (relay, block) is drawn, in one call over
+    (R, nu, N + cp_len), so the stream does not depend on the schedule.
+    Only the forwarded rows of that draw are kept, and f_r times the source
+    symbol is formed only for them.
+    """
+    symbols = np.asarray(symbols, dtype=complex)
+    _check_relays(schedule, channel)
+    table = _forwarding_table(schedule)
+    num_blocks, symbol_len = symbols.shape
+    if table.last_block >= num_blocks:
+        for slot, instructions in enumerate(schedule.instructions):
+            for relay, instr in enumerate(instructions):
+                if instr is not None and instr.block >= num_blocks:
+                    raise ValueError(
+                        f"slot {slot} tells relay {relay} to forward block {instr.block}, "
+                        f"but only {num_blocks} blocks were received"
+                    )
+    if noise_on and rng is None:
+        raise ValueError("noise_on requires a random generator")
+    # the fading coefficient is the first operand, as in destination_receive
+    signal = channel.source_to_relay.take(table.relays)[:, None] * symbols.take(table.blocks, axis=0)
+    if not noise_on:
+        return signal
+    # complex_noise(rng, (R, nu, N + cp_len)) at the forwarded rows
+    parts = rng.standard_normal((2, channel.num_relays, num_blocks, symbol_len))[:, table.relays, table.blocks]
+    received = np.empty(signal.shape, dtype=complex)
+    received.real = parts[0]
+    received.imag = parts[1]
+    received *= math.sqrt(0.5)
+    received += signal
+    return received
+
+
 def relay_process(
     received: np.ndarray,
     schedule: RelaySchedule,
     cfg: LinkConfig,
 ) -> np.ndarray:
-    """Apply each relay's per-slot instruction, shape (R, T, N + cp_len).
+    """Transmitted symbol of each forwarding instruction, shape (A, N + cp_len).
 
-    Silent slots transmit zeros. Active slots forward one received block
-    with the instruction's sign, conjugated when the relay's column is
-    conjugated, time reversed when the slot is reversed, and scaled by the
-    fixed relay amplification. One gather through the schedule's cached
-    index table collects every active (relay, block) row, already time
-    reversed where needed; one product by sign times gain and one masked
-    conjugate follow, scattered into the output.
+    Each row forwards its received block with the instruction's sign,
+    conjugated when the relay's column is conjugated, time reversed when
+    the slot is reversed, and scaled by the fixed relay amplification. One
+    gather through the schedule's cached index table reverses the rows of
+    reversed slots; one product by sign times gain and one masked conjugate
+    follow.
     """
     received = np.asarray(received, dtype=complex)
-    num_relays, num_blocks, symbol_len = received.shape
-    if num_relays != schedule.num_relays or symbol_len != cfg.symbol_len:
-        raise ValueError("received array does not match schedule/link dimensions")
-    table = _forwarding_table(schedule, cfg.n_fft, cfg.cp_len, num_blocks)
-    symbols = received.take(table.sources)
+    table = _forwarding_table(schedule)
+    if received.shape != (table.relays.size, cfg.symbol_len):
+        raise ValueError(
+            f"received array of shape {received.shape} does not match the schedule's "
+            f"{table.relays.size} forwarding instructions of {cfg.symbol_len} samples"
+        )
+    symbols = received.take(_forwarding_sources(schedule, cfg.n_fft, cfg.cp_len))
     symbols *= table.signs * cfg.power.relay_gain  # signs are +/-1: exact
     np.conjugate(symbols, out=symbols, where=table.conjugate)
-    out = np.zeros((num_relays * schedule.num_slots, symbol_len), dtype=complex)
-    out[table.targets] = symbols
-    return out.reshape(num_relays, schedule.num_slots, symbol_len)
+    return symbols
 
 
 def destination_receive(
     transmitted: np.ndarray,
+    schedule: RelaySchedule,
     channel: ChannelRealization,
     noise_on: bool = True,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Superpose delayed relay transmissions per slot, shape (T, N + cp_len).
 
-    Relay i's samples land ``delays[i]`` positions late within the slot
-    window; samples pushed past the window are dropped (the cyclic prefix of
+    Each row of ``transmitted`` (one per forwarding instruction) is scaled
+    by its relay's fading coefficient and added into its slot ``delays[i]``
+    positions late within the slot window, relay after relay in ascending
+    order; samples pushed past the window are dropped (the cyclic prefix of
     the following symbol would swallow them for in-contract delays).
     """
     transmitted = np.asarray(transmitted, dtype=complex)
-    if transmitted.ndim != 3 or transmitted.shape[0] != channel.num_relays:
-        raise ValueError("transmitted array needs one (T, N + cp_len) block per relay of the channel")
-    symbol_len = transmitted.shape[-1]
+    _check_relays(schedule, channel)
+    table = _forwarding_table(schedule)
+    if transmitted.ndim != 2 or transmitted.shape[0] != table.relays.size:
+        raise ValueError(
+            f"transmitted array of shape {transmitted.shape} needs one row per forwarding "
+            f"instruction of the schedule ({table.relays.size})"
+        )
+    symbol_len = transmitted.shape[1]
     # the fading coefficient is the first operand: numpy's complex product of
     # a broadcast first operand matches the per-relay scalar product bit for
     # bit, a broadcast second operand does not
-    faded = channel.relay_to_dest[:, None, None] * transmitted
-    out = faded[0]  # relay 0 sets the timing origin: delays[0] == 0
-    for relay, tau in enumerate(channel.delays.tolist()[1:], start=1):
+    faded = channel.relay_to_dest.take(table.relays)[:, None] * transmitted
+    out = np.zeros((schedule.num_slots, symbol_len), dtype=complex)
+    delays = channel.delays.tolist()
+    for relay, rows, slots in table.spans:
+        tau = delays[relay]
         if tau < symbol_len:
-            out[:, tau:] += faded[relay, :, : symbol_len - tau]
+            out[slots, tau:] += faded[rows, : symbol_len - tau]
     if noise_on:
         if rng is None:
             raise ValueError("noise_on requires a random generator")
@@ -377,7 +446,7 @@ def run_frame(
 ) -> np.ndarray:
     """Full source -> relays -> destination pipeline for one frame."""
     symbols = source_transmit(frame, schedule, cfg)
-    received = relay_receive(symbols, channel, noise_on, rng)
+    received = relay_receive(symbols, schedule, channel, noise_on, rng)
     transmitted = relay_process(received, schedule, cfg)
-    raw = destination_receive(transmitted, channel, noise_on, rng)
+    raw = destination_receive(transmitted, schedule, channel, noise_on, rng)
     return destination_frontend(raw, schedule, cfg)

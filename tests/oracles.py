@@ -169,6 +169,51 @@ def sheared_code():
     )
 
 
+def slot_swapped_code():
+    """relay5 with its slots 1 and 2 swapped: still feasible, but relay 0
+    forwards in slots 0 and 2, which no slice selects."""
+    import dataclasses
+
+    from asyncrelay.codebook import named_code
+
+    code = named_code("relay5")
+    order = [0, 2, 1, 3, 4, 5]
+    return dataclasses.replace(code, name="relay5-swapped", relay_matrices=tuple(m[order] for m in code.relay_matrices))
+
+
+def link_rows(schedule) -> list[tuple[int, int, int]]:
+    """(relay, block, slot) of every forwarding instruction in the relay
+    link's row order: relay-major, each relay's rows in slot order."""
+    return [
+        (relay, instr.block, slot)
+        for relay in range(schedule.num_relays)
+        for slot, row in enumerate(schedule.instructions)
+        if (instr := row[relay]) is not None
+    ]
+
+
+def instruction_rows(dense: np.ndarray, schedule, axis: str) -> np.ndarray:
+    """The rows of a dense per-relay array at the forwarding instructions, in
+    link row order: (relay, block) rows of an (R, nu, L) received array for
+    ``axis="block"``, (relay, slot) rows of an (R, T, L) transmitted array
+    for ``axis="slot"``."""
+    assert axis in ("block", "slot")
+    rows = [dense[relay, block if axis == "block" else slot] for relay, block, slot in link_rows(schedule)]
+    return np.array(rows).reshape(len(rows), dense.shape[-1])
+
+
+def silent_rows(dense: np.ndarray, schedule) -> np.ndarray:
+    """The (relay, slot) rows of an (R, T, L) transmitted array at which no
+    instruction forwards anything, stacked."""
+    rows = [
+        dense[relay, slot]
+        for slot, row in enumerate(schedule.instructions)
+        for relay, instr in enumerate(row)
+        if instr is None
+    ]
+    return np.array(rows).reshape(len(rows), dense.shape[-1])
+
+
 def relay_process_loop(received: np.ndarray, schedule, cfg) -> np.ndarray:
     """Relay forwarding slot by slot and relay by relay, (R, T, N + cp).
 

@@ -89,3 +89,65 @@ def test_a_diagonal_filled_through_flat_equals_np_diag():
         cov = np.zeros((size, size), dtype=complex)
         cov.flat[:: size + 1] = diagonal
         assert _same_bits(cov, np.diag(diagonal.astype(complex)))
+
+
+def test_a_gathered_fading_column_times_gathered_blocks_equals_the_rows_of_the_broadcast_product():
+    # relaysim.relay_receive forms f[relay][:, None] * symbols[block] for the
+    # forwarded rows only, where the dense form was f[:, None, None] * symbols[None]
+    rng = np.random.default_rng(94)
+    for num_relays, num_blocks, length in ((2, 2, 8), (4, 4, 80), (5, 6, 1088)):
+        f = complex_noise(rng, num_relays)
+        symbols = complex_noise(rng, (num_blocks, length)) * 3.0
+        relays = rng.integers(0, num_relays, size=7)
+        blocks = rng.integers(0, num_blocks, size=7)
+        dense = f[:, None, None] * symbols[None, :, :]
+        assert _same_bits(f[relays][:, None] * symbols[blocks], dense[relays, blocks])
+
+
+def test_a_gathered_gain_column_times_the_rows_equals_the_per_relay_scalar_product():
+    # relaysim.destination_receive scales each row by g[relay][:, None] * x
+    rng = np.random.default_rng(95)
+    for num_rows, length in ((4, 10), (10, 1088), (16, 288)):
+        g = complex_noise(rng, 5)
+        relays = rng.integers(0, 5, size=num_rows)
+        x = complex_noise(rng, (num_rows, length))
+        per_relay = np.stack([g[relay] * x[a] for a, relay in enumerate(relays)])
+        assert _same_bits(g[relays][:, None] * x, per_relay)
+
+
+def test_adding_the_active_rows_into_zeros_equals_the_sum_from_relay_zero_with_silent_zeros():
+    # relaysim.destination_receive adds only the forwarding rows, relay by
+    # relay, into zeros; the dense form started from relay 0's row and added
+    # the +/-0 rows that silent relays scale from zeros, which agrees wherever
+    # a sample is nonzero
+    rng = np.random.default_rng(96)
+    num_relays, num_slots, length = 5, 6, 40
+    for _ in range(20):
+        active = rng.random((num_relays, num_slots)) < 0.4
+        delays = np.sort(rng.integers(0, 12, size=num_relays))
+        delays -= delays[0]
+        g = complex_noise(rng, num_relays)
+        transmitted = np.where(active[:, :, None], complex_noise(rng, (num_relays, num_slots, length)), 0.0)
+        faded = g[:, None, None] * transmitted  # silent rows are +/-0
+        dense = faded[0].copy()
+        for relay in range(1, num_relays):
+            dense[:, delays[relay]:] += faded[relay, :, : length - delays[relay]]
+        rows = np.zeros((num_slots, length), dtype=complex)
+        for relay in range(num_relays):
+            for slot in np.flatnonzero(active[relay]):
+                rows[slot, delays[relay]:] += faded[relay, slot, : length - delays[relay]]
+        nonzero = (dense.real != 0.0) & (dense.imag != 0.0)
+        assert np.any(nonzero) and np.array_equal(_bits(rows[nonzero]), _bits(dense[nonzero]))
+        assert np.array_equal(rows[~nonzero], dense[~nonzero])  # equal up to the sign of zero
+
+
+def test_a_stacked_transform_equals_the_transform_of_each_row():
+    # relaysim.destination_frontend transforms the (T, N) bodies in one
+    # spectral.dft call; a batched pipeline would transform (B, T, N) at once
+    rng = np.random.default_rng(97)
+    for shape in ((4, 8), (6, 64), (3, 4, 256), (2, 6, 1024)):
+        blocks = complex_noise(rng, shape)
+        rows = blocks.reshape(-1, shape[-1])
+        for transform in (spectral.dft, spectral.idft):
+            per_row = np.stack([transform(row) for row in rows]).reshape(shape)
+            assert _same_bits(transform(blocks), per_row)

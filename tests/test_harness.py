@@ -5,6 +5,7 @@ import functools
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -44,7 +45,15 @@ from asyncrelay.harness import (
 from asyncrelay.codebook import ScheduleError, derive_schedule, format_code_text, named_code
 from asyncrelay.relaysim import LinkConfig, draw_channel, run_frame
 
-from oracles import diff_decisions, draw_frame_per_group, exhaustive_ml, gram_gap, sheared_code, unequal_alphabet_code
+from oracles import (
+    diff_decisions,
+    draw_frame_per_group,
+    exhaustive_ml,
+    gram_gap,
+    sheared_code,
+    slot_swapped_code,
+    unequal_alphabet_code,
+)
 
 FAST = dict(n_fft=8, cp_len=2, frames=20, min_errors=4, seed=13)
 
@@ -419,6 +428,16 @@ class TestReproducibility:
             (point,) = run_sweep(cfg)
             assert (point.bit_errors, point.bits) == (expected.bit_errors, expected.bits)
 
+    def test_a_code_whose_relay_zero_skips_a_slot_sweeps(self, tmp_path):
+        # relay 0 forwards in slots 0 and 2: the relay link adds its rows by an index array
+        path = tmp_path / "swapped.code"
+        path.write_text(format_code_text(slot_swapped_code()))
+        cfg = SimConfig(code=str(path), power_db=(20.0,), **FAST)
+        (quiet,) = run_sweep(dataclasses.replace(cfg, noise=False))
+        assert (quiet.bit_errors, quiet.bits) == (0, 20 * 8 * 12)
+        (noisy,) = run_sweep(cfg)
+        assert noisy.frames >= 20
+
     def test_repeated_run_is_identical(self):
         def counts(points):
             # everything except the wall-clock timing is deterministic
@@ -638,6 +657,24 @@ class TestCli:
         assert cli_main(["--code", "alamouti", "--power", "10", "--frames", "1", "--out", str(out)]) == 2
         assert "does not exist" in capsys.readouterr().err
         assert not out.parent.exists()
+
+    def test_output_paths_that_cannot_be_written_exit_2_before_any_unit_runs(self, tmp_path, monkeypatch, capsys):
+        def simulate(engine, rng):
+            raise AssertionError("a unit ran")
+
+        monkeypatch.setattr(_CoherentEngine, "simulate", simulate)
+        (tmp_path / "taken.gp").mkdir()
+        cases = [
+            (tmp_path, "is a directory"),  # the CSV would be a directory
+            (tmp_path / "res.gp", "path of its own .gp plot script"),  # the script would overwrite the CSV
+            (tmp_path / "taken.csv", "plot script .* is a directory"),
+        ]
+        for out, message in cases:
+            with pytest.raises(ConfigError, match=message):
+                run_sweep(SimConfig(code="alamouti", power_db=(10.0,), frames=1, out=str(out)))
+            assert cli_main(["--code", "alamouti", "--power", "10", "--frames", "1", "--out", str(out)]) == 2
+            assert re.search(message, capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken.gp"]
 
     def test_duplicate_power_points_exit_2_before_any_unit_runs(self, monkeypatch, capsys):
         def simulate(engine, rng):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from asyncrelay.codebook import builtin_codes, derive_schedule, named_code
+from asyncrelay.codebook import RelayInstruction, RelaySchedule, builtin_codes, derive_schedule, named_code
 from asyncrelay.relaysim import (
     ChannelRealization,
     LinkConfig,
@@ -27,14 +27,35 @@ from oracles import (
     destination_receive_loop,
     expected_subcarrier_rx,
     frontend_loop,
+    instruction_rows,
+    link_rows,
     relay_process_loop,
     sheared_code,
+    silent_rows,
     slot_noise_variances,
+    slot_swapped_code,
 )
+
+# the built-in codes, one whose groups are not orthogonal and one whose
+# relay 0 forwards in slots that are not next to each other
+LINK_CODES = [*builtin_codes(), "sheared", "swapped"]
 
 
 def _random_frame(rng, nu, n):
     return (rng.standard_normal((nu, n)) + 1j * rng.standard_normal((nu, n))) / math.sqrt(2)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _link_code(name: str):
+    return {"sheared": sheared_code, "swapped": slot_swapped_code}.get(name, lambda: named_code(name))()
+
+
+def _one_slot_schedule(num_relays: int) -> RelaySchedule:
+    """Every relay forwards block 0 unchanged in the one slot."""
+    return RelaySchedule(("idft",), (False,), ((RelayInstruction(0, 1.0, False),) * num_relays,))
 
 
 class TestPowerConfig:
@@ -143,13 +164,14 @@ class TestRelayProcess:
         n, cp = 4, 2
         cfg = LinkConfig(n, cp, PowerConfig(3.0, 1.0, 0.5))
         received = (rng.standard_normal((2, 2, n + cp)) + 1j * rng.standard_normal((2, 2, n + cp)))
-        out = relay_process(received, schedule, cfg)
+        out = relay_process(instruction_rows(received, schedule, "block"), schedule, cfg)
         gain = cfg.power.relay_gain
+        row = {(relay, slot): a for a, (relay, _, slot) in enumerate(link_rows(schedule))}
 
         # slot 0 is not reversed: relay 0 forwards block 0, relay 1 sends
         # the negated conjugate of block 1
-        assert np.allclose(out[0, 0], gain * received[0, 0])
-        assert np.allclose(out[1, 0], gain * -np.conj(received[1, 1]))
+        assert np.allclose(out[row[0, 0]], gain * received[0, 0])
+        assert np.allclose(out[row[1, 0]], gain * -np.conj(received[1, 1]))
 
         # slot 1 is reversed: sample p of the output holds sample
         # (cp - p) mod n of the periodic extension of the input
@@ -157,42 +179,55 @@ class TestRelayProcess:
             body = np.array([x[(cp - p) % n] for p in range(n)])
             return np.concatenate((body, body[:cp]))
 
-        assert np.allclose(out[0, 1], gain * reversed_extension(received[0, 1]))
-        assert np.allclose(out[1, 1], gain * reversed_extension(np.conj(received[1, 0])))
+        assert np.allclose(out[row[0, 1]], gain * reversed_extension(received[0, 1]))
+        assert np.allclose(out[row[1, 1]], gain * reversed_extension(np.conj(received[1, 0])))
 
     def test_reversed_output_keeps_a_valid_prefix_structure(self):
         rng = np.random.default_rng(2)
         schedule = derive_schedule(named_code("alamouti"))
         cfg = LinkConfig(8, 3, PowerConfig(1.0))
-        received = complex_noise(rng, (2, 2, 11))
+        received = complex_noise(rng, (4, 11))
         out = relay_process(received, schedule, cfg)
+        reversed_rows = [a for a, (_, _, slot) in enumerate(link_rows(schedule)) if slot == 1]
+        assert len(reversed_rows) == 2
         # periodic over the full window: sample p equals sample p + n
-        assert np.allclose(out[:, 1, 8:], out[:, 1, :3])
+        assert np.allclose(out[reversed_rows, 8:], out[reversed_rows, :3])
 
-    @pytest.mark.parametrize("name", [*builtin_codes(), "sheared"])
+    @pytest.mark.parametrize("name", LINK_CODES)
     @pytest.mark.parametrize("cp", [0, 1, 16])
     def test_gather_equals_the_slot_loop_bit_for_bit(self, name, cp):
-        code = sheared_code() if name == "sheared" else named_code(name)
+        code = _link_code(name)
         schedule = derive_schedule(code)
         cfg = LinkConfig(32, cp, PowerConfig(7.3, 1.0, 0.3))
         rng = np.random.default_rng(cp)
         received = complex_noise(rng, (code.num_relays, schedule.num_blocks, cfg.symbol_len))
-        out = relay_process(received, schedule, cfg)
-        assert np.array_equal(out.view(float), relay_process_loop(received, schedule, cfg).view(float))
+        out = relay_process(instruction_rows(received, schedule, "block"), schedule, cfg)
+        dense = relay_process_loop(received, schedule, cfg)
+        assert np.array_equal(_bits(out), _bits(instruction_rows(dense, schedule, "slot")))
+        assert not np.any(silent_rows(dense, schedule))
         raw = complex_noise(rng, (schedule.num_slots, cfg.symbol_len))
         assert np.array_equal(destination_frontend(raw, schedule, cfg), frontend_loop(raw, schedule, cfg))
 
     def test_block_out_of_range_names_slot_relay_and_block(self):
         schedule = derive_schedule(named_code("relay4"))
+        channel = draw_channel(np.random.default_rng(3), 4, cp_len=2)
+        symbols = np.zeros((2, 10), dtype=complex)  # blocks 2 and 3 were never sent
+        for noise_on in (False, True):
+            with pytest.raises(ValueError, match="slot 0 tells relay 2 to forward block 2, but only 2 blocks"):
+                relay_receive(symbols, schedule, channel, noise_on, np.random.default_rng(4))
+
+    def test_row_count_mismatch_names_the_instruction_count(self):
+        schedule = derive_schedule(named_code("relay5"))  # 10 of 30 (relay, slot) pairs forward
         cfg = LinkConfig(8, 2, PowerConfig(1.0))
-        received = np.zeros((4, 2, 10), dtype=complex)  # blocks 2 and 3 were never received
-        with pytest.raises(ValueError, match="slot 0 tells relay 2 to forward block 2, but only 2 blocks"):
-            relay_process(received, schedule, cfg)
+        with pytest.raises(ValueError, match=r"shape \(30, 10\) does not match the schedule's 10 forwarding"):
+            relay_process(np.zeros((30, 10), dtype=complex), schedule, cfg)
+        with pytest.raises(ValueError, match=r"shape \(10, 9\) does not match the schedule's 10 forwarding"):
+            relay_process(np.zeros((10, 9), dtype=complex), schedule, cfg)
 
 
 class TestNoiseAndReceiveArithmetic:
     """One-call noise draws and in-place signal sums give the two-call
-    streams and the per-relay loops bit for bit (compared as float views)."""
+    streams and the per-relay loops bit for bit (compared as uint64 views)."""
 
     @pytest.mark.parametrize("shape", [4, (4,), (3, 5), (4, 4, 80)])
     def test_complex_noise_is_the_two_call_stream(self, shape):
@@ -200,69 +235,157 @@ class TestNoiseAndReceiveArithmetic:
         assert np.array_equal(complex_noise(a, shape).view(float), complex_noise_two_calls(b, shape).view(float))
         assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
 
-    @pytest.mark.parametrize("name", ["alamouti", "relay4", "relay5", "relay4_diff", "sheared"])
-    def test_receive_stages_equal_their_loops(self, name):
-        code = sheared_code() if name == "sheared" else named_code(name)
+    @pytest.mark.parametrize("name", LINK_CODES)
+    @pytest.mark.parametrize("cp", [0, 1, 16])
+    def test_receive_stages_equal_their_loops(self, name, cp):
+        code = _link_code(name)
         schedule = derive_schedule(code)
-        n, cp = 16, 4
+        n = 32
         cfg = LinkConfig(n, cp, PowerConfig(30.0, 1.0, 1.0 / code.num_relays))
-        rng = np.random.default_rng(17)
+        rng = np.random.default_rng(17 + cp)
         shape = (code.num_relays, code.symbol_count, n + cp)
-        fixed = (None, tuple(np.round(np.linspace(0, 3 * cp, code.num_relays)).astype(int)), (0,) * (code.num_relays - 1) + (n + cp,))
+        fixed = (
+            None,
+            tuple(np.round(np.linspace(0, 3 * cp, code.num_relays)).astype(int)),
+            (0,) * (code.num_relays - 1) + (n + cp,),  # the last relay lands past the window
+        )
         for delays in fixed:
             channel = draw_channel(rng, code.num_relays, cp, delays)
             frame = _random_frame(rng, code.symbol_count, n)
             symbols = source_transmit(frame, schedule, cfg)
             blocks = [spectral.dft(f) if m == "dft" else spectral.idft(f) for f, m in zip(frame, schedule.source_modulation)]
             assert np.array_equal(
-                symbols.view(float), (cfg.power.source_scale * spectral.add_cp(np.array(blocks), cp)).view(float)
+                _bits(symbols), _bits(cfg.power.source_scale * spectral.add_cp(np.array(blocks), cp))
             )
-            a, b = np.random.default_rng(18), np.random.default_rng(18)
-            received = relay_receive(symbols, channel, True, a)
-            expected = channel.source_to_relay[:, None, None] * symbols[None, :, :] + complex_noise_two_calls(b, shape)
-            assert np.array_equal(received.view(float), expected.view(float))
-            transmitted = relay_process(received, schedule, cfg)
-            raw = destination_receive(transmitted, channel, True, a)
-            noise = complex_noise_two_calls(b, (code.slot_count, n + cp))
-            assert np.array_equal(raw.view(float), destination_receive_loop(transmitted, channel, noise).view(float))
-            noiseless = destination_receive(transmitted, channel, noise_on=False)
-            assert np.array_equal(noiseless.view(float), destination_receive_loop(transmitted, channel, None).view(float))
+            clean = channel.source_to_relay[:, None, None] * symbols[None, :, :]
+            for noise_on in (True, False):
+                a, b = np.random.default_rng(18), np.random.default_rng(18)
+                received = relay_receive(symbols, schedule, channel, noise_on, a)
+                expected = clean + complex_noise_two_calls(b, shape) if noise_on else clean
+                assert np.array_equal(_bits(received), _bits(instruction_rows(expected, schedule, "block")))
+                transmitted = relay_process(received, schedule, cfg)
+                dense = relay_process_loop(expected, schedule, cfg)
+                assert np.array_equal(_bits(transmitted), _bits(instruction_rows(dense, schedule, "slot")))
+                assert not np.any(silent_rows(dense, schedule))
+                raw = destination_receive(transmitted, schedule, channel, noise_on, a)
+                noise = complex_noise_two_calls(b, (code.slot_count, n + cp)) if noise_on else None
+                assert np.array_equal(_bits(raw), _bits(destination_receive_loop(dense, channel, noise)))
+                assert a.integers(1 << 62) == b.integers(1 << 62)  # both streams are at one place
 
-    def test_destination_needs_one_block_per_relay(self):
+    @pytest.mark.parametrize("name", LINK_CODES)
+    def test_run_frame_leaves_the_stream_where_the_two_call_draws_do(self, name):
+        code = _link_code(name)
+        schedule = derive_schedule(code)
+        n, cp = 16, 4
+        cfg = LinkConfig(n, cp, PowerConfig(10.0, 1.0, 1.0 / code.num_relays))
+        channel = draw_channel(np.random.default_rng(5), code.num_relays, cp)
+        frame = _random_frame(np.random.default_rng(6), code.symbol_count, n)
+        a, b = np.random.default_rng(19), np.random.default_rng(19)
+        run_frame(frame, schedule, channel, cfg, noise_on=True, rng=a)
+        complex_noise_two_calls(b, (code.num_relays, code.symbol_count, n + cp))
+        complex_noise_two_calls(b, (code.slot_count, n + cp))
+        assert np.array_equal(a.standard_normal(5), b.standard_normal(5))
+
+    def test_destination_needs_one_row_per_instruction(self):
+        schedule = derive_schedule(named_code("alamouti"))  # 4 instructions
         ch = ChannelRealization(np.ones(2, dtype=complex), np.ones(2, dtype=complex), np.array([0, 1]))
-        with pytest.raises(ValueError, match="one .* block per relay"):
-            destination_receive(np.ones((1, 1, 6), dtype=complex), ch, noise_on=False)
+        with pytest.raises(ValueError, match=r"shape \(2, 6\) needs one row per forwarding instruction .*\(4\)"):
+            destination_receive(np.ones((2, 6), dtype=complex), schedule, ch, noise_on=False)
+
+    def test_stages_reject_a_channel_with_other_relays(self):
+        schedule = derive_schedule(named_code("alamouti"))
+        ch = draw_channel(np.random.default_rng(0), 3, cp_len=2)
+        with pytest.raises(ValueError, match="the channel has 3 relays, the schedule 2"):
+            relay_receive(np.ones((2, 6), dtype=complex), schedule, ch, noise_on=False)
+        with pytest.raises(ValueError, match="the channel has 3 relays, the schedule 2"):
+            destination_receive(np.ones((4, 6), dtype=complex), schedule, ch, noise_on=False)
 
 
 class TestDestinationReceive:
     def test_delayed_superposition(self):
-        t = np.zeros((2, 1, 6), dtype=complex)
-        t[0, 0] = np.arange(1.0, 7.0)
-        t[1, 0] = 10.0 * np.arange(1.0, 7.0)
+        t = np.zeros((2, 6), dtype=complex)
+        t[0] = np.arange(1.0, 7.0)
+        t[1] = 10.0 * np.arange(1.0, 7.0)
         g = np.array([1.0 + 0j, 1j])
         ch = ChannelRealization(np.ones(2, dtype=complex), g, np.array([0, 2]))
-        out = destination_receive(t, ch, noise_on=False)
-        expected = t[0, 0].copy()
-        expected[2:] += 1j * t[1, 0, :4]
+        out = destination_receive(t, _one_slot_schedule(2), ch, noise_on=False)
+        expected = t[0].copy()
+        expected[2:] += 1j * t[1, :4]
         assert np.allclose(out[0], expected)
 
+    def test_silent_slots_of_relay_zero_add_nothing(self):
+        # relay 0 forwards only in slot 1, relay 1 in both: slot 0 is relay 1's alone
+        instr = RelayInstruction(0, 1.0, False)
+        schedule = RelaySchedule(("idft",), (False, False), ((None, instr), (instr, instr)))
+        t = np.arange(1.0, 19.0).reshape(3, 6).astype(complex)  # rows: (0, slot 1), (1, slot 0), (1, slot 1)
+        ch = ChannelRealization(np.ones(2, dtype=complex), np.array([2.0 + 0j, 1j]), np.array([0, 1]))
+        out = destination_receive(t, schedule, ch, noise_on=False)
+        assert np.array_equal(out[0], np.concatenate(([0.0], 1j * t[1, :5])))
+        assert np.array_equal(out[1], 2.0 * t[0] + np.concatenate(([0.0], 1j * t[2, :5])))
+
+    def test_relays_with_slots_that_are_not_contiguous_equal_the_loop(self):
+        # relay 1 forwards in slots 0, 1 and 3, relay 2 in 1 and 3: no slice selects them
+        instr = RelayInstruction(0, 1.0, False)
+        rows = ((instr, instr, None), (instr, instr, instr), (instr, None, None), (instr, instr, instr))
+        schedule = RelaySchedule(("idft",), (False,) * 4, rows)
+        rng = np.random.default_rng(12)
+        dense = complex_noise(rng, (3, 4, 10))
+        for relay, slot in ((1, 2), (2, 0), (2, 2)):
+            dense[relay, slot] = 0.0
+        ch = ChannelRealization(np.ones(3, dtype=complex), complex_noise(rng, 3), np.array([0, 1, 3]))
+        out = destination_receive(instruction_rows(dense, schedule, "slot"), schedule, ch, noise_on=False)
+        assert np.array_equal(_bits(out), _bits(destination_receive_loop(dense, ch, None)))
+
+    def test_relay_zero_in_slots_that_are_not_contiguous_equals_the_loop(self):
+        # relay 0 forwards in slots 0 and 2 only, relay 1 in slots 0 and 1
+        schedule = RelaySchedule(
+            ("idft", "dft", "idft"),
+            (False, True, False),
+            (
+                (RelayInstruction(0, 1.0, False), RelayInstruction(1, 1.0, False)),
+                (None, RelayInstruction(0, -1.0, True)),
+                (RelayInstruction(2, -1.0, True), None),
+            ),
+        )
+        n, cp = 8, 2
+        cfg = LinkConfig(n, cp, PowerConfig(20.0, 1.0, 0.5))
+        rng = np.random.default_rng(23)
+        ch = draw_channel(rng, 2, cp, (0, 1))
+        frame = _random_frame(rng, 3, n)
+        symbols = source_transmit(frame, schedule, cfg)
+        clean = ch.source_to_relay[:, None, None] * symbols[None, :, :]
+        dense = relay_process_loop(clean, schedule, cfg)
+        assert not np.any(silent_rows(dense, schedule))
+        for noise_on in (True, False):
+            a, b = np.random.default_rng(24), np.random.default_rng(24)
+            out = destination_receive(instruction_rows(dense, schedule, "slot"), schedule, ch, noise_on, a)
+            noise = complex_noise_two_calls(b, (3, n + cp)) if noise_on else None
+            assert np.array_equal(_bits(out), _bits(destination_receive_loop(dense, ch, noise)))
+        a, b = np.random.default_rng(25), np.random.default_rng(25)
+        received = clean + complex_noise_two_calls(b, (2, 3, n + cp))
+        raw = destination_receive_loop(relay_process_loop(received, schedule, cfg), ch, complex_noise_two_calls(b, (3, n + cp)))
+        out = run_frame(frame, schedule, ch, cfg, noise_on=True, rng=a)
+        assert np.array_equal(_bits(out), _bits(destination_frontend(raw, schedule, cfg)))
+
     def test_delay_beyond_window_contributes_nothing(self):
-        t = np.ones((1, 1, 6), dtype=complex)
+        t = np.ones((1, 6), dtype=complex)
         ch = ChannelRealization(
             np.ones(1, dtype=complex), np.ones(1, dtype=complex), np.array([0])
         )
-        base = destination_receive(t, ch, noise_on=False)
+        base = destination_receive(t, _one_slot_schedule(1), ch, noise_on=False)
         assert np.allclose(base, 1.0)
         with pytest.raises(ValueError):
             ChannelRealization(np.ones(1, dtype=complex), np.ones(1, dtype=complex), np.array([7]))
 
     def test_noise_requires_generator(self):
-        t = np.zeros((1, 1, 6), dtype=complex)
+        t = np.zeros((1, 6), dtype=complex)
         ch = ChannelRealization(
             np.ones(1, dtype=complex), np.ones(1, dtype=complex), np.array([0])
         )
         with pytest.raises(ValueError):
-            destination_receive(t, ch, noise_on=True, rng=None)
+            destination_receive(t, _one_slot_schedule(1), ch, noise_on=True, rng=None)
+        with pytest.raises(ValueError):
+            relay_receive(np.zeros((1, 6), dtype=complex), _one_slot_schedule(1), ch, noise_on=True, rng=None)
 
 
 class TestEndToEndIdentity:
