@@ -76,7 +76,9 @@ SCALED_UNITARY_PAIRS.setflags(write=False)
 
 
 class ScheduleError(ValueError):
-    """No consistent modulation/reversal assignment exists for the code."""
+    """The code admits no usable relay schedule: no consistent
+    modulation/reversal assignment exists, or some symbol is sent by no
+    relay."""
 
 
 def qpsk_pairs(rotation: float = 0.0) -> np.ndarray:
@@ -338,13 +340,17 @@ def derive_schedule(code: CodeDefinition) -> RelaySchedule:
     plain column needs the slot reversed exactly when the block is DFT
     modulated, a conjugated column exactly when it is IDFT modulated.
     Unconstrained components default to IDFT / not reversed. Raises
-    ScheduleError when the constraints contradict each other or a relay
-    would have to forward the same received block twice.
+    ScheduleError when the constraints contradict each other, a relay
+    would have to forward the same received block twice, or some symbol is
+    sent by no relay (the destination could not decide it).
     """
     nu = code.symbol_count
     t_slots = code.slot_count
 
     entries = list(_row_entries(code))
+    unsent = set(range(nu)).difference(block for _, _, block, _ in entries)
+    if unsent:
+        raise ScheduleError(f"symbol {min(unsent)} is sent by no relay: its column is zero in every relay matrix")
     seen: dict[tuple[int, int], int] = {}
     for slot, relay, block, _ in entries:
         prev = seen.get((relay, block))

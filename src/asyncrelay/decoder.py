@@ -52,10 +52,9 @@ zero in every slot: relay5's grouped metric reads 29 of its 2*R*R + 2*T*R
 = 110 features, and its gap 9 of the 50 pair features and 10 of the 54
 cross-group entries. Each table keeps only the rows (and, for the gap, the
 Gram columns) that are nonzero in some slot, in their original order, and
-the decoder forms only the products h_r conj(h_s) and conj(y_t) h_r those
-rows read, each the same single complex product as in the full layout.
-``pairs`` forms the pair products that the grouped search reads, once per
-frame, and the gap's computed path forms its own. OpenBLAS's GEMM adds
+each table forms, per call, only the products h_r conj(h_s) and
+conj(y_t) h_r its rows read, each the same single complex product as in the
+full layout; callers pass the channels, never products. OpenBLAS's GEMM adds
 each output element's terms in order, so dropping exactly-zero terms
 changes no bit: on N >= 2 subcarriers the metrics and Gram entries equal
 those of the full tables. On a single subcarrier numpy takes the GEMV
@@ -332,25 +331,22 @@ def _used(terms: np.ndarray, axis: tuple[int, ...]) -> np.ndarray:
     return np.flatnonzero(np.any(terms != 0, axis=axis))
 
 
-def _read(rows: np.ndarray, count: int) -> np.ndarray:
-    """The products p_i, ascending, that rows of the layout [Re p_0 ..
-    Re p_{count-1}, Im p_0 .. Im p_{count-1}] read (a bincount, as
-    ``np.unique`` would import ``numpy.ma`` into every fresh process)."""
-    return np.flatnonzero(np.bincount(rows % count, minlength=count))
-
-
 class _Columns:
-    """Real feature columns read from complex products, in the order of
-    ``rows``, which index the full layout [Re p_0 .. Re p_{count-1},
-    Im p_0 .. Im p_{count-1}] of ``count`` products; ``formed`` lists the
-    products at hand, in the order of their columns.
+    """Real feature columns in the order of ``rows``, which index the full
+    layout [Re p_0 .. Re p_{count-1}, Im p_0 .. Im p_{count-1}] of ``count``
+    products p_{i * width + j} = a[:, i] * b[:, j] of two (N, .) factor
+    matrices; only the products the rows read are formed, ascending (found
+    by a bincount, as ``np.unique`` would import ``numpy.ma`` into every
+    fresh process).
 
     The rows split into runs that read one part (Re or Im) each; a run is a
-    slice of that part where its products are adjacent in ``formed``, and a
-    gather only where they are not.
+    slice of that part where its products are adjacent in the formed ones,
+    and a gather only where they are not.
     """
 
-    def __init__(self, rows: np.ndarray, count: int, formed: np.ndarray):
+    def __init__(self, rows: np.ndarray, count: int, width: int):
+        formed = np.flatnonzero(np.bincount(rows % count, minlength=count))
+        self.factors = np.divmod(formed, width)
         position = np.empty(count, dtype=int)
         position[formed] = np.arange(len(formed))
         self.runs = []
@@ -360,18 +356,9 @@ class _Columns:
                 at = slice(int(at[0]), int(at[-1]) + 1)
             self.runs.append(("imag" if imag else "real", at))
 
-    def __call__(self, products: np.ndarray) -> list[np.ndarray]:
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+        products = a[:, self.factors[0]] * b[:, self.factors[1]]
         return [getattr(products, part)[:, at] for part, at in self.runs]
-
-
-def _pair_products(h_all: np.ndarray, factors) -> np.ndarray:
-    """h_r * conj(h_s) per subcarrier, (N, P), for index arrays (r, s)."""
-    return h_all[:, factors[0]] * np.conj(h_all)[:, factors[1]]
-
-
-def _observation_products(y: np.ndarray, h_all: np.ndarray, factors) -> np.ndarray:
-    """conj(y_t) * h_r per subcarrier, (N, P), for index arrays (t, r)."""
-    return np.conj(y.T)[:, factors[0]] * h_all[:, factors[1]]
 
 
 def _gap_terms(code: CodeDefinition) -> np.ndarray:
@@ -450,57 +437,37 @@ def _metric_terms(fields: np.ndarray, gain: float) -> np.ndarray:
 
 
 class _Form:
-    """Real linear form of a (T, F, C) coefficient table, weighted per call by
-    ``w2``, over the F rows used in some slot: (N, F') features @ (F', C)."""
+    """Real linear form (N, C) of a (T, F, C) coefficient table over the F
+    rows used in some slot, weighted per call by ``w2``: the features those
+    rows read @ (F', C). Pair rows read h_r conj(h_s) (r * R + s), and the
+    observation rows of a metric table read conj(y_t) h_r (t * R + r)."""
 
-    def __init__(self, terms: np.ndarray, rows: np.ndarray, columns=slice(None)):
-        self.rows, self.columns = rows, columns
-        kept = terms[:, rows][:, :, columns]
+    def __init__(self, terms: np.ndarray, num_relays: int, columns=slice(None)):
+        self.rows, self.columns = _used(terms, (0, 2)), columns
+        kept = terms[:, self.rows][:, :, columns]
         self.shape = kept.shape[1:]
         self.terms = kept.reshape(len(kept), -1)
+        split = 2 * num_relays * num_relays
+        self.pairs = _Columns(self.rows[self.rows < split], num_relays * num_relays, num_relays)
+        self.observations = None  # the gap table has no observation rows
+        if terms.shape[1] > split:
+            count = (terms.shape[1] - split) // 2
+            self.observations = _Columns(self.rows[self.rows >= split] - split, count, num_relays)
 
-    def __call__(self, features: list[np.ndarray], w2: np.ndarray) -> np.ndarray:
+    def __call__(self, h_all: np.ndarray, w2: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+        features = self.pairs(h_all, np.conj(h_all))
+        if self.observations is not None:
+            features += self.observations(np.conj(y.T), h_all)
         joined = features[0] if len(features) == 1 else np.concatenate(features, axis=1)
         return joined @ (w2 @ self.terms).reshape(self.shape)
 
 
-class _Metric:
-    """Search metrics (N, C) of a (T, F, C) metric table over its used rows:
-    pair rows read from the caller's products ``formed``, observation rows
-    from the products it forms itself."""
-
-    def __init__(self, terms: np.ndarray, code: CodeDefinition, formed: np.ndarray):
-        num_relays, count = code.num_relays, code.slot_count * code.num_relays
-        split = 2 * num_relays * num_relays
-        self.form = _Form(terms, _used(terms, (0, 2)))
-        rows = self.form.rows
-        self._pairs = _Columns(rows[rows < split], num_relays * num_relays, formed)
-        obs_rows = rows[rows >= split] - split
-        obs_formed = _read(obs_rows, count)
-        self._obs = _Columns(obs_rows, count, obs_formed)
-        self._obs_factors = np.divmod(obs_formed, num_relays)
-
-    def __call__(self, pairs: np.ndarray, y: np.ndarray, h_all: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        obs = _observation_products(y, h_all, self._obs_factors)
-        return self.form(self._pairs(pairs) + self._obs(obs), w2)
-
-
-def _pair_rows(terms: np.ndarray, num_relays: int) -> np.ndarray:
-    """Indices of the pair products (r * R + s) whose Re or Im row of a (T, F,
-    C) table is used in some slot, ascending."""
-    return _read(_used(terms[:, : 2 * num_relays * num_relays], (0, 2)), num_relays * num_relays)
-
-
 @functools.lru_cache(maxsize=16)
 def _gap_check(code: CodeDefinition) -> tuple:
-    """The gap's compact form, the factors of the pair products it reads,
-    their columns, and the code's ``_proof``: built once per code and
-    shared by its decoders of every gain."""
-    num_relays = code.num_relays
+    """The gap's compact form and the code's ``_proof``: built once per code
+    and shared by its decoders of every gain."""
     terms = _gap_terms(code)
-    form = _Form(terms, _used(terms, (0, 2)), _used(terms, (0, 1)))
-    read = _read(form.rows, num_relays * num_relays)
-    return form, np.divmod(read, num_relays), _Columns(form.rows, num_relays * num_relays, read), _proof(code, terms)
+    return _Form(terms, code.num_relays, _used(terms, (0, 1))), _proof(code, terms)
 
 
 class CoherentDecoder:
@@ -508,8 +475,7 @@ class CoherentDecoder:
 
     Operations take the (N, R) equivalent channels ``h_all``, the (T,)
     whitening weights ``w2`` (w_t^2 = 1 / var_t) and, to search, the (T, N)
-    observations ``y``; the grouped search also takes the pair products
-    ``pairs = decoder.pairs(h_all)`` it reads.
+    observations ``y``.
     Gram entries and metrics are real linear forms in h_r conj(h_s) and
     conj(y_t) h_r whose per-slot coefficients are tabulated once and
     weighted by one ``w2 @ terms`` product per call. Each table keeps only
@@ -522,7 +488,6 @@ class CoherentDecoder:
         self.code = code
         self.gain = gain
         self._assemble = _Assembly(code)
-        num_relays = code.num_relays
         # every group's candidates padded to the largest alphabet by repeating
         # its last one, so one argmin over (N, G, K) searches all groups and a
         # pad, equal to an earlier column, never wins (argmin takes the first)
@@ -530,19 +495,13 @@ class CoherentDecoder:
         self._width = max(p.shape[0] for p in partials)
         padded = [np.concatenate((p, np.repeat(p[-1:], self._width - p.shape[0], axis=0))) for p in partials]
         group_terms = _metric_terms(codeword(code, np.concatenate(padded)), gain)
-        searched = _pair_rows(group_terms, num_relays)
-        self._pair_factors = np.divmod(searched, num_relays)
-        self._group = _Metric(group_terms, code, searched)
-        self._gap, self._gap_factors, self._gap_pairs, self._proof = _gap_check(code)
-        self._full = None  # (index table, pair factors, metric) of the product alphabet
-
-    def pairs(self, h_all: np.ndarray) -> np.ndarray:
-        """The (N, P) products h_r conj(h_s) that ``grouped`` reads."""
-        return _pair_products(h_all, self._pair_factors)
+        self._group = _Form(group_terms, code.num_relays)
+        self._gap, self._proof = _gap_check(code)
+        self._full = None  # (index table, metric form) of the product alphabet
 
     def _gram(self, h_all: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """The kept cross-group whitened Gram entries (N, X), computed."""
-        return self._gap(self._gap_pairs(_pair_products(h_all, self._gap_factors)), w2)
+        return self._gap(h_all, w2)
 
     def gap(self, h_all: np.ndarray, w2: np.ndarray) -> float:
         """Largest cross-group whitened Gram entry over all subcarriers: 0.0
@@ -555,10 +514,10 @@ class CoherentDecoder:
                 return 0.0
         return float(np.abs(self._gram(h_all, w2)).max())
 
-    def grouped(self, y: np.ndarray, h_all: np.ndarray, pairs: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    def grouped(self, y: np.ndarray, h_all: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """Per-group alphabet indices (N, G), each group searched with every
         other group at zero; the joint minimiser when ``gap`` vanishes."""
-        metrics = self._group(pairs, y, h_all, w2)
+        metrics = self._group(h_all, w2, y)
         return metrics.reshape(metrics.shape[0], -1, self._width).argmin(axis=2)
 
     def exhaustive(self, y: np.ndarray, h_all: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -567,10 +526,9 @@ class CoherentDecoder:
         if self._full is None:
             symbols, index_table = full_candidates(self.code)
             terms = _metric_terms(codeword(self.code, symbols), self.gain)
-            formed = _pair_rows(terms, self.code.num_relays)
-            self._full = index_table, np.divmod(formed, self.code.num_relays), _Metric(terms, self.code, formed)
-        index_table, factors, metric = self._full
-        return index_table[np.argmin(metric(_pair_products(h_all, factors), y, h_all, w2), axis=1)]
+            self._full = index_table, _Form(terms, self.code.num_relays)
+        index_table, metric = self._full
+        return index_table[np.argmin(metric(h_all, w2, y), axis=1)]
 
     def symbols(self, indices: np.ndarray) -> np.ndarray:
         """Symbol vectors (..., nu) of per-group alphabet indices (..., G)."""
@@ -633,4 +591,4 @@ def ml_decode_grouped(y: np.ndarray, model: SubcarrierModel, code: CodeDefinitio
             stacklevel=2,
         )
         return ml_decode_exhaustive(y, model, code)
-    return _decide(decoder, lambda y, h_all, w2: decoder.grouped(y, h_all, decoder.pairs(h_all), w2), y, model)
+    return _decide(decoder, decoder.grouped, y, model)

@@ -194,6 +194,6 @@ def diff_decode_frame(
     """
     y_hat = (np.asarray(y_prev, dtype=complex) / np.asarray(scales_prev, dtype=float)).T  # (N, nu)
     decoder = codebook.decoder
-    choice = decoder.grouped(np.asarray(y_now, dtype=complex), y_hat, decoder.pairs(y_hat), np.ones(y_hat.shape[1]))
+    choice = decoder.grouped(np.asarray(y_now, dtype=complex), y_hat, np.ones(y_hat.shape[1]))
     indices = np.ravel_multi_index(tuple(choice.T), [table.shape[0] for table in decoder.code.alphabet])
     return indices, codebook.scales[indices]

@@ -301,8 +301,8 @@ class _CoherentEngine:
         return tx, self.decoder.symbols(tx).T
 
     def _gap(self, h_all: np.ndarray, w2: np.ndarray) -> float:
-        """Largest cross-group whitened Gram entry; above 1e-9 the unit is
-        decoded by exhaustive search."""
+        """Largest cross-group whitened Gram entry; above the decoder's
+        orthogonality tolerance the unit is decoded by exhaustive search."""
         return self.decoder.gap(h_all, w2)
 
     def simulate(self, rng: np.random.Generator) -> tuple[int, int]:
@@ -314,7 +314,7 @@ class _CoherentEngine:
         h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft)
         cov = _decoder.noise_covariance(self.schedule, channel, self.link)
         w2 = _decoder.whitening_weights(cov)
-        if self._gap(h_all, w2) > 1e-9:
+        if self._gap(h_all, w2) > _decoder._ORTHOGONALITY_TOL:
             if not self._warned:
                 warnings.warn(
                     f"code {self.code.name!r}: grouped decoding invalid for a drawn channel; "
@@ -327,7 +327,7 @@ class _CoherentEngine:
             model = _decoder.SubcarrierModel(h_all, cov, self.link.power.cascade_gain)
             decided = self.decoder.indices(_decoder.ml_decode_exhaustive(received, model, self.code))
         else:
-            decided = self.decoder.grouped(received, h_all, self.decoder.pairs(h_all), w2)
+            decided = self.decoder.grouped(received, h_all, w2)
         return int(self._popcount[np.bitwise_xor(tx, decided)].sum()), self.bits_per_unit
 
 

@@ -174,9 +174,15 @@ def complex_noise(rng: np.random.Generator, shape) -> np.ndarray:
     """
     shape = tuple(shape) if np.iterable(shape) else (shape,)
     parts = rng.standard_normal((2, *shape))
-    out = np.empty(shape, dtype=complex)
-    out.real = parts[0]
-    out.imag = parts[1]
+    return _unit_complex(parts[0], parts[1])
+
+
+def _unit_complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """sqrt(1/2) * (real + i imag) of two standard normal draws: the parts
+    are written into a new complex array, which is then scaled in place."""
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    out.imag = imag
     out *= math.sqrt(0.5)
     return out
 
@@ -196,11 +202,7 @@ def draw_channel(
     """
     # f's real and imaginary parts, then g's: the stream of two complex_noise calls
     parts = rng.standard_normal((2, 2, num_relays))
-    fading = np.empty((2, num_relays), dtype=complex)
-    fading.real = parts[:, 0]
-    fading.imag = parts[:, 1]
-    fading *= math.sqrt(0.5)
-    f, g = fading
+    f, g = _unit_complex(parts[:, 0], parts[:, 1])
     if delays is None:
         if cp_len > 0:
             d = rng.integers(0, cp_len, size=num_relays)
@@ -346,10 +348,7 @@ def relay_receive(
         return signal
     # complex_noise(rng, (R, nu, N + cp_len)) at the forwarded rows
     parts = rng.standard_normal((2, channel.num_relays, num_blocks, symbol_len))[:, table.relays, table.blocks]
-    received = np.empty(signal.shape, dtype=complex)
-    received.real = parts[0]
-    received.imag = parts[1]
-    received *= math.sqrt(0.5)
+    received = _unit_complex(parts[0], parts[1])
     received += signal
     return received
 

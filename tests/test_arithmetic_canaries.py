@@ -151,3 +151,63 @@ def test_a_stacked_transform_equals_the_transform_of_each_row():
         for transform in (spectral.dft, spectral.idft):
             per_row = np.stack([transform(row) for row in rows]).reshape(shape)
             assert _same_bits(transform(blocks), per_row)
+
+
+# (rows, kept rows, columns) of the decoder's compact tables: alamouti's
+# grouped metric and gap, relay4's grouped metric, gap and exhaustive metric,
+# relay5's grouped metric, gap and exhaustive metric
+_FORM_SHAPES = ((16, 12, 8), (8, 4, 4), (64, 40, 16), (32, 24, 24), (64, 64, 256), (110, 29, 32), (50, 9, 10), (110, 38, 4096))
+
+
+def _layouts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` in the two layouts of decoder._Form's first operand: Re/Im runs
+    concatenated, which numpy lays out in Fortran order, and a single run, a
+    strided view of the real part of complex products."""
+    products = np.empty(a.shape, dtype=complex)
+    products.real = a
+    products.imag = 1.0
+    return np.asfortranarray(a), products.real
+
+
+def test_a_product_over_the_kept_rows_equals_the_product_over_all_rows():
+    # decoder._Form keeps only the coefficient rows that are nonzero in some
+    # slot and multiplies the features those rows read, in either layout; on
+    # N >= 2 numpy runs a GEMM that adds each output element's terms in order
+    # when the first operand over all rows is in Fortran order, so the exact
+    # zero terms it skips change no bit (a C-ordered operand over all rows
+    # does not share this at every width: with 10 columns, as relay5's gap,
+    # the sums differ in the last bits)
+    rng = np.random.default_rng(98)
+    for rows, count, columns in _FORM_SHAPES:
+        terms = rng.standard_normal((rows, columns))
+        kept = np.sort(rng.choice(rows, count, replace=False))
+        terms[np.setdiff1d(np.arange(rows), kept)] = 0.0
+        for n in (2, 16, 64) if columns > 256 else (2, 16, 64, 1024):
+            features = rng.standard_normal((n, rows)) * rng.uniform(0.1, 10.0)
+            full = np.asfortranarray(features) @ terms
+            for compact in _layouts(features[:, kept]):
+                assert _same_bits(compact @ terms[kept], full)
+
+
+def test_a_product_with_a_non_c_contiguous_first_operand_equals_its_c_ordered_copy():
+    # decoder._Form passes the GEMM either layout of _layouts: at relay5
+    # N = 1024 its grouped and exhaustive features are concatenated runs and
+    # its gap features a single strided run
+    rng = np.random.default_rng(99)
+    for _, count, columns in _FORM_SHAPES:
+        terms = rng.standard_normal((count, columns))
+        for n in (2, 16, 64) if columns > 256 else (2, 16, 64, 1024):
+            for first in _layouts(rng.standard_normal((n, count))):
+                assert not first.flags.c_contiguous
+                assert _same_bits(first @ terms, np.ascontiguousarray(first) @ terms)
+
+
+def test_one_draw_of_both_parts_is_the_stream_of_two_draws():
+    # relaysim.complex_noise and relaysim.relay_receive draw the real and the
+    # imaginary parts in one standard_normal((2, *shape)) call
+    for shape in ((4,), (5,), (4, 80), (6, 1088), (2, 2, 10), (4, 4, 80), (5, 6, 1088)):
+        one_call, two_calls = np.random.default_rng(len(shape)), np.random.default_rng(len(shape))
+        parts = one_call.standard_normal((2, *shape))
+        real, imag = two_calls.standard_normal(shape), two_calls.standard_normal(shape)
+        assert _same_bits(parts[0], real) and _same_bits(parts[1], imag)
+        assert one_call.integers(1 << 30) == two_calls.integers(1 << 30)  # both streams are at one place

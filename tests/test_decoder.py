@@ -14,7 +14,6 @@ from asyncrelay.decoder import (
     SubcarrierModel,
     _gap_terms,
     _metric_terms,
-    _pair_products,
     build_model,
     complex_to_real,
     decomposition_gap,
@@ -151,7 +150,7 @@ class TestTablesReproduceThePerUnitComputation:
             h_all = complex_noise(rng, (8, code.num_relays))
             w2 = np.full(code.slot_count, rng.uniform(0.2, 1.0))  # relay4 slots share one variance
             y = complex_noise(rng, (code.slot_count, 8)) * rng.uniform(0.5, 3.0)
-            decided = decoder.grouped(y, h_all, decoder.pairs(h_all), w2)
+            decided = decoder.grouped(y, h_all, w2)
             metrics = full_form(full_features(y, h_all), unpadded, w2)
             assert np.array_equal(decided, grouped_argmin_slices(metrics, sizes))
             for k in range(8):  # the groups stay orthogonal, so this is the joint ML decision
@@ -353,8 +352,8 @@ def _padded_group_terms(code, gain):
 def _exhaustive_metric(decoder, y, h_all, w2):
     """The decoder's exhaustive table and its compact metrics (N, C)."""
     decoder.exhaustive(y, h_all, w2)  # builds the table on first use
-    index_table, factors, metric = decoder._full
-    return index_table, metric, metric(_pair_products(h_all, factors), y, h_all, w2)
+    index_table, metric = decoder._full
+    return index_table, metric, metric(h_all, w2, y)
 
 
 def _draw(rng, code, n):
@@ -461,8 +460,7 @@ class TestCompactTables:
         rng = np.random.default_rng(n)
         for _ in range(3 if n == 1024 else 20):
             h_all, y, w2 = _draw(rng, code, n)
-            pairs = decoder.pairs(h_all)
-            metrics = decoder._group(pairs, y, h_all, w2)
+            metrics = decoder._group(h_all, w2, y)
             assert _same_bits(metrics, full_form(full_features(y, h_all), group_terms, w2))
             gram = decoder._gram(h_all, w2)
             assert _same_bits(gram, full_form(pair_products(h_all), gap_terms, w2)[:, decoder._gap.columns])
@@ -494,7 +492,7 @@ class TestCompactTables:
             h_all, y, w2 = _draw(rng, code, 1)
             full = full_form(full_features(y, h_all), group_terms, w2)
             expected = full.reshape(1, -1, decoder._width).argmin(axis=2)
-            assert np.array_equal(decoder.grouped(y, h_all, decoder.pairs(h_all), w2), expected)
+            assert np.array_equal(decoder.grouped(y, h_all, w2), expected)
             gap = np.abs(full_form(pair_products(h_all), gap_terms, w2)).max()
             assert decoder.gap(h_all, w2) == pytest.approx(gap, rel=1e-12, abs=1e-12)
             exhaustive = index_table[full_form(full_features(y, h_all), full_terms, w2).argmin(axis=1)]
@@ -509,9 +507,9 @@ class TestCompactTables:
         _, metric, _ = _exhaustive_metric(decoder, y, h_all, w2)
         symbols, _ = full_candidates(code)
         tables = [
-            (decoder._group.form, _padded_group_terms(code, gain)),
+            (decoder._group, _padded_group_terms(code, gain)),
             (decoder._gap, _gap_terms(code)),
-            (metric.form, _metric_terms(codeword(code, symbols), gain)),
+            (metric, _metric_terms(codeword(code, symbols), gain)),
         ]
         for form, full in tables:
             columns = np.arange(full.shape[2])[form.columns]
@@ -524,10 +522,10 @@ class TestCompactTables:
 
     def test_relay5_tables_keep_the_rows_its_slots_use(self):
         decoder = CoherentDecoder(named_code("relay5"), 1.0)
-        assert len(decoder._group.form.rows) == 29  # of 2*25 + 2*30 features
+        assert len(decoder._group.rows) == 29  # of 2*25 + 2*30 features
         assert len(decoder._gap.rows) == 9  # of 2*25 pair features
         assert len(decoder._gap.columns) == 10  # of 54 cross-group Gram entries
-        assert decoder.pairs(np.ones((3, 5), dtype=complex)).shape == (3, 9)
+        assert len(decoder._group.pairs.factors[0]) == 9  # pair products formed
 
     def test_a_single_group_code_reports_no_gap(self):
         base = named_code("alamouti")

@@ -160,6 +160,14 @@ class TestConfigValidation:
         assert cli_main(["--mode", "differential", "--code", str(path), "--power", "30", "--frames", "1"]) == 3
         assert "not scaled unitary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["coherent", "differential"])
+    def test_a_symbol_sent_by_no_relay_raises_schedule_error(self, mode, tmp_path):
+        # feasible, but symbol 1's column is zero: nothing could decide it
+        path = tmp_path / "silent.code"
+        path.write_text("2 2 1\ncolumn conj=0\n1 0\n0 0\n")
+        with pytest.raises(ScheduleError, match="symbol 1 is sent by no relay"):
+            run_sweep(SimConfig(mode=mode, code=str(path), power_db=(10.0,), **FAST))
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -272,7 +280,7 @@ class TestCoherentEngine:
             received = run_frame(frame, engine.schedule, channel, engine.link, cfg.noise, rng)
             h_all = equivalent_channel_matrix(engine.code, channel, cfg.n_fft)
             w2 = whitening_weights(noise_covariance(engine.schedule, channel, engine.link))
-            decided = engine.decoder.grouped(received, h_all, engine.decoder.pairs(h_all), w2)
+            decided = engine.decoder.grouped(received, h_all, w2)
             errors += sum(bin(int(a) ^ int(b)).count("1") for a, b in zip(tx.ravel(), decided.ravel()))
             labels.extend(tx[:, 0])
         assert max(labels) >= 256
@@ -570,6 +578,12 @@ class TestCli:
         rc = cli_main(["--code", "example1", "--power", "10", "--frames", "1"])
         assert rc == 3
         assert "condition" in capsys.readouterr().err
+
+    def test_a_code_with_an_all_zero_relay_matrix_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "zero.code"
+        path.write_text("1 1 1\ncolumn conj=0\n0\n")
+        assert cli_main(["--code", str(path), "--power", "10", "--frames", "1"]) == 3
+        assert "symbol 0 is sent by no relay" in capsys.readouterr().err
 
     def test_config_file_with_flag_overrides(self, tmp_path):
         conf = tmp_path / "run.conf"
