@@ -50,6 +50,7 @@ __all__ = [
     "parse_code_text",
     "qpsk_pairs",
     "row_sets",
+    "slot_classes",
 ]
 
 # Source modulation labels for schedule entries.
@@ -132,41 +133,83 @@ class RelayInstruction:
     conjugate: bool
 
 
+def slot_classes(active) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Slots grouped by their set of active relays, given each slot's active
+    relays in slot order: (relays (k,), slots (S,)) per class, in the order
+    of the classes' first slots. Slots of one class share one noise variance.
+    """
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for slot, relays in enumerate(active):
+        classes.setdefault(tuple(relays), []).append(slot)
+    return tuple((np.array(relays, dtype=np.intp), np.array(slots, dtype=np.intp)) for relays, slots in classes.items())
+
+
 @dataclass(frozen=True, eq=False)
+class _ForwardingTable:
+    """The forwarding instructions of one schedule, one row each.
+
+    Rows are in relay-major order and each relay's rows in slot order: the
+    row order of ``relay_receive``, ``relay_process`` and
+    ``destination_receive``. ``spans`` holds, for each relay that forwards
+    anything and in ascending relay order, the relay, the slice of its rows
+    and the slots they fill: a slice when those slots are contiguous, else
+    an index array.
+    """
+
+    relays: np.ndarray  # (A,)
+    blocks: np.ndarray  # (A,)
+    signs: np.ndarray  # (A, 1)
+    conjugate: np.ndarray  # (A, 1) bool
+    reversed: np.ndarray  # (A, 1) bool: the row's slot is time reversed
+    spans: tuple  # ((relay, rows, slots), ...)
+    last_block: int  # the highest block any row forwards, -1 with no rows
+
+    @classmethod
+    def of(cls, schedule: RelaySchedule) -> _ForwardingTable:
+        rows = [
+            (relay, slot, instr)
+            for relay in range(schedule.num_relays)
+            for slot, instructions in enumerate(schedule.instructions)
+            if (instr := instructions[relay]) is not None
+        ]
+        spans, start = [], 0
+        for relay, group in itertools.groupby(rows, key=lambda row: row[0]):
+            slots = [slot for _, slot, _ in group]
+            contiguous = slots[-1] - slots[0] == len(slots) - 1
+            index = slice(slots[0], slots[-1] + 1) if contiguous else np.array(slots)
+            spans.append((relay, slice(start, start + len(slots)), index))
+            start += len(slots)
+        blocks = [instr.block for _, _, instr in rows]
+        return cls(
+            relays=np.array([relay for relay, _, _ in rows], dtype=np.intp),
+            blocks=np.array(blocks, dtype=np.intp),
+            signs=np.array([instr.sign for _, _, instr in rows], dtype=float).reshape(-1, 1),
+            conjugate=np.array([instr.conjugate for _, _, instr in rows], dtype=bool).reshape(-1, 1),
+            reversed=np.array([schedule.slot_reversed[slot] for _, slot, _ in rows], dtype=bool).reshape(-1, 1),
+            spans=tuple(spans),
+            last_block=max(blocks, default=-1),
+        )
+
+
+@dataclass(frozen=True)
 class RelaySchedule:
     """Per-block modulation, per-slot reversal and the (T, R) instruction table.
 
-    Schedules compare and hash by value, through a key of plain tuples and
-    its hash computed once: per-schedule tables are looked up by schedule on
-    every simulated frame, and points of a sweep hold equal schedules.
+    Schedules compare and hash by these three fields. What the relay link
+    and the noise model read of a schedule is built with it: ``forwarding``,
+    its instructions one row each, and ``slot_classes``, its slots grouped
+    by their set of active relays.
     """
 
     source_modulation: tuple[str, ...]
     slot_reversed: tuple[bool, ...]
     instructions: tuple[tuple[RelayInstruction | None, ...], ...]
-    _key: tuple = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    forwarding: _ForwardingTable = field(init=False, compare=False, repr=False)
+    slot_classes: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rows = tuple(
-            tuple(None if ins is None else (ins.block, ins.sign, ins.conjugate) for ins in row)
-            for row in self.instructions
-        )
-        key = (self.source_modulation, self.slot_reversed, rows)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __eq__(self, other):
-        if not isinstance(other, RelaySchedule):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt on unpickling: string hashes differ between processes
-        return RelaySchedule, (self.source_modulation, self.slot_reversed, self.instructions)
+        object.__setattr__(self, "forwarding", _ForwardingTable.of(self))
+        object.__setattr__(self, "slot_classes", slot_classes(map(self.active_relays, range(self.num_slots))))
 
     @property
     def num_blocks(self) -> int:
@@ -188,8 +231,8 @@ class RelaySchedule:
 class CodeDefinition:
     """A conjugate-linear space-time code plus its decoding structure.
 
-    Codes compare and hash by identity (their fields hold arrays), so
-    per-code tables can be cached.
+    Codes compare and hash by identity, as their fields hold arrays.
+    ``conjugated`` is the read-only (R,) mask of the conjugated columns.
 
     ``group_partition`` splits the 2*nu real symbol coordinates (coordinate
     2j is Re(s_j), coordinate 2j+1 is Im(s_j)) into jointly-decoded groups,
@@ -203,6 +246,7 @@ class CodeDefinition:
     conjugated_columns: frozenset[int]
     group_partition: tuple[tuple[int, ...], ...]
     alphabet: tuple[np.ndarray, ...]
+    conjugated: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         matrices = tuple(np.array(m, dtype=float) for m in self.relay_matrices)
@@ -229,6 +273,9 @@ class CodeDefinition:
         object.__setattr__(self, "conjugated_columns", frozenset(self.conjugated_columns))
         if not all(0 <= c < len(matrices) for c in self.conjugated_columns):
             raise ValueError("conjugated column index out of range")
+        conjugated = np.isin(np.arange(len(matrices)), sorted(self.conjugated_columns))
+        conjugated.setflags(write=False)
+        object.__setattr__(self, "conjugated", conjugated)
 
         partition = tuple(tuple(int(i) for i in g) for g in self.group_partition)
         flat = sorted(itertools.chain.from_iterable(partition))

@@ -24,25 +24,25 @@ decoding: ``differential.diff_decode_frame`` runs ``grouped`` over the
 codebook's pair code with the scaled previous block y^{t-1} / a_{t-1} as
 the channel and unit slot weights.
 
-Group decodability is proven once per code, with the gap's table
-(``_gap_check``), which the code's decoders of every gain share. Slots
-with the same set of active relays form a class and share one noise
-variance. If the cross-group Gram coefficients, folded onto the
-independent features of h_r conj(h_s) and summed over each class, are all
-exactly 0.0, the Gram entries vanish for every channel whose slot weights
-are constant on each class (``_proof``). ``gap`` then returns 0.0 for such
-weights, which weights from ``noise_covariance`` always are, and computes
-the largest Gram entry for any other weights and for a code the proof does
-not cover. The grouped search falls back to the exhaustive search with a
+Each decoder proves group decodability once, with its gap's table. Slots
+with the same set of active relays form a class (``codebook.slot_classes``)
+and share one noise variance. If the cross-group Gram coefficients, folded
+onto the independent features of h_r conj(h_s) and summed over each class,
+are all exactly 0.0, the Gram entries vanish for every channel whose slot
+weights are constant on each class (``_proof``). ``gap`` then returns 0.0
+for such weights, which weights from ``noise_covariance`` always are, and
+computes the largest Gram entry for any other weights and for a code the
+proof does not cover. The grouped search falls back to the exhaustive search with a
 warning when that gap exceeds 1e-9, so grouping is an optimisation, never
 an approximation.
 
-Everything that depends only on the code, the schedule or n_fft is
-tabulated once and reused by every frame, with results bit-identical to
-computing it per frame: the delay rotations of ``equivalent_channel_matrix``
-(one (N, span) table per n_fft, gathered by the drawn delays), the
-conjugated-column mask per code, the slots of each schedule grouped by
-their count of active relays for ``noise_covariance``, and the per-group
+Everything that depends only on the code, the schedule or the link is
+tabulated once, on the object it depends on, and read by every frame, with
+results bit-identical to computing it per frame: the delay rotations of
+``equivalent_channel_matrix`` (a sweep's ``relaysim.LinkTables``, gathered
+by the drawn delays), the code's conjugated-column mask
+(``CodeDefinition.conjugated``), the schedule's slot classes for
+``noise_covariance`` (``RelaySchedule.slot_classes``), and the per-group
 candidate tables of ``CoherentDecoder``, padded to the largest group
 alphabet so that one argmin over an (N, G, K) view searches every group.
 
@@ -71,8 +71,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import CodeDefinition, RelaySchedule, codeword
-from .relaysim import ChannelRealization, LinkConfig
+from .codebook import CodeDefinition, RelaySchedule, codeword, slot_classes
+from .relaysim import ChannelRealization, LinkConfig, LinkTables, delay_phases
 
 __all__ = [
     "CoherentDecoder",
@@ -128,75 +128,23 @@ def whitening_weights(noise_cov: np.ndarray) -> np.ndarray:
     return 1.0 / np.asarray(noise_cov).diagonal().real
 
 
-def delay_phases(n_fft: int, delays: np.ndarray) -> np.ndarray:
-    """Per-subcarrier delay rotations, shape (N, R): exp(-2j pi k tau / N)."""
-    delays = np.asarray(delays)
-    k = np.arange(n_fft)[:, None]
-    return np.exp(-2j * np.pi * k * delays[None, :] / n_fft)
-
-
-# n_fft -> (N, span) delay_phases of the delays 0 .. span - 1, span a power
-# of two; replaced by a wider table when a larger delay arrives
-_ROTATIONS: dict[int, np.ndarray] = {}
-
-
-def _delay_rotations(n_fft: int, largest: int) -> np.ndarray:
-    """Read-only table whose column tau is ``delay_phases`` of delay tau, for
-    every tau up to ``largest`` (< n_fft).
-
-    Entry (k, tau) is the same floating-point expression as entry (k, r) of
-    ``delay_phases`` for delays[r] = tau, so gathering columns reproduces it
-    bit for bit.
-    """
-    table = _ROTATIONS.get(n_fft)
-    if table is None or table.shape[1] <= largest:
-        table = delay_phases(n_fft, np.arange(1 << largest.bit_length()))
-        table.setflags(write=False)
-        _ROTATIONS[n_fft] = table
-    return table
-
-
-@functools.lru_cache(maxsize=16)
-def _conjugated(code: CodeDefinition) -> np.ndarray:
-    """(R,) mask of the code's conjugated columns, read-only."""
-    mask = np.isin(np.arange(code.num_relays), sorted(code.conjugated_columns))
-    mask.setflags(write=False)
-    return mask
-
-
 def equivalent_channel_matrix(
-    code: CodeDefinition, channel: ChannelRealization, n_fft: int
+    code: CodeDefinition, channel: ChannelRealization, n_fft: int, *, tables: LinkTables | None = None
 ) -> np.ndarray:
     """Equivalent channel vectors for every subcarrier, shape (N, R).
 
-    The delay rotations are columns of one table per n_fft, kept across
-    calls and widened to the next power of two when a larger delay arrives:
-    drawn delays below cp_len settle on one table of at most twice (N,
-    cp_len), and fixed delays past the prefix widen it the same way. Delays
-    of a whole symbol or more (far outside the model) are not tabulated.
+    The delay rotations are columns of the sweep's ``tables.rotations``,
+    gathered by the channel's delays; without ``tables``, or for a delay the
+    table does not cover, they are ``delay_phases`` of the delays, the
+    function that table is built by.
     """
     f = channel.source_to_relay
-    f = np.where(_conjugated(code), np.conj(f), f)
-    largest = int(channel.delays[-1])  # delays are non-decreasing
-    if largest < n_fft:
-        phases = _delay_rotations(n_fft, largest).take(channel.delays, axis=1)
+    f = np.where(code.conjugated, np.conj(f), f)
+    if tables is not None and channel.delays[-1] < tables.rotations.shape[1]:  # delays are non-decreasing
+        phases = tables.rotations.take(channel.delays, axis=1)
     else:
         phases = delay_phases(n_fft, channel.delays)
     return (f * channel.relay_to_dest)[None, :] * phases
-
-
-@functools.lru_cache(maxsize=16)
-def _slot_activity(schedule: RelaySchedule) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The slots with k > 0 active relays, per k: (slots (S,), relays (S, k))."""
-    by_count: dict[int, list] = {}
-    for slot in range(schedule.num_slots):
-        active = schedule.active_relays(slot)
-        if active:
-            by_count.setdefault(len(active), []).append((slot, active))
-    return tuple(
-        (np.array([slot for slot, _ in rows]), np.array([active for _, active in rows]))
-        for rows in by_count.values()
-    )
 
 
 def noise_covariance(
@@ -209,17 +157,16 @@ def noise_covariance(
     samples without reuse, so cross-slot terms vanish for any code whose
     relays forward distinct blocks in distinct slots.
 
-    The schedule's slots are tabulated once, grouped by their number k of
-    active relays; each group sums its (S, k) gathered |g|^2 per row, which
-    is numpy's sum of each slot's active relays bit for bit (a (T, R) mask
+    Each of the schedule's slot classes sums its k gathered |g|^2 once, for
+    all its slots: numpy's sum of each slot's active relays (a (T, R) mask
     with zeros would change the summation order from 8 relays on).
     """
     boost = cfg.power.relay_noise_power
     g_sq = np.abs(channel.relay_to_dest) ** 2
     num_slots = schedule.num_slots
     forwarded = np.zeros(num_slots)
-    for slots, relays in _slot_activity(schedule):
-        forwarded[slots] = np.add.reduce(g_sq[relays], axis=1)
+    for relays, slots in schedule.slot_classes:
+        forwarded[slots] = np.add.reduce(g_sq[relays])
     cov = np.zeros((num_slots, num_slots), dtype=complex)
     cov.flat[:: num_slots + 1] = 1.0 + boost * forwarded
     return cov
@@ -404,13 +351,11 @@ def _proof(code: CodeDefinition, terms: np.ndarray) -> tuple[tuple[int, int], ..
     rs, sr, rr = r * num_relays + s, s * num_relays + r, np.arange(num_relays) * (num_relays + 1)
     re, im = terms[:, : num_relays * num_relays], terms[:, num_relays * num_relays :]
     folded = np.concatenate((re[:, rs] + re[:, sr], im[:, rs] - im[:, sr], re[:, rr]), axis=1)
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for slot in range(code.slot_count):
-        active = tuple(i for i, a in enumerate(code.relay_matrices) if a[slot].any())
-        classes.setdefault(active, []).append(slot)
-    if any(folded[slots].sum(axis=0).any() for slots in classes.values()):
+    active = ([i for i, a in enumerate(code.relay_matrices) if a[slot].any()] for slot in range(code.slot_count))
+    classes = [slots.tolist() for _, slots in slot_classes(active)]
+    if any(folded[slots].sum(axis=0).any() for slots in classes):
         return None
-    return tuple((slot, slots[0]) for slots in classes.values() for slot in slots[1:])
+    return tuple((slot, slots[0]) for slots in classes for slot in slots[1:])
 
 
 def _metric_terms(fields: np.ndarray, gain: float) -> np.ndarray:
@@ -462,14 +407,6 @@ class _Form:
         return joined @ (w2 @ self.terms).reshape(self.shape)
 
 
-@functools.lru_cache(maxsize=16)
-def _gap_check(code: CodeDefinition) -> tuple:
-    """The gap's compact form and the code's ``_proof``: built once per code
-    and shared by its decoders of every gain."""
-    terms = _gap_terms(code)
-    return _Form(terms, code.num_relays, _used(terms, (0, 1))), _proof(code, terms)
-
-
 class CoherentDecoder:
     """Whitened ML for one code and cascade gain over a frame of N subcarriers.
 
@@ -496,7 +433,9 @@ class CoherentDecoder:
         padded = [np.concatenate((p, np.repeat(p[-1:], self._width - p.shape[0], axis=0))) for p in partials]
         group_terms = _metric_terms(codeword(code, np.concatenate(padded)), gain)
         self._group = _Form(group_terms, code.num_relays)
-        self._gap, self._proof = _gap_check(code)
+        gap_terms = _gap_terms(code)
+        self._gap = _Form(gap_terms, code.num_relays, _used(gap_terms, (0, 1)))
+        self._proof = _proof(code, gap_terms)
         self._full = None  # (index table, metric form) of the product alphabet
 
     def _gram(self, h_all: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -545,7 +484,9 @@ class CoherentDecoder:
 @functools.lru_cache(maxsize=2)
 def coherent_decoder(code: CodeDefinition, gain: float) -> CoherentDecoder:
     """The shared decoder of a (code, gain) pair, kept for the two most
-    recent pairs (relay5's exhaustive table takes 7.1 MiB)."""
+    recent pairs (relay5's exhaustive table takes 7.1 MiB): the one table
+    kept between sweeps, as a fallback unit's ``ml_decode_exhaustive`` call
+    finds its engine's decoder here."""
     return CoherentDecoder(code, gain)
 
 

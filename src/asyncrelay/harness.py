@@ -17,13 +17,16 @@ applied, and the results stay byte-identical for any worker count.
 ``run_sweep`` builds its state once per call: it reads the code (a built-in
 name or the code file as it is at call time), checks its feasibility,
 derives its schedule and, in differential mode, builds and verifies its
-codebook, then builds one engine per power point. Pool workers receive
-those engines once, when the pool starts. Nothing is kept between sweeps.
+codebook, then builds the link's tables (``relaysim.LinkTables``) and one
+engine per power point. Pool workers receive those engines once, when the
+pool starts. Nothing else is kept between sweeps but the two most recent
+decoders of ``decoder.coherent_decoder``, where a fallback unit finds its own.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 import warnings
 from collections import deque
@@ -55,7 +58,7 @@ from .differential import (
     verify_commutation,
     verify_scaled_unitary,
 )
-from .relaysim import LinkConfig, PowerConfig, draw_channel, run_frame
+from .relaysim import LinkConfig, LinkTables, PowerConfig, draw_channel, link_tables, run_frame
 
 __all__ = [
     "BerPoint",
@@ -196,10 +199,20 @@ def _resolve_code(cfg: SimConfig) -> CodeDefinition:
         raise ConfigError(f"code file {cfg.code!r} is malformed: {exc}") from exc
 
 
+_INTEGER_FIELDS = ("n_fft", "cp_len", "frames", "min_errors", "max_frames", "seed", "workers", "diff_chain")
+
+
 def _validate(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule]:
     """Check the configuration; return the code and its schedule."""
     if cfg.mode not in ("coherent", "differential"):
         raise ConfigError(f"mode must be 'coherent' or 'differential', got {cfg.mode!r}")
+    integers = [(name, getattr(cfg, name)) for name in _INTEGER_FIELDS] + [("delays entry", d) for d in cfg.delays or ()]
+    for name, value in integers:
+        if value is not None:
+            try:
+                operator.index(value)  # a fractional value would run rounded down
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
     if not cfg.power_db:
         raise ConfigError("power sweep is empty")
     if len(set(cfg.power_db)) != len(cfg.power_db):
@@ -278,11 +291,12 @@ class _CoherentEngine:
     ``decoder.coherent_decoder`` of the code and gain decides every
     subcarrier of a frame at once."""
 
-    def __init__(self, cfg: SimConfig, code: CodeDefinition, schedule: RelaySchedule, link: LinkConfig):
+    def __init__(self, cfg: SimConfig, code: CodeDefinition, schedule: RelaySchedule, link: LinkConfig, tables: LinkTables):
         self.cfg = cfg
         self.code = code
         self.schedule = schedule
         self.link = link
+        self.tables = tables
         self.decoder = _decoder.coherent_decoder(code, self.link.power.cascade_gain)
         self.bits_per_unit = sum(code.bits_per_group()) * cfg.n_fft
         sizes = [t.shape[0] for t in code.alphabet]
@@ -309,9 +323,9 @@ class _CoherentEngine:
         cfg = self.cfg
         channel = draw_channel(rng, self.code.num_relays, cfg.cp_len, cfg.delays)
         tx, frame = self._draw_frame(rng)
-        received = run_frame(frame, self.schedule, channel, self.link, cfg.noise, rng)
+        received = run_frame(frame, self.schedule, channel, self.link, cfg.noise, rng, tables=self.tables)
 
-        h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft)
+        h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft, tables=self.tables)
         cov = _decoder.noise_covariance(self.schedule, channel, self.link)
         w2 = _decoder.whitening_weights(cov)
         if self._gap(h_all, w2) > _decoder._ORTHOGONALITY_TOL:
@@ -323,7 +337,7 @@ class _CoherentEngine:
                 )
                 self._warned = True
             # perfbench's traced run counts fallback units by these two calls
-            h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft)
+            h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft, tables=self.tables)
             model = _decoder.SubcarrierModel(h_all, cov, self.link.power.cascade_gain)
             decided = self.decoder.indices(_decoder.ml_decode_exhaustive(received, model, self.code))
         else:
@@ -336,13 +350,15 @@ class _DifferentialEngine:
     verified codebook."""
 
     def __init__(
-        self, cfg: SimConfig, code: CodeDefinition, schedule: RelaySchedule, link: LinkConfig, codebook: DifferentialCodebook
+        self, cfg: SimConfig, code: CodeDefinition, schedule: RelaySchedule, link: LinkConfig, codebook: DifferentialCodebook,
+        tables: LinkTables,
     ):
         self.cfg = cfg
         self.code = code
         self.schedule = schedule
         self.link = link
         self.codebook = codebook
+        self.tables = tables
         self.bits_per_unit = self.codebook.bits_per_word * cfg.n_fft * (cfg.diff_chain - 1)
         self._popcount = _popcount_table(self.codebook.num_words)
 
@@ -350,13 +366,13 @@ class _DifferentialEngine:
         cfg = self.cfg
         channel = draw_channel(rng, self.code.num_relays, cfg.cp_len, cfg.delays)
         state = initial_state(self.code.symbol_count, cfg.n_fft)
-        y_prev = run_frame(state.symbols, self.schedule, channel, self.link, cfg.noise, rng)
+        y_prev = run_frame(state.symbols, self.schedule, channel, self.link, cfg.noise, rng, tables=self.tables)
         scales_rx = np.ones(cfg.n_fft)
         errors = 0
         for _ in range(cfg.diff_chain - 1):
             tx = rng.integers(0, self.codebook.num_words, size=cfg.n_fft)
             state = diff_encode(state, tx, self.codebook)
-            y_now = run_frame(state.symbols, self.schedule, channel, self.link, cfg.noise, rng)
+            y_now = run_frame(state.symbols, self.schedule, channel, self.link, cfg.noise, rng, tables=self.tables)
             decided, scales_rx = diff_decode_frame(y_now, y_prev, scales_rx, self.codebook)
             errors += int(self._popcount[np.bitwise_xor(tx, decided)].sum())
             y_prev = y_now
@@ -365,22 +381,22 @@ class _DifferentialEngine:
 
 def _sweep_engines(cfg: SimConfig) -> list:
     """Validate ``cfg`` once and build the engine of every power point, in
-    ascending order; all of them share one code, schedule and codebook."""
+    ascending order; all of them share one code, schedule, codebook and
+    ``LinkTables``."""
     code, schedule = _validate(cfg)
     codebook = _verified_codebook(code) if cfg.mode == "differential" else None
-    engines = []
+    links = []
     for p_db in sorted(cfg.power_db):
         try:
-            link = LinkConfig(cfg.n_fft, cfg.cp_len, _power_config(cfg, code, p_db))
+            links.append(LinkConfig(cfg.n_fft, cfg.cp_len, _power_config(cfg, code, p_db)))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         except OverflowError as exc:
             raise ConfigError(f"power {p_db!r} dB is out of range") from exc
-        if codebook is None:
-            engines.append(_CoherentEngine(cfg, code, schedule, link))
-        else:
-            engines.append(_DifferentialEngine(cfg, code, schedule, link, codebook))
-    return engines
+    tables = link_tables(schedule, cfg.n_fft, cfg.cp_len, cfg.delays)
+    if codebook is None:
+        return [_CoherentEngine(cfg, code, schedule, link, tables) for link in links]
+    return [_DifferentialEngine(cfg, code, schedule, link, codebook, tables) for link in links]
 
 
 _pool_engines: list = []  # a pool worker's engines, set once by _init_pool

@@ -26,39 +26,42 @@ array per relay: a relay that is silent in a slot forms, forwards and adds
 nothing there. ``relay_receive`` returns the received block of each
 forwarded (relay, block), ``relay_process`` the transmitted symbol of the
 same row, and ``destination_receive`` adds each row into its slot at its
-relay's delay. All three read one row order from the schedule's cached
-forwarding table: relay-major, each relay's rows in slot order, so a
-relay's rows are one slice. Forwarding and front-end realignment are exact
-sample permutations, signs of +/-1 and conjugations, so each runs as one
-gather through index tables built once per (schedule, n_fft, cp_len)
-instead of a loop over slots and relays. Schedules hash once
-(``RelaySchedule``), so finding those tables costs one dictionary lookup
-per frame. Noise is drawn in one ``standard_normal`` call per array, the
-stream of separate real and imaginary draws: the relays' call still draws
-every (relay, block), so the stream does not depend on which rows are
-forwarded. Received signals are added to the noise in place.
+relay's delay. All three read one row order from the forwarding table that
+every ``RelaySchedule`` builds with itself: relay-major, each relay's rows
+in slot order, so a relay's rows are one slice. Forwarding and front-end
+realignment are exact sample permutations, signs of +/-1 and conjugations,
+so each runs as one gather through the index tables of ``LinkTables``
+instead of a loop over slots and relays. A sweep builds its
+``LinkTables`` once, with the delay rotations of the flat model, and
+hands them to every frame; called without them, each stage builds its
+own gather with the same function. Noise is drawn in one
+``standard_normal`` call per array, the stream of separate real and
+imaginary draws: the relays' call still draws every (relay, block), so
+the stream does not depend on which rows are forwarded. Received signals
+are added to the noise in place.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
-from .codebook import DFT, CodeDefinition, RelaySchedule
+from .codebook import DFT, RelaySchedule
 
 __all__ = [
     "ChannelRealization",
     "LinkConfig",
+    "LinkTables",
     "PowerConfig",
     "complex_noise",
+    "delay_phases",
     "destination_frontend",
     "destination_receive",
     "draw_channel",
+    "link_tables",
     "relay_process",
     "relay_receive",
     "run_frame",
@@ -132,10 +135,10 @@ class LinkConfig:
 class ChannelRealization:
     """Quasi-static two-hop fading plus integer arrival delays.
 
-    ``delays`` is normalised so the first relay defines the timing origin
-    (delays[0] == 0) and entries never decrease. Delays at most cp_len keep
-    the per-subcarrier model exact; larger values are representable so the
-    out-of-contract behaviour can be exercised.
+    ``delays`` are integers, normalised so the first relay defines the
+    timing origin (delays[0] == 0) and entries never decrease. Delays at
+    most cp_len keep the per-subcarrier model exact; larger values are
+    representable so the out-of-contract behaviour can be exercised.
     """
 
     source_to_relay: np.ndarray
@@ -145,7 +148,10 @@ class ChannelRealization:
     def __post_init__(self):
         f = np.asarray(self.source_to_relay, dtype=complex)
         g = np.asarray(self.relay_to_dest, dtype=complex)
-        d = np.asarray(self.delays, dtype=int)
+        d = np.asarray(self.delays)
+        if d.size and d.dtype.kind not in "iu":
+            raise ValueError(f"delays must be integers, got {self.delays!r}")
+        d = d.astype(int, copy=False)
         if f.shape != g.shape or f.shape != d.shape or f.ndim != 1:
             raise ValueError("channel vectors must be 1-D with one entry per relay")
         if d.size == 0:
@@ -205,14 +211,12 @@ def draw_channel(
     f, g = _unit_complex(parts[:, 0], parts[:, 1])
     if delays is None:
         if cp_len > 0:
-            d = rng.integers(0, cp_len, size=num_relays)
-            d.sort()
-            d -= d[0]
+            delays = rng.integers(0, cp_len, size=num_relays)
+            delays.sort()
+            delays -= delays[0]
         else:
-            d = np.zeros(num_relays, dtype=int)
-    else:
-        d = np.asarray(delays, dtype=int)
-    return ChannelRealization(f, g, d)
+            delays = np.zeros(num_relays, dtype=int)
+    return ChannelRealization(f, g, delays)
 
 
 def source_transmit(frame: np.ndarray, schedule: RelaySchedule, cfg: LinkConfig) -> np.ndarray:
@@ -233,70 +237,46 @@ def source_transmit(frame: np.ndarray, schedule: RelaySchedule, cfg: LinkConfig)
     return symbols
 
 
-@dataclass(frozen=True)
-class _ForwardingTable:
-    """The forwarding instructions of one schedule, one row each.
-
-    Rows are in relay-major order and each relay's rows in slot order: the
-    row order of ``relay_receive``, ``relay_process`` and
-    ``destination_receive``. ``spans`` holds, for each relay that forwards
-    anything and in ascending relay order, the relay, the slice of its rows
-    and the slots they fill: a slice when those slots are contiguous, else
-    an index array.
-    """
-
-    relays: np.ndarray  # (A,)
-    blocks: np.ndarray  # (A,)
-    signs: np.ndarray  # (A, 1)
-    conjugate: np.ndarray  # (A, 1) bool
-    reversed: np.ndarray  # (A, 1) bool: the row's slot is time reversed
-    spans: tuple  # ((relay, rows, slots), ...)
-    last_block: int  # the highest block any row forwards, -1 with no rows
+def delay_phases(n_fft: int, delays: np.ndarray) -> np.ndarray:
+    """Per-subcarrier delay rotations, shape (N, R): exp(-2j pi k tau / N)."""
+    delays = np.asarray(delays)
+    k = np.arange(n_fft)[:, None]
+    return np.exp(-2j * np.pi * k * delays[None, :] / n_fft)
 
 
-@functools.lru_cache(maxsize=16)
-def _forwarding_table(schedule: RelaySchedule) -> _ForwardingTable:
-    """The forwarding table of ``schedule``, built once: every stage of the
-    relay link looks it up once per frame."""
-    rows = [
-        (relay, slot, instr)
-        for relay in range(schedule.num_relays)
-        for slot, instructions in enumerate(schedule.instructions)
-        if (instr := instructions[relay]) is not None
-    ]
-    spans, start = [], 0
-    for relay, group in itertools.groupby(rows, key=lambda row: row[0]):
-        slots = [slot for _, slot, _ in group]
-        contiguous = slots[-1] - slots[0] == len(slots) - 1
-        index = slice(slots[0], slots[-1] + 1) if contiguous else np.array(slots)
-        spans.append((relay, slice(start, start + len(slots)), index))
-        start += len(slots)
-    blocks = [instr.block for _, _, instr in rows]
-    return _ForwardingTable(
-        relays=np.array([relay for relay, _, _ in rows], dtype=np.intp),
-        blocks=np.array(blocks, dtype=np.intp),
-        signs=np.array([instr.sign for _, _, instr in rows], dtype=float).reshape(-1, 1),
-        conjugate=np.array([instr.conjugate for _, _, instr in rows], dtype=bool).reshape(-1, 1),
-        reversed=np.array([schedule.slot_reversed[slot] for _, slot, _ in rows], dtype=bool).reshape(-1, 1),
-        spans=tuple(spans),
-        last_block=max(blocks, default=-1),
-    )
+@dataclass(frozen=True, eq=False)
+class LinkTables:
+    """The index and rotation tables of a schedule on an (n_fft, cp_len)
+    link, which a sweep builds once (``link_tables``) and every frame reads."""
+
+    relay_gather: np.ndarray  # see _relay_gather
+    frontend_gather: np.ndarray  # see _frontend_gather
+    # (N, span), read-only: column tau is delay_phases of delay tau, the same
+    # expression for each entry, so gathering columns reproduces it bit for bit
+    rotations: np.ndarray
 
 
-@functools.lru_cache(maxsize=16)
-def _forwarding_sources(schedule: RelaySchedule, n_fft: int, cp_len: int) -> np.ndarray:
-    """Flat indices into the (A, N + cp_len) received rows: transmit sample p
-    of row a carries received sample p of that row for plain slots and
-    (cp_len - p) mod N for reversed ones."""
-    table = _forwarding_table(schedule)
+def link_tables(schedule: RelaySchedule, n_fft: int, cp_len: int, delays=None) -> LinkTables:
+    """The ``LinkTables`` of ``schedule``; the rotations cover the delays
+    below cp_len, which ``draw_channel`` draws, and those below n_fft up to
+    the largest of fixed ``delays``."""
+    largest = 0 if delays is None else max(delays, default=0)
+    rotations = delay_phases(n_fft, np.arange(min(n_fft, max(cp_len, largest + 1))))
+    rotations.setflags(write=False)
+    return LinkTables(_relay_gather(schedule, n_fft, cp_len), _frontend_gather(schedule, n_fft, cp_len), rotations)
+
+
+def _relay_gather(schedule: RelaySchedule, n_fft: int, cp_len: int) -> np.ndarray:
+    """Flat indices into the (A, N + cp_len) received rows: transmit sample
+    p of a row carries received sample p, or (cp_len - p) mod N in a
+    reversed slot."""
     symbol_len = n_fft + cp_len
     p = np.arange(symbol_len)
-    columns = np.where(table.reversed, (cp_len - p) % n_fft, p)
-    return np.arange(table.relays.size)[:, None] * symbol_len + columns
+    columns = np.where(schedule.forwarding.reversed, (cp_len - p) % n_fft, p)
+    return np.arange(schedule.forwarding.relays.size)[:, None] * symbol_len + columns
 
 
-@functools.lru_cache(maxsize=16)
-def _body_sources(schedule: RelaySchedule, n_fft: int, cp_len: int) -> np.ndarray:
+def _frontend_gather(schedule: RelaySchedule, n_fft: int, cp_len: int) -> np.ndarray:
     """Flat indices into a (T, N + cp_len) raw frame of the (T, N) symbol
     bodies, with reversed slots rotated right by cp_len to realign them."""
     p = np.arange(n_fft)
@@ -330,7 +310,7 @@ def relay_receive(
     """
     symbols = np.asarray(symbols, dtype=complex)
     _check_relays(schedule, channel)
-    table = _forwarding_table(schedule)
+    table = schedule.forwarding
     num_blocks, symbol_len = symbols.shape
     if table.last_block >= num_blocks:
         for slot, instructions in enumerate(schedule.instructions):
@@ -357,24 +337,27 @@ def relay_process(
     received: np.ndarray,
     schedule: RelaySchedule,
     cfg: LinkConfig,
+    *,
+    tables: LinkTables | None = None,
 ) -> np.ndarray:
     """Transmitted symbol of each forwarding instruction, shape (A, N + cp_len).
 
     Each row forwards its received block with the instruction's sign,
     conjugated when the relay's column is conjugated, time reversed when
     the slot is reversed, and scaled by the fixed relay amplification. One
-    gather through the schedule's cached index table reverses the rows of
-    reversed slots; one product by sign times gain and one masked conjugate
-    follow.
+    gather through ``tables.relay_gather`` (or, without ``tables``, the
+    same gather built here) reverses the rows of reversed slots; one product by sign times gain and
+    one masked conjugate follow.
     """
     received = np.asarray(received, dtype=complex)
-    table = _forwarding_table(schedule)
+    table = schedule.forwarding
     if received.shape != (table.relays.size, cfg.symbol_len):
         raise ValueError(
             f"received array of shape {received.shape} does not match the schedule's "
             f"{table.relays.size} forwarding instructions of {cfg.symbol_len} samples"
         )
-    symbols = received.take(_forwarding_sources(schedule, cfg.n_fft, cfg.cp_len))
+    gather = _relay_gather(schedule, cfg.n_fft, cfg.cp_len) if tables is None else tables.relay_gather
+    symbols = received.take(gather)
     symbols *= table.signs * cfg.power.relay_gain  # signs are +/-1: exact
     np.conjugate(symbols, out=symbols, where=table.conjugate)
     return symbols
@@ -397,7 +380,7 @@ def destination_receive(
     """
     transmitted = np.asarray(transmitted, dtype=complex)
     _check_relays(schedule, channel)
-    table = _forwarding_table(schedule)
+    table = schedule.forwarding
     if transmitted.ndim != 2 or transmitted.shape[0] != table.relays.size:
         raise ValueError(
             f"transmitted array of shape {transmitted.shape} needs one row per forwarding "
@@ -423,16 +406,21 @@ def destination_receive(
     return out
 
 
-def destination_frontend(raw: np.ndarray, schedule: RelaySchedule, cfg: LinkConfig) -> np.ndarray:
+def destination_frontend(
+    raw: np.ndarray, schedule: RelaySchedule, cfg: LinkConfig, *, tables: LinkTables | None = None
+) -> np.ndarray:
     """Strip prefixes, realign reversed slots, and transform to subcarriers.
 
     Returns the (T, N) frequency-domain receive blocks; column k is the
-    receive vector of subcarrier k.
+    receive vector of subcarrier k. The bodies are one gather through
+    ``tables.frontend_gather`` (or, without ``tables``, the same gather
+    built here).
     """
     raw = np.asarray(raw, dtype=complex)
     if raw.shape != (schedule.num_slots, cfg.symbol_len):
         raise ValueError(f"raw frame shape {raw.shape} does not match schedule/link dimensions")
-    return spectral.dft(raw.take(_body_sources(schedule, cfg.n_fft, cfg.cp_len)))
+    gather = _frontend_gather(schedule, cfg.n_fft, cfg.cp_len) if tables is None else tables.frontend_gather
+    return spectral.dft(raw.take(gather))
 
 
 def run_frame(
@@ -442,10 +430,13 @@ def run_frame(
     cfg: LinkConfig,
     noise_on: bool = False,
     rng: np.random.Generator | None = None,
+    *,
+    tables: LinkTables | None = None,
 ) -> np.ndarray:
-    """Full source -> relays -> destination pipeline for one frame."""
+    """Full source -> relays -> destination pipeline for one frame; the
+    stages read their gathers from ``tables`` when given."""
     symbols = source_transmit(frame, schedule, cfg)
     received = relay_receive(symbols, schedule, channel, noise_on, rng)
-    transmitted = relay_process(received, schedule, cfg)
+    transmitted = relay_process(received, schedule, cfg, tables=tables)
     raw = destination_receive(transmitted, schedule, channel, noise_on, rng)
-    return destination_frontend(raw, schedule, cfg)
+    return destination_frontend(raw, schedule, cfg, tables=tables)

@@ -211,3 +211,57 @@ def test_one_draw_of_both_parts_is_the_stream_of_two_draws():
         real, imag = two_calls.standard_normal(shape), two_calls.standard_normal(shape)
         assert _same_bits(parts[0], real) and _same_bits(parts[1], imag)
         assert one_call.integers(1 << 30) == two_calls.integers(1 << 30)  # both streams are at one place
+
+
+def test_one_sum_per_slot_class_equals_the_row_sums_of_its_gather():
+    # decoder.noise_covariance sums each slot class's gathered |g|^2 once,
+    # by np.add.reduce over its k active relays; a batched form sums a
+    # (S, k) gather along its rows. Both add the k terms in one order, for
+    # k below and above numpy's 8-term pairwise block. A (T, R) masked sum
+    # with zeros for the silent relays is not such a form: it rounds
+    # differently at R = 12 already for 4 active relays.
+    rng = np.random.default_rng(100)
+    for count in range(1, 11):
+        for slots in (1, 2, 4, 6):
+            g_sq = np.abs(complex_noise(rng, 12)) ** 2 * rng.uniform(0.1, 10.0)
+            relays = np.array([np.sort(rng.choice(12, count, replace=False)) for _ in range(slots)])
+            per_slot = np.array([np.add.reduce(g_sq[row]) for row in relays])
+            assert _same_bits(np.add.reduce(g_sq[relays], axis=1), per_slot)
+
+
+def test_a_broadcast_first_product_equals_the_per_relay_scalar_product():
+    # decoder.equivalent_channel_matrix forms (f * g)[None, :] * phases on
+    # (N, R) x (R,); a batched form broadcasts (B, 1, R) over (B, N, R). Both
+    # equal relay r's scalar times its column of phases. A product of two
+    # complex scalars (Python or numpy) is not the same operation: the array
+    # loops of a numpy built for AVX2 or later fuse the multiply-adds, so
+    # element-by-element scalar products differ in the last bits there.
+    rng = np.random.default_rng(101)
+    for num_relays in (1, 2, 4, 5, 9):
+        for n in (1, 2, 16, 64, 1024):
+            fg = complex_noise(rng, num_relays) * complex_noise(rng, num_relays)
+            phases = np.exp(-2j * np.pi * rng.random((3, n, num_relays)))
+            per_relay = np.stack([fg[r] * phases[0, :, r] for r in range(num_relays)], axis=1)
+            assert _same_bits(fg[None, :] * phases[0], per_relay)
+            scaled = np.stack([fg, 1.5 * fg, 1j * fg])
+            per_unit = np.stack([scaled[b][None, :] * phases[b] for b in range(3)])
+            assert _same_bits(scaled[:, None, :] * phases, per_unit)
+
+
+def test_on_one_subcarrier_the_kept_row_product_may_round_differently_but_decides_the_same():
+    # decoder._Form on N = 1: numpy takes the GEMV path, whose partial sums
+    # depend on the row count, so the kept-row product may differ from the
+    # all-row product in the last bits (with numpy 2.4 and OpenBLAS 0.3.31
+    # it does on most draws of every shape that drops a row); the decoder
+    # relies only on its argmin being the same
+    rng = np.random.default_rng(102)
+    for rows, count, columns in _FORM_SHAPES:
+        for _ in range(10):
+            terms = rng.standard_normal((rows, columns))
+            kept = np.sort(rng.choice(rows, count, replace=False))
+            terms[np.setdiff1d(np.arange(rows), kept)] = 0.0
+            features = rng.standard_normal((1, rows)) * rng.uniform(0.1, 10.0)
+            full = np.asfortranarray(features) @ terms
+            compact = features[:, kept] @ terms[kept]
+            assert np.allclose(compact, full, rtol=0.0, atol=1e-14 * np.abs(full).max())
+            assert compact.argmin() == full.argmin()

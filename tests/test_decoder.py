@@ -29,7 +29,7 @@ from asyncrelay.decoder import (
     whitening_weights,
 )
 from asyncrelay.differential import build_codebook_4relay
-from asyncrelay.relaysim import ChannelRealization, LinkConfig, PowerConfig, complex_noise, draw_channel
+from asyncrelay.relaysim import ChannelRealization, LinkConfig, PowerConfig, complex_noise, draw_channel, link_tables
 
 from oracles import (
     equivalent_channel,
@@ -114,10 +114,12 @@ class TestTablesReproduceThePerUnitComputation:
     def test_equivalent_channel_with_drawn_delays(self, n, cp):
         rng = np.random.default_rng(n + cp)
         for code in _all_codes():
+            tables = link_tables(derive_schedule(code), n, cp)
             for _ in range(25):
                 channel = draw_channel(rng, code.num_relays, cp)
-                got = equivalent_channel_matrix(code, channel, n)
-                assert np.array_equal(got.view(float), equivalent_channel_exp(code, channel, n).view(float))
+                expected = equivalent_channel_exp(code, channel, n).view(float)
+                for got in (equivalent_channel_matrix(code, channel, n, tables=tables), equivalent_channel_matrix(code, channel, n)):
+                    assert np.array_equal(got.view(float), expected)
 
     @pytest.mark.parametrize("n, cp", [(16, 4), (64, 16)])
     def test_equivalent_channel_with_fixed_delays_past_the_prefix(self, n, cp):
@@ -126,8 +128,10 @@ class TestTablesReproduceThePerUnitComputation:
             for last in (cp + 1, 3 * cp, n - 1, n, n + cp, 5 * n):
                 delays = np.round(np.linspace(0, last, code.num_relays)).astype(int)
                 channel = draw_channel(rng, code.num_relays, cp, delays)
-                got = equivalent_channel_matrix(code, channel, n)
-                assert np.array_equal(got.view(float), equivalent_channel_exp(code, channel, n).view(float))
+                tables = link_tables(derive_schedule(code), n, cp, delays)
+                expected = equivalent_channel_exp(code, channel, n).view(float)
+                for got in (equivalent_channel_matrix(code, channel, n, tables=tables), equivalent_channel_matrix(code, channel, n)):
+                    assert np.array_equal(got.view(float), expected)
 
     def test_noise_covariance_equals_the_slot_loop(self):
         rng = np.random.default_rng(12)

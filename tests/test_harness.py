@@ -43,7 +43,7 @@ from asyncrelay.harness import (
     wilson_interval,
 )
 from asyncrelay.codebook import ScheduleError, derive_schedule, format_code_text, named_code
-from asyncrelay.relaysim import LinkConfig, draw_channel, run_frame
+from asyncrelay.relaysim import LinkConfig, draw_channel, link_tables, run_frame
 
 from oracles import (
     diff_decisions,
@@ -201,6 +201,31 @@ class TestConfigValidation:
         assert cli_main([*flags, "--n", "8", "--cp", "2", "--frames", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(delays=(0, 0.5, 1, 2)),
+            dict(delays=(0, 1, 2, 3.9)),
+            dict(seed=1.5),
+            dict(n_fft=8.0),
+            dict(cp_len=2.5),
+            dict(frames=20.0),
+            dict(min_errors=4.5),
+            dict(max_frames=40.5),
+            dict(workers=1.0),
+            dict(diff_chain=2.5),
+        ],
+    )
+    def test_fractional_integer_values_raise_config_error_naming_the_field(self, kwargs):
+        # they used to run rounded down (delays, seed) or end in a TypeError
+        (name,) = kwargs
+        with pytest.raises(ConfigError, match=f"^{name}"):
+            run_sweep(SimConfig(**{**FAST, **kwargs}))
+
+    def test_numpy_integers_are_integers(self):
+        cfg = SimConfig(**{**FAST, "seed": np.int64(13)}, power_db=(20.0,), delays=tuple(np.array([0, 1, 1, 2])))
+        assert _counts(run_sweep(cfg)) == _counts(run_sweep(SimConfig(**FAST, power_db=(20.0,), delays=(0, 1, 1, 2))))
+
     def test_fixed_delays_past_the_prefix_warn_and_still_simulate(self):
         cfg = SimConfig(power_db=(20.0, 30.0), delays=(0, 1, 2, 5), **FAST)
         with pytest.warns(UserWarning, match="cyclic prefix"):
@@ -217,7 +242,8 @@ class TestConfigValidation:
 def _engine(code, n_fft=16, cp_len=4, p_db=12.0):
     cfg = SimConfig(code=code.name, n_fft=n_fft, cp_len=cp_len)
     link = LinkConfig(n_fft, cp_len, harness._power_config(cfg, code, p_db))
-    return _CoherentEngine(cfg, code, derive_schedule(code), link)
+    schedule = derive_schedule(code)
+    return _CoherentEngine(cfg, code, schedule, link, link_tables(schedule, n_fft, cp_len))
 
 
 class TestCoherentEngine:
@@ -453,6 +479,35 @@ class TestReproducibility:
 
         cfg = SimConfig(power_db=(15.0,), **FAST)
         assert counts(run_sweep(cfg)) == counts(run_sweep(cfg))
+
+
+class TestSweepOwnedTables:
+    @pytest.mark.parametrize(
+        "mode,code,workers", [("coherent", "relay5", 1), ("differential", "relay4_diff", 1), ("coherent", "relay4", 2)]
+    )
+    def test_a_sweep_leaves_no_table_in_a_module(self, mode, code, workers):
+        # every per-frame table lives on the sweep's schedule, code, LinkTables
+        # and engines; coherent_decoder keeps the two most recent decoders
+        run_sweep(SimConfig(mode=mode, code=code, power_db=(10.0, 20.0), workers=workers, **FAST))
+        modules = [m for name, m in sorted(sys.modules.items()) if name.partition(".")[0] == "asyncrelay"]
+        for module in modules:
+            for name, value in vars(module).items():
+                where = f"{module.__name__}.{name}"
+                if hasattr(value, "cache_info"):
+                    assert value.cache_info().currsize <= (2 if name == "coherent_decoder" else 0), where
+                if isinstance(value, dict):
+                    assert not any(isinstance(v, np.ndarray) for v in value.values()), where
+
+    def test_a_sweep_past_the_prefix_leaves_a_later_sweep_as_it_runs_alone(self, tmp_path):
+        fixed = SimConfig(n_fft=16, cp_len=4, power_db=(15.0,), frames=10, min_errors=0, delays=(0, 1, 2, 9), seed=5)
+        drawn = dataclasses.replace(fixed, delays=None)
+        with pytest.warns(UserWarning, match="cyclic prefix"):
+            run_sweep(fixed)
+        emit_csv(run_sweep(drawn), tmp_path / "after.csv")
+        script = f"from asyncrelay.harness import *; emit_csv(run_sweep({drawn!r}), {str(tmp_path / 'alone.csv')!r})"
+        src = str(Path(harness.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
 class TestStoppingRule:

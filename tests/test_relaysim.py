@@ -110,6 +110,15 @@ class TestChannelRealization:
         with pytest.raises(ValueError):
             ChannelRealization(np.ones(3, dtype=complex), np.ones(2, dtype=complex), np.zeros(3, dtype=int))
 
+    def test_fractional_delays_rejected(self):
+        # they used to be rounded down: [0, 1.7] held [0, 1]
+        f = np.ones(2, dtype=complex)
+        with pytest.raises(ValueError, match="delays must be integers"):
+            ChannelRealization(f, f, [0, 1.7])
+        with pytest.raises(ValueError, match="delays must be integers"):
+            draw_channel(np.random.default_rng(0), 4, cp_len=4, delays=(0, 0.5, 1, 2))
+        assert ChannelRealization(f, f, [0, np.int64(1)]).delays.tolist() == [0, 1]
+
 
 class TestDrawChannel:
     def test_random_delays_sorted_and_in_range(self):
