@@ -29,8 +29,8 @@ from .codebook import (
 from .decoder import SubcarrierModel, build_model, ml_decode_exhaustive, ml_decode_grouped
 from .differential import DifferentialCodebook, build_codebook_4relay, diff_decode, diff_encode, verify_commutation
 from .harness import BerPoint, ConfigError, SimConfig, emit_csv, emit_plotscript, parse_csv, run_sweep
-from .relaysim import ChannelRealization, LinkConfig, PowerConfig, draw_channel, run_frame
-from .spectral import add_cp, dft, idft
+from .relaysim import ChannelRealization, LinkConfig, PowerConfig, draw_channel, frame_noise, run_frame
+from .spectral import dft, idft
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "ScheduleError",
     "SimConfig",
     "SubcarrierModel",
-    "add_cp",
     "build_codebook_4relay",
     "build_model",
     "builtin_codes",
@@ -61,6 +60,7 @@ __all__ = [
     "draw_channel",
     "emit_csv",
     "emit_plotscript",
+    "frame_noise",
     "idft",
     "infeasible_example",
     "load_code",

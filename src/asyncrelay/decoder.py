@@ -8,9 +8,10 @@ with h_k the equivalent per-relay channel (source fading, conjugated for
 conjugated columns, times destination fading and a delay phase) and n_k
 zero-mean complex Gaussian noise: one unit of destination noise plus the
 forwarded relay noise of every relay active in the slot. Distinct slots
-share no noise sample, so the covariance is diagonal (``SubcarrierModel``
-rejects any other) and whitening scales slot t by w_t = var_t^{-1/2},
-which turns ML into a nearest-point search.
+share no noise sample, so the covariance is diagonal, and the model carries
+its (T,) slot variances (``noise_covariance``, ``SubcarrierModel``);
+whitening scales slot t by w_t = var_t^{-1/2}, which turns ML into a
+nearest-point search.
 
 The code word is linear in the real symbol coordinates, so the whitened
 metric splits into independent per-group problems whenever the dispersion
@@ -39,8 +40,8 @@ an approximation.
 Everything that depends only on the code, the schedule or the link is
 tabulated once, on the object it depends on, and read by every frame, with
 results bit-identical to computing it per frame: the delay rotations of
-``equivalent_channel_matrix`` (a sweep's ``relaysim.LinkTables``, gathered
-by the drawn delays), the code's conjugated-column mask
+``equivalent_channel_matrix`` (a coherent sweep's ``rotation_table``,
+gathered by the drawn delays), the code's conjugated-column mask
 (``CodeDefinition.conjugated``), the schedule's slot classes for
 ``noise_covariance`` (``RelaySchedule.slot_classes``), and the per-group
 candidate tables of ``CoherentDecoder``, padded to the largest group
@@ -72,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import CodeDefinition, RelaySchedule, codeword, slot_classes
-from .relaysim import ChannelRealization, LinkConfig, LinkTables, delay_phases
+from .relaysim import ChannelRealization, LinkConfig
 
 __all__ = [
     "CoherentDecoder",
@@ -86,7 +87,6 @@ __all__ = [
     "full_candidates",
     "ml_decode_exhaustive",
     "ml_decode_grouped",
-    "whitening_weights",
 ]
 
 _ORTHOGONALITY_TOL = 1e-9
@@ -95,27 +95,26 @@ _ORTHOGONALITY_TOL = 1e-9
 @dataclass(frozen=True)
 class SubcarrierModel:
     """Flat channel description used by the ML decoders: one subcarrier, or
-    N subcarriers that share the slot noise."""
+    N subcarriers that share the slot noise. Both arrays are copied, so
+    freezing them leaves the caller's arrays writeable."""
 
     channel: np.ndarray  # (R,) equivalent channel vector, or (N, R)
-    noise_cov: np.ndarray  # (T, T) diagonal, positive
+    noise_var: np.ndarray  # (T,) slot noise variances, real and positive
     gain: float  # cascaded signal coefficient
 
     def __post_init__(self):
-        h = np.asarray(self.channel, dtype=complex)
-        cov = np.asarray(self.noise_cov, dtype=complex)
+        h = np.array(self.channel, dtype=complex)
         if h.ndim not in (1, 2):
             raise ValueError("channel must be an (R,) vector or an (N, R) matrix")
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise ValueError("noise covariance must be square")
-        if np.any(cov - np.diag(np.diag(cov))):
-            raise ValueError("noise covariance must be diagonal (distinct slots share no noise)")
-        if np.any(np.diag(cov).imag != 0) or np.any(np.diag(cov).real <= 0):
-            raise ValueError("noise variances must be real and positive")
+        if np.iscomplexobj(self.noise_var) or np.ndim(self.noise_var) != 1:
+            raise ValueError(f"noise variances must be a real (T,) vector, got shape {np.shape(self.noise_var)}")
+        var = np.array(self.noise_var, dtype=float)
+        if not np.all(np.isfinite(var) & (var > 0)):
+            raise ValueError("noise variances must be finite and positive")
         h.setflags(write=False)
-        cov.setflags(write=False)
+        var.setflags(write=False)
         object.__setattr__(self, "channel", h)
-        object.__setattr__(self, "noise_cov", cov)
+        object.__setattr__(self, "noise_var", var)
 
     @property
     def channels(self) -> np.ndarray:
@@ -123,25 +122,36 @@ class SubcarrierModel:
         return self.channel.reshape(-1, self.channel.shape[-1])
 
 
-def whitening_weights(noise_cov: np.ndarray) -> np.ndarray:
-    """Whitening weights w_t^2 = 1 / var_t of a diagonal (T, T) covariance."""
-    return 1.0 / np.asarray(noise_cov).diagonal().real
+def delay_phases(n_fft: int, delays: np.ndarray) -> np.ndarray:
+    """Per-subcarrier delay rotations, shape (N, R): exp(-2j pi k tau / N)."""
+    delays = np.asarray(delays)
+    k = np.arange(n_fft)[:, None]
+    return np.exp(-2j * np.pi * k * delays[None, :] / n_fft)
+
+
+def rotation_table(n_fft: int, cp_len: int, delays=None) -> np.ndarray:
+    """Read-only (N, span) table whose column tau is ``delay_phases`` of delay
+    tau, bit for bit, for the delays below cp_len (which ``draw_channel``
+    draws) and below n_fft up to the largest of fixed ``delays``."""
+    largest = 0 if delays is None else max(delays, default=0)
+    rotations = delay_phases(n_fft, np.arange(min(n_fft, max(cp_len, largest + 1))))
+    rotations.setflags(write=False)
+    return rotations
 
 
 def equivalent_channel_matrix(
-    code: CodeDefinition, channel: ChannelRealization, n_fft: int, *, tables: LinkTables | None = None
+    code: CodeDefinition, channel: ChannelRealization, n_fft: int, *, rotations: np.ndarray | None = None
 ) -> np.ndarray:
     """Equivalent channel vectors for every subcarrier, shape (N, R).
 
-    The delay rotations are columns of the sweep's ``tables.rotations``,
-    gathered by the channel's delays; without ``tables``, or for a delay the
-    table does not cover, they are ``delay_phases`` of the delays, the
-    function that table is built by.
+    The delay rotations are columns of ``rotations`` (``rotation_table``),
+    gathered by the channel's delays; without it, or for a delay it does
+    not cover, they are ``delay_phases`` of the delays.
     """
     f = channel.source_to_relay
     f = np.where(code.conjugated, np.conj(f), f)
-    if tables is not None and channel.delays[-1] < tables.rotations.shape[1]:  # delays are non-decreasing
-        phases = tables.rotations.take(channel.delays, axis=1)
+    if rotations is not None and channel.delays[-1] < rotations.shape[1]:  # delays are non-decreasing
+        phases = rotations.take(channel.delays, axis=1)
     else:
         phases = delay_phases(n_fft, channel.delays)
     return (f * channel.relay_to_dest)[None, :] * phases
@@ -150,7 +160,7 @@ def equivalent_channel_matrix(
 def noise_covariance(
     schedule: RelaySchedule, channel: ChannelRealization, cfg: LinkConfig
 ) -> np.ndarray:
-    """Structural (T, T) noise covariance: diagonal, one entry per slot.
+    """Structural (T,) noise variances: the diagonal, and all, of the noise covariance.
 
     Slot m collects unit destination noise plus the amplified, forwarded
     noise of each relay active in that slot; forwarding permutes white noise
@@ -163,13 +173,10 @@ def noise_covariance(
     """
     boost = cfg.power.relay_noise_power
     g_sq = np.abs(channel.relay_to_dest) ** 2
-    num_slots = schedule.num_slots
-    forwarded = np.zeros(num_slots)
+    forwarded = np.zeros(schedule.num_slots)
     for relays, slots in schedule.slot_classes:
         forwarded[slots] = np.add.reduce(g_sq[relays])
-    cov = np.zeros((num_slots, num_slots), dtype=complex)
-    cov.flat[:: num_slots + 1] = 1.0 + boost * forwarded
-    return cov
+    return 1.0 + boost * forwarded
 
 
 def build_model(
@@ -185,7 +192,7 @@ def build_model(
     h_all = equivalent_channel_matrix(code, channel, cfg.n_fft)
     return SubcarrierModel(
         channel=h_all[subcarrier],
-        noise_cov=noise_covariance(schedule, channel, cfg),
+        noise_var=noise_covariance(schedule, channel, cfg),
         gain=cfg.power.cascade_gain,
     )
 
@@ -494,13 +501,13 @@ def decomposition_gap(code: CodeDefinition, model: SubcarrierModel) -> float:
     """Largest cross-group real inner product of whitened dispersion vectors,
     over the model's subcarriers."""
     decoder = coherent_decoder(code, model.gain)
-    return decoder.gap(model.channels, whitening_weights(model.noise_cov))
+    return decoder.gap(model.channels, 1.0 / model.noise_var)
 
 
 def _decide(decoder: CoherentDecoder, search, y: np.ndarray, model: SubcarrierModel) -> np.ndarray:
     """Symbol vectors (nu,) for a (T,) observation, or (N, nu) for (T, N)."""
     y = np.asarray(y, dtype=complex)
-    h_all, w2 = model.channels, whitening_weights(model.noise_cov)
+    h_all, w2 = model.channels, 1.0 / model.noise_var
     expected = w2.shape + model.channel.shape[:-1]  # (T,) or (T, N)
     if y.shape != expected:
         raise ValueError(f"observation shape {y.shape} does not match the model's {expected}")

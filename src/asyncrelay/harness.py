@@ -14,10 +14,16 @@ points of a sweep: every unfinished point keeps one batch in flight, so a
 pool always has other points' work queued while a point's stopping rule is
 applied, and the results stay byte-identical for any worker count.
 
+A unit draws its stream in one order: f and g, then the delays
+(``draw_channel``), then per frame the labels (none for a differential
+chain's reference frame) and, with noise on, ``relaysim.frame_noise``. The
+pipeline stages and the decoders are pure functions of these draws.
+
 ``run_sweep`` builds its state once per call: it reads the code (a built-in
 name or the code file as it is at call time), checks its feasibility,
 derives its schedule and, in differential mode, builds and verifies its
-codebook, then builds the link's tables (``relaysim.LinkTables``) and one
+codebook, then builds the link's tables (``relaysim.LinkTables``), in
+coherent mode the delay rotations (``decoder.rotation_table``), and one
 engine per power point. Pool workers receive those engines once, when the
 pool starts. Nothing else is kept between sweeps but the two most recent
 decoders of ``decoder.coherent_decoder``, where a fallback unit finds its own.
@@ -58,7 +64,7 @@ from .differential import (
     verify_commutation,
     verify_scaled_unitary,
 )
-from .relaysim import LinkConfig, LinkTables, PowerConfig, draw_channel, link_tables, run_frame
+from .relaysim import LinkConfig, LinkTables, PowerConfig, draw_channel, frame_noise, link_tables, run_frame
 
 __all__ = [
     "BerPoint",
@@ -291,12 +297,14 @@ class _CoherentEngine:
     ``decoder.coherent_decoder`` of the code and gain decides every
     subcarrier of a frame at once."""
 
-    def __init__(self, cfg: SimConfig, code: CodeDefinition, schedule: RelaySchedule, link: LinkConfig, tables: LinkTables):
+    def __init__(self, cfg: SimConfig, code: CodeDefinition, schedule: RelaySchedule, link: LinkConfig,
+                 tables: LinkTables, rotations: np.ndarray):
         self.cfg = cfg
         self.code = code
         self.schedule = schedule
         self.link = link
         self.tables = tables
+        self.rotations = rotations
         self.decoder = _decoder.coherent_decoder(code, self.link.power.cascade_gain)
         self.bits_per_unit = sum(code.bits_per_group()) * cfg.n_fft
         sizes = [t.shape[0] for t in code.alphabet]
@@ -323,11 +331,12 @@ class _CoherentEngine:
         cfg = self.cfg
         channel = draw_channel(rng, self.code.num_relays, cfg.cp_len, cfg.delays)
         tx, frame = self._draw_frame(rng)
-        received = run_frame(frame, self.schedule, channel, self.link, cfg.noise, rng, tables=self.tables)
+        noise = frame_noise(rng, self.schedule, self.link) if cfg.noise else None
+        received = run_frame(frame, self.schedule, channel, self.link, noise, tables=self.tables)
 
-        h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft, tables=self.tables)
-        cov = _decoder.noise_covariance(self.schedule, channel, self.link)
-        w2 = _decoder.whitening_weights(cov)
+        h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft, rotations=self.rotations)
+        var = _decoder.noise_covariance(self.schedule, channel, self.link)
+        w2 = 1.0 / var
         if self._gap(h_all, w2) > _decoder._ORTHOGONALITY_TOL:
             if not self._warned:
                 warnings.warn(
@@ -337,8 +346,8 @@ class _CoherentEngine:
                 )
                 self._warned = True
             # perfbench's traced run counts fallback units by these two calls
-            h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft, tables=self.tables)
-            model = _decoder.SubcarrierModel(h_all, cov, self.link.power.cascade_gain)
+            h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft, rotations=self.rotations)
+            model = _decoder.SubcarrierModel(h_all, var, self.link.power.cascade_gain)
             decided = self.decoder.indices(_decoder.ml_decode_exhaustive(received, model, self.code))
         else:
             decided = self.decoder.grouped(received, h_all, w2)
@@ -366,13 +375,15 @@ class _DifferentialEngine:
         cfg = self.cfg
         channel = draw_channel(rng, self.code.num_relays, cfg.cp_len, cfg.delays)
         state = initial_state(self.code.symbol_count, cfg.n_fft)
-        y_prev = run_frame(state.symbols, self.schedule, channel, self.link, cfg.noise, rng, tables=self.tables)
+        noise = frame_noise(rng, self.schedule, self.link) if cfg.noise else None
+        y_prev = run_frame(state.symbols, self.schedule, channel, self.link, noise, tables=self.tables)
         scales_rx = np.ones(cfg.n_fft)
         errors = 0
         for _ in range(cfg.diff_chain - 1):
             tx = rng.integers(0, self.codebook.num_words, size=cfg.n_fft)
             state = diff_encode(state, tx, self.codebook)
-            y_now = run_frame(state.symbols, self.schedule, channel, self.link, cfg.noise, rng, tables=self.tables)
+            noise = frame_noise(rng, self.schedule, self.link) if cfg.noise else None
+            y_now = run_frame(state.symbols, self.schedule, channel, self.link, noise, tables=self.tables)
             decided, scales_rx = diff_decode_frame(y_now, y_prev, scales_rx, self.codebook)
             errors += int(self._popcount[np.bitwise_xor(tx, decided)].sum())
             y_prev = y_now
@@ -381,8 +392,8 @@ class _DifferentialEngine:
 
 def _sweep_engines(cfg: SimConfig) -> list:
     """Validate ``cfg`` once and build the engine of every power point, in
-    ascending order; all of them share one code, schedule, codebook and
-    ``LinkTables``."""
+    ascending order; all of them share one code, schedule, codebook,
+    ``LinkTables`` and, in coherent mode, rotation table."""
     code, schedule = _validate(cfg)
     codebook = _verified_codebook(code) if cfg.mode == "differential" else None
     links = []
@@ -393,9 +404,10 @@ def _sweep_engines(cfg: SimConfig) -> list:
             raise ConfigError(str(exc)) from exc
         except OverflowError as exc:
             raise ConfigError(f"power {p_db!r} dB is out of range") from exc
-    tables = link_tables(schedule, cfg.n_fft, cfg.cp_len, cfg.delays)
+    tables = link_tables(schedule, cfg.n_fft, cfg.cp_len)
     if codebook is None:
-        return [_CoherentEngine(cfg, code, schedule, link, tables) for link in links]
+        rotations = _decoder.rotation_table(cfg.n_fft, cfg.cp_len, cfg.delays)
+        return [_CoherentEngine(cfg, code, schedule, link, tables, rotations) for link in links]
     return [_DifferentialEngine(cfg, code, schedule, link, codebook, tables) for link in links]
 
 

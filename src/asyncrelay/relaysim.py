@@ -32,13 +32,12 @@ in slot order, so a relay's rows are one slice. Forwarding and front-end
 realignment are exact sample permutations, signs of +/-1 and conjugations,
 so each runs as one gather through the index tables of ``LinkTables``
 instead of a loop over slots and relays. A sweep builds its
-``LinkTables`` once, with the delay rotations of the flat model, and
-hands them to every frame; called without them, each stage builds its
-own gather with the same function. Noise is drawn in one
-``standard_normal`` call per array, the stream of separate real and
-imaginary draws: the relays' call still draws every (relay, block), so
-the stream does not depend on which rows are forwarded. Received signals
-are added to the noise in place.
+``LinkTables`` once and hands them to every frame; called without them,
+each stage builds its own gather with the same function. Noise is an
+input: ``frame_noise`` draws a frame's relay and destination noise, and
+``relay_receive``, ``destination_receive`` and ``run_frame`` add the
+arrays they are given (``noise=None`` is the noiseless link), so every
+stage is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -57,10 +56,10 @@ __all__ = [
     "LinkTables",
     "PowerConfig",
     "complex_noise",
-    "delay_phases",
     "destination_frontend",
     "destination_receive",
     "draw_channel",
+    "frame_noise",
     "link_tables",
     "relay_process",
     "relay_receive",
@@ -146,9 +145,10 @@ class ChannelRealization:
     delays: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.source_to_relay, dtype=complex)
-        g = np.asarray(self.relay_to_dest, dtype=complex)
-        d = np.asarray(self.delays)
+        # copies: freezing the fields must not freeze the caller's arrays
+        f = np.array(self.source_to_relay, dtype=complex)
+        g = np.array(self.relay_to_dest, dtype=complex)
+        d = np.array(self.delays)
         if d.size and d.dtype.kind not in "iu":
             raise ValueError(f"delays must be integers, got {self.delays!r}")
         d = d.astype(int, copy=False)
@@ -159,10 +159,8 @@ class ChannelRealization:
         taus = d.tolist()  # R Python ints: cheaper to check than array reductions
         if taus[0] != 0:
             raise ValueError("delays[0] must be 0 (first relay sets the timing origin)")
-        if any(b < a for a, b in zip(taus, taus[1:])):
+        if any(b < a for a, b in zip(taus, taus[1:])):  # so, from 0, none is negative
             raise ValueError("delays must be non-decreasing")
-        if any(tau < 0 for tau in taus):
-            raise ValueError("delays must be non-negative")
         for field_name, value in (("source_to_relay", f), ("relay_to_dest", g), ("delays", d)):
             value.setflags(write=False)
             object.__setattr__(self, field_name, value)
@@ -191,6 +189,21 @@ def _unit_complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
     out.imag = imag
     out *= math.sqrt(0.5)
     return out
+
+
+def frame_noise(rng: np.random.Generator, schedule: RelaySchedule, cfg: LinkConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One frame's noise: the relay noise of each forwarding instruction,
+    (A, N + cp_len), then the destination noise, (T, N + cp_len).
+
+    This is the one definition of a frame's stream. The relays' noise is
+    drawn for every (relay, block) in one call over (R, nu, N + cp_len), so
+    the stream does not depend on which rows are forwarded, and the rows of
+    the schedule's forwarding table are kept; ``complex_noise`` over
+    (T, N + cp_len) follows for the destination.
+    """
+    table = schedule.forwarding
+    parts = rng.standard_normal((2, schedule.num_relays, schedule.num_blocks, cfg.symbol_len))[:, table.relays, table.blocks]
+    return _unit_complex(parts[0], parts[1]), complex_noise(rng, (schedule.num_slots, cfg.symbol_len))
 
 
 def draw_channel(
@@ -227,7 +240,7 @@ def source_transmit(frame: np.ndarray, schedule: RelaySchedule, cfg: LinkConfig)
             f"frame shape {frame.shape} does not match ({schedule.num_blocks}, {cfg.n_fft})"
         )
     # each block is transformed into the body of its symbol, and the prefix
-    # copied from the body's tail: ``spectral.add_cp`` of the blocks
+    # copied from the body's tail
     n, cp = cfg.n_fft, cfg.cp_len
     symbols = np.empty((schedule.num_blocks, n + cp), dtype=complex)
     for j, modulation in enumerate(schedule.source_modulation):
@@ -237,33 +250,18 @@ def source_transmit(frame: np.ndarray, schedule: RelaySchedule, cfg: LinkConfig)
     return symbols
 
 
-def delay_phases(n_fft: int, delays: np.ndarray) -> np.ndarray:
-    """Per-subcarrier delay rotations, shape (N, R): exp(-2j pi k tau / N)."""
-    delays = np.asarray(delays)
-    k = np.arange(n_fft)[:, None]
-    return np.exp(-2j * np.pi * k * delays[None, :] / n_fft)
-
-
 @dataclass(frozen=True, eq=False)
 class LinkTables:
-    """The index and rotation tables of a schedule on an (n_fft, cp_len)
-    link, which a sweep builds once (``link_tables``) and every frame reads."""
+    """The index tables of a schedule on an (n_fft, cp_len) link, which a
+    sweep builds once (``link_tables``) and every frame reads."""
 
     relay_gather: np.ndarray  # see _relay_gather
     frontend_gather: np.ndarray  # see _frontend_gather
-    # (N, span), read-only: column tau is delay_phases of delay tau, the same
-    # expression for each entry, so gathering columns reproduces it bit for bit
-    rotations: np.ndarray
 
 
-def link_tables(schedule: RelaySchedule, n_fft: int, cp_len: int, delays=None) -> LinkTables:
-    """The ``LinkTables`` of ``schedule``; the rotations cover the delays
-    below cp_len, which ``draw_channel`` draws, and those below n_fft up to
-    the largest of fixed ``delays``."""
-    largest = 0 if delays is None else max(delays, default=0)
-    rotations = delay_phases(n_fft, np.arange(min(n_fft, max(cp_len, largest + 1))))
-    rotations.setflags(write=False)
-    return LinkTables(_relay_gather(schedule, n_fft, cp_len), _frontend_gather(schedule, n_fft, cp_len), rotations)
+def link_tables(schedule: RelaySchedule, n_fft: int, cp_len: int) -> LinkTables:
+    """The ``LinkTables`` of ``schedule``."""
+    return LinkTables(_relay_gather(schedule, n_fft, cp_len), _frontend_gather(schedule, n_fft, cp_len))
 
 
 def _relay_gather(schedule: RelaySchedule, n_fft: int, cp_len: int) -> np.ndarray:
@@ -292,26 +290,33 @@ def _check_relays(schedule: RelaySchedule, channel: ChannelRealization) -> None:
         )
 
 
+def _add_noise(signal: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+    """``signal`` with ``noise`` added in place; the noise must have exactly
+    the signal's shape, as a broadcast row would be added to every row."""
+    if noise is not None:
+        if np.shape(noise) != signal.shape:
+            raise ValueError(f"noise of shape {np.shape(noise)} does not match the {signal.shape} signal")
+        signal += noise
+    return signal
+
+
 def relay_receive(
     symbols: np.ndarray,
     schedule: RelaySchedule,
     channel: ChannelRealization,
-    noise_on: bool = True,
-    rng: np.random.Generator | None = None,
+    noise: np.ndarray | None = None,
 ) -> np.ndarray:
     """Received block of each forwarding instruction, shape (A, N + cp_len).
 
     Row a is the block that row a of the schedule's forwarding table
-    forwards, as its relay received it: noise plus f_r times the source
-    symbol. The noise of every (relay, block) is drawn, in one call over
-    (R, nu, N + cp_len), so the stream does not depend on the schedule.
-    Only the forwarded rows of that draw are kept, and f_r times the source
-    symbol is formed only for them.
+    forwards, as its relay received it: f_r times the source symbol, formed
+    only for the forwarded rows, plus row a of ``noise`` (the relay noise
+    of ``frame_noise``; None for a noiseless link).
     """
     symbols = np.asarray(symbols, dtype=complex)
     _check_relays(schedule, channel)
     table = schedule.forwarding
-    num_blocks, symbol_len = symbols.shape
+    num_blocks = symbols.shape[0]
     if table.last_block >= num_blocks:
         for slot, instructions in enumerate(schedule.instructions):
             for relay, instr in enumerate(instructions):
@@ -320,17 +325,9 @@ def relay_receive(
                         f"slot {slot} tells relay {relay} to forward block {instr.block}, "
                         f"but only {num_blocks} blocks were received"
                     )
-    if noise_on and rng is None:
-        raise ValueError("noise_on requires a random generator")
     # the fading coefficient is the first operand, as in destination_receive
-    signal = channel.source_to_relay.take(table.relays)[:, None] * symbols.take(table.blocks, axis=0)
-    if not noise_on:
-        return signal
-    # complex_noise(rng, (R, nu, N + cp_len)) at the forwarded rows
-    parts = rng.standard_normal((2, channel.num_relays, num_blocks, symbol_len))[:, table.relays, table.blocks]
-    received = _unit_complex(parts[0], parts[1])
-    received += signal
-    return received
+    received = channel.source_to_relay.take(table.relays)[:, None] * symbols.take(table.blocks, axis=0)
+    return _add_noise(received, noise)
 
 
 def relay_process(
@@ -367,8 +364,7 @@ def destination_receive(
     transmitted: np.ndarray,
     schedule: RelaySchedule,
     channel: ChannelRealization,
-    noise_on: bool = True,
-    rng: np.random.Generator | None = None,
+    noise: np.ndarray | None = None,
 ) -> np.ndarray:
     """Superpose delayed relay transmissions per slot, shape (T, N + cp_len).
 
@@ -376,7 +372,8 @@ def destination_receive(
     by its relay's fading coefficient and added into its slot ``delays[i]``
     positions late within the slot window, relay after relay in ascending
     order; samples pushed past the window are dropped (the cyclic prefix of
-    the following symbol would swallow them for in-contract delays).
+    the following symbol would swallow them for in-contract delays). The
+    destination ``noise`` of ``frame_noise`` (or None) is added last.
     """
     transmitted = np.asarray(transmitted, dtype=complex)
     _check_relays(schedule, channel)
@@ -397,13 +394,7 @@ def destination_receive(
         tau = delays[relay]
         if tau < symbol_len:
             out[slots, tau:] += faded[rows, : symbol_len - tau]
-    if noise_on:
-        if rng is None:
-            raise ValueError("noise_on requires a random generator")
-        noisy = complex_noise(rng, out.shape)
-        noisy += out
-        return noisy
-    return out
+    return _add_noise(out, noise)
 
 
 def destination_frontend(
@@ -428,15 +419,16 @@ def run_frame(
     schedule: RelaySchedule,
     channel: ChannelRealization,
     cfg: LinkConfig,
-    noise_on: bool = False,
-    rng: np.random.Generator | None = None,
+    noise: tuple[np.ndarray, np.ndarray] | None = None,
     *,
     tables: LinkTables | None = None,
 ) -> np.ndarray:
-    """Full source -> relays -> destination pipeline for one frame; the
-    stages read their gathers from ``tables`` when given."""
+    """Full source -> relays -> destination pipeline for one frame, with the
+    ``noise`` pair of ``frame_noise`` (or None); the stages read their
+    gathers from ``tables`` when given."""
+    relay_noise, destination_noise = (None, None) if noise is None else noise
     symbols = source_transmit(frame, schedule, cfg)
-    received = relay_receive(symbols, schedule, channel, noise_on, rng)
+    received = relay_receive(symbols, schedule, channel, relay_noise)
     transmitted = relay_process(received, schedule, cfg, tables=tables)
-    raw = destination_receive(transmitted, schedule, channel, noise_on, rng)
+    raw = destination_receive(transmitted, schedule, channel, destination_noise)
     return destination_frontend(raw, schedule, cfg, tables=tables)

@@ -1,4 +1,4 @@
-"""Block transforms and cyclic-prefix primitives for OFDM symbols.
+"""Block transforms for OFDM symbols.
 
 All transforms use the unitary convention, i.e. a 1/sqrt(N) factor on both
 directions. That symmetric scaling is what makes conjugation swap the two
@@ -28,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "add_cp",
     "dft",
     "idft",
 ]
@@ -50,15 +49,4 @@ def dft(block: np.ndarray) -> np.ndarray:
 def idft(block: np.ndarray) -> np.ndarray:
     """Unitary inverse discrete Fourier transform along the last axis."""
     return np.fft.ifft(_checked(block), norm="ortho")
-
-
-def add_cp(block: np.ndarray, cp_len: int) -> np.ndarray:
-    """Prepend the last ``cp_len`` samples of the block as a cyclic prefix."""
-    x = np.asarray(block)
-    n = x.shape[-1]
-    if not 0 <= cp_len < n:
-        raise ValueError(f"cyclic prefix length {cp_len} must lie in [0, {n})")
-    if cp_len == 0:
-        return x.copy()
-    return np.concatenate((x[..., n - cp_len:], x), axis=-1)
 

@@ -40,6 +40,15 @@ def idft_direct(x: np.ndarray) -> np.ndarray:
     return out / math.sqrt(n)
 
 
+def add_cp(block: np.ndarray, cp_len: int) -> np.ndarray:
+    """Prepend the last ``cp_len`` samples of the block as a cyclic prefix."""
+    x = np.asarray(block)
+    n = x.shape[-1]
+    if not 0 <= cp_len < n:
+        raise ValueError(f"cyclic prefix length {cp_len} must lie in [0, {n})")
+    return np.concatenate((x[..., n - cp_len :], x), axis=-1)
+
+
 def reverse(block: np.ndarray) -> np.ndarray:
     """Circular index reversal: output n holds input (N - n) mod N, the body
     operation of a relay that time-reverses a cyclic-prefixed symbol."""
@@ -335,8 +344,8 @@ def equivalent_channel_exp(code, channel, n_fft: int) -> np.ndarray:
 
 
 def noise_covariance_loop(schedule, channel, cfg) -> np.ndarray:
-    """(T, T) diagonal noise covariance slot by slot: 1 plus the relay noise
-    power times the sum of |g|^2 over the slot's active relays."""
+    """(T,) slot noise variances slot by slot: 1 plus the relay noise power
+    times the sum of |g|^2 over the slot's active relays."""
     boost = cfg.power.relay_noise_power
     g_sq = np.abs(channel.relay_to_dest) ** 2
     diag = np.ones(schedule.num_slots)
@@ -344,7 +353,7 @@ def noise_covariance_loop(schedule, channel, cfg) -> np.ndarray:
         active = [relay for relay, instr in enumerate(row) if instr is not None]
         if active:
             diag[slot] += boost * g_sq[active].sum()
-    return np.diag(diag.astype(complex))
+    return diag
 
 
 def destination_receive_loop(transmitted: np.ndarray, channel, noise) -> np.ndarray:
@@ -428,3 +437,82 @@ def unpaired_groups_code():
 
     text = format_code_text(named_code("relay4_diff"))
     return parse_code_text(text.replace("0 2 | 1 3 | 4 6 | 5 7", "0 1 | 2 3 | 4 5 | 6 7"))
+
+
+def _symbol_vectors(coords: np.ndarray) -> np.ndarray:
+    """Complex symbol vectors (..., nu) of interleaved real coordinates."""
+    return coords[..., 0::2] + 1j * coords[..., 1::2]
+
+
+def _rank_and_det(code, differences: np.ndarray) -> tuple[int, float | None]:
+    """Smallest rank of X(d) over the (D, nu) symbol differences, and the
+    smallest det(X(d)^H X(d)) over those whose X(d) has full rank R (None if
+    none has)."""
+    from asyncrelay.codebook import codeword
+
+    words = codeword(code, differences)  # (D, T, R)
+    eigen = np.linalg.eigvalsh(np.conj(np.swapaxes(words, 1, 2)) @ words)  # ascending, (D, R)
+    ranks = np.sum(eigen > 1e-9 * eigen[:, -1:], axis=1)
+    full = ranks == code.num_relays
+    det = float(np.prod(eigen[full], axis=1).min()) if full.any() else None
+    return int(ranks.min()), det
+
+
+def cross_groups_orthogonal(code) -> bool:
+    """Whether A_c^H A_d + A_d^H A_c = 0 for the (T, R) dispersion matrices
+    A_c = X(e_c) of every pair of real coordinates c, d in different groups;
+    then X(d)^H X(d) is the sum of its groups' terms for any difference d."""
+    from asyncrelay.codebook import codeword
+
+    coords = np.eye(2 * code.symbol_count)
+    a = codeword(code, _symbol_vectors(coords))  # (2 nu, T, R)
+    group_of = {c: g for g, group in enumerate(code.group_partition) for c in group}
+    for c, d in itertools.combinations(range(len(a)), 2):
+        if group_of[c] != group_of[d]:
+            cross = np.conj(a[c]).T @ a[d] + np.conj(a[d]).T @ a[c]
+            if np.abs(cross).max() > 1e-12:
+                return False
+    return True
+
+
+def diversity(code, method: str = "auto") -> tuple[int, float | None]:
+    """Diversity order and smallest determinant of a code: the smallest rank
+    of X(s - s') over distinct code words s, s' (the rank criterion), and
+    the smallest det(X^H X) over the differences of full rank R (None when
+    no difference has full rank).
+
+    ``"brute"`` takes every pair of code words. ``"group"`` takes the
+    differences inside one group, the other groups' coordinates equal; it
+    needs ``cross_groups_orthogonal``. X^H X is then a sum of positive
+    semidefinite group terms, and such a sum has no smaller rank, nor a
+    smaller determinant, than any of its terms. So the smallest rank is
+    exact, and so is the determinant when that rank is full; otherwise the
+    determinant covers the single-group differences only. ``"auto"`` takes
+    the per-group method where it holds and brute force elsewhere.
+    """
+    if method == "auto":
+        method = "group" if cross_groups_orthogonal(code) else "brute"
+    width = 2 * code.symbol_count
+    if method == "brute":
+        coords = []
+        for choice in itertools.product(*(range(len(table)) for table in code.alphabet)):
+            point = np.zeros(width)
+            for g, group in enumerate(code.group_partition):
+                point[list(group)] = code.alphabet[g][choice[g]]
+            coords.append(point)
+        coords = np.array(coords)
+        first, second = np.triu_indices(len(coords), 1)
+        differences = coords[first] - coords[second]
+    elif method == "group":
+        if not cross_groups_orthogonal(code):
+            raise ValueError(f"code {code.name!r}: the groups are not orthogonal, use brute force")
+        differences = []
+        for group, table in zip(code.group_partition, code.alphabet):
+            for a, b in itertools.combinations(range(len(table)), 2):
+                point = np.zeros(width)
+                point[list(group)] = table[a] - table[b]
+                differences.append(point)
+        differences = np.array(differences)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return _rank_and_det(code, _symbol_vectors(differences))

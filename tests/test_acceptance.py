@@ -152,7 +152,7 @@ def test_criterion_03_pipeline_matches_flat_model(capsys):
                 delays = _inclusive_delays(rng, code.num_relays, cp)
                 channel = draw_channel(rng, code.num_relays, cp, delays)
                 frame = complex_noise(rng, (code.symbol_count, n))
-                got = run_frame(frame, schedule, channel, cfg, noise_on=False)
+                got = run_frame(frame, schedule, channel, cfg)
                 want = expected_subcarrier_rx(code, schedule, channel, cfg, frame)
                 worst = max(worst, float(np.abs(got - want).max()))
         assert worst < 1e-9
@@ -163,7 +163,7 @@ def test_criterion_03_pipeline_matches_flat_model(capsys):
         cfg = LinkConfig(n, cp, PowerConfig(10.0, 1.0, 0.25))
         channel = draw_channel(rng, 4, cp, (0, 0, 0, cp + n // 4))
         frame = complex_noise(rng, (4, n))
-        got = run_frame(frame, schedule, channel, cfg, noise_on=False)
+        got = run_frame(frame, schedule, channel, cfg)
         want = expected_subcarrier_rx(code, schedule, channel, cfg, frame)
         breakdown = float(np.abs(got - want).max())
         assert breakdown > 1e-3
@@ -188,11 +188,11 @@ def test_criterion_04_grouped_decoding_is_exact(capsys):
             for _ in range(1000):
                 channel = draw_channel(rng, code.num_relays, cp)
                 h = equivalent_channel_matrix(code, channel, n)[int(rng.integers(0, n))]
-                cov = noise_covariance(schedule, channel, cfg)
-                model = SubcarrierModel(h, cov, cfg.power.cascade_gain)
+                var = noise_covariance(schedule, channel, cfg)
+                model = SubcarrierModel(h, var, cfg.power.cascade_gain)
                 indices = _random_codeword_indices(rng, code, 1)
                 s = _frame_from_indices(code, indices, 1)[:, 0]
-                noise = np.sqrt(np.real(np.diag(cov))) * complex_noise(rng, code.slot_count)
+                noise = np.sqrt(var) * complex_noise(rng, code.slot_count)
                 y = model.gain * (codeword(code, s) @ h) + noise
                 a = ml_decode_grouped(y, model, code)
                 b = ml_decode_exhaustive(y, model, code)
@@ -253,11 +253,11 @@ def test_criterion_06_noiseless_chains_are_error_free(capsys):
             channel = draw_channel(rng, 4, cp, delays)
             tx = _random_codeword_indices(rng, code, n)
             frame = _frame_from_indices(code, tx, n)
-            y = run_frame(frame, schedule, channel, cfg, noise_on=False)
-            cov = noise_covariance(schedule, channel, cfg)
+            y = run_frame(frame, schedule, channel, cfg)
+            var = noise_covariance(schedule, channel, cfg)
             h_all = equivalent_channel_matrix(code, channel, n)
             for k in range(n):
-                model = SubcarrierModel(h_all[k], cov, cfg.power.cascade_gain)
+                model = SubcarrierModel(h_all[k], var, cfg.power.cascade_gain)
                 s_hat = ml_decode_grouped(y[:, k], model, code)
                 assert np.allclose(s_hat, frame[:, k], atol=1e-6)
             coherent_bits += 8 * n
@@ -272,12 +272,12 @@ def test_criterion_06_noiseless_chains_are_error_free(capsys):
             delays = _inclusive_delays(rng, 4, cp)
             channel = draw_channel(rng, 4, cp, delays)
             state = initial_state(4, n)
-            y_prev = run_frame(state.symbols, diff_schedule, channel, cfg, noise_on=False)
+            y_prev = run_frame(state.symbols, diff_schedule, channel, cfg)
             scales = np.ones(n)
             for _ in range(2):
                 tx = rng.integers(0, 256, size=n)
                 state = diff_encode(state, tx, codebook)
-                y_now = run_frame(state.symbols, diff_schedule, channel, cfg, noise_on=False)
+                y_now = run_frame(state.symbols, diff_schedule, channel, cfg)
                 rx, scales = diff_decode_frame(y_now, y_prev, scales, codebook)
                 assert np.array_equal(rx, tx)
                 y_prev = y_now

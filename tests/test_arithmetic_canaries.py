@@ -15,6 +15,8 @@ import numpy as np
 from asyncrelay import spectral
 from asyncrelay.relaysim import complex_noise, draw_channel
 
+from oracles import add_cp
+
 
 def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.uint64)
@@ -70,7 +72,20 @@ def test_a_transform_written_into_a_prefixed_buffer_equals_add_cp():
             buffer[j, cp:] = transform(frame[j])
         buffer[:, :cp] = buffer[:, n:]
         blocks = np.stack([transform(frame[j]) for j, transform in enumerate(transforms)])
-        assert _same_bits(buffer, spectral.add_cp(blocks, cp))
+        assert _same_bits(buffer, add_cp(blocks, cp))
+
+
+def test_adding_the_noise_into_the_signal_equals_adding_the_signal_into_the_noise():
+    # relaysim.relay_receive and destination_receive add the drawn noise into
+    # the signal in place; IEEE addition is commutative, part by part
+    rng = np.random.default_rng(93)
+    for shape in ((2, 6), (4, 80), (10, 1088)):
+        signal = complex_noise(rng, shape) * rng.uniform(0.01, 100.0)
+        noise = complex_noise(rng, shape)
+        into_signal, into_noise = signal.copy(), noise.copy()
+        into_signal += noise
+        into_noise += signal
+        assert _same_bits(into_signal, into_noise)
 
 
 def test_add_reduce_equals_sum():
@@ -79,16 +94,6 @@ def test_add_reduce_equals_sum():
     for count in range(1, 20):  # numpy sums pairwise from 8 terms on
         values = np.abs(complex_noise(rng, (6, count))) ** 2
         assert _same_bits(np.add.reduce(values, axis=1), values.sum(axis=1))
-
-
-def test_a_diagonal_filled_through_flat_equals_np_diag():
-    # decoder.noise_covariance fills its (T, T) diagonal through .flat
-    rng = np.random.default_rng(93)
-    for size in (1, 2, 4, 6, 8):
-        diagonal = 1.0 + rng.uniform(0.0, 40.0, size=size)
-        cov = np.zeros((size, size), dtype=complex)
-        cov.flat[:: size + 1] = diagonal
-        assert _same_bits(cov, np.diag(diagonal.astype(complex)))
 
 
 def test_a_gathered_fading_column_times_gathered_blocks_equals_the_rows_of_the_broadcast_product():
@@ -203,7 +208,7 @@ def test_a_product_with_a_non_c_contiguous_first_operand_equals_its_c_ordered_co
 
 
 def test_one_draw_of_both_parts_is_the_stream_of_two_draws():
-    # relaysim.complex_noise and relaysim.relay_receive draw the real and the
+    # relaysim.complex_noise and relaysim.frame_noise draw the real and the
     # imaginary parts in one standard_normal((2, *shape)) call
     for shape in ((4,), (5,), (4, 80), (6, 1088), (2, 2, 10), (4, 4, 80), (5, 6, 1088)):
         one_call, two_calls = np.random.default_rng(len(shape)), np.random.default_rng(len(shape))

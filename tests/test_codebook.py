@@ -1,6 +1,7 @@
 """Code definitions, feasibility classification and schedule derivation."""
 
 import dataclasses
+import itertools
 import math
 import pickle
 
@@ -28,6 +29,8 @@ from asyncrelay.codebook import (
     qpsk_pairs,
     row_sets,
 )
+
+from oracles import cross_groups_orthogonal, diversity, sheared_code
 
 
 def _as_complex(table):
@@ -348,3 +351,58 @@ class TestNamedCode:
     def test_infeasible_example_is_reachable_by_name(self):
         code = named_code("example1")
         assert not check_feasibility(row_sets(code))
+
+
+def _rotated(name: str):
+    """A built-in code; ``name@deg`` rotates its alphabet by deg degrees."""
+    name, _, degrees = name.partition("@")
+    return named_code(name, math.radians(float(degrees)) if degrees else DEFAULT_ROTATION)
+
+
+class TestDiversity:
+    """The rank criterion: a code's diversity order is the smallest rank of
+    X(s - s') over distinct code words, and its smallest determinant that of
+    X^H X over the differences of full rank."""
+
+    @pytest.mark.parametrize(
+        "name, rank, det",
+        [
+            ("alamouti", 2, 4.0),
+            ("relay4", 4, 0.64),
+            ("relay4@0", 2, 16.0),  # unrotated QPSK pairs
+            ("relay4_diff", 4, 256.0 / 81.0),
+            ("relay5", 1, None),
+        ],
+    )
+    def test_the_built_in_codes(self, name, rank, det):
+        code = _rotated(name)
+        assert cross_groups_orthogonal(code)
+        got_rank, got_det = diversity(code)
+        assert got_rank == rank
+        assert got_det is None if det is None else got_det == pytest.approx(det, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["alamouti", "relay4", "relay4@0", "relay4_diff"])
+    def test_the_per_group_method_equals_brute_force(self, name):
+        code = _rotated(name)
+        (group_rank, group_det), (brute_rank, brute_det) = diversity(code, "group"), diversity(code, "brute")
+        assert group_rank == brute_rank
+        assert group_det == pytest.approx(brute_det, rel=1e-12)
+
+    def test_groups_that_are_not_orthogonal_take_brute_force(self):
+        code = sheared_code()
+        assert not cross_groups_orthogonal(code)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            diversity(code, "group")
+        assert diversity(code) == diversity(code, "brute")
+
+    def test_relay5_is_capped_at_three_by_its_groups_and_brought_to_one_by_its_levels(self):
+        code = named_code("relay5")
+        for group, table in zip(code.group_partition, code.alphabet):
+            for a, b in itertools.combinations(range(len(table)), 2):
+                coords = np.zeros(2 * code.symbol_count)
+                coords[list(group)] = table[a] - table[b]
+                columns = np.flatnonzero(np.abs(codeword(code, coords[0::2] + 1j * coords[1::2])).sum(axis=0))
+                assert len(columns) <= 3  # a pair of relays and the fifth one
+                if np.array_equal(table[a][:2], table[b][:2]):  # the level alone differs
+                    assert columns.tolist() == [4]
+

@@ -26,10 +26,10 @@ from asyncrelay.decoder import (
     ml_decode_grouped,
     noise_covariance,
     real_to_complex,
-    whitening_weights,
+    rotation_table,
 )
 from asyncrelay.differential import build_codebook_4relay
-from asyncrelay.relaysim import ChannelRealization, LinkConfig, PowerConfig, complex_noise, draw_channel, link_tables
+from asyncrelay.relaysim import ChannelRealization, LinkConfig, PowerConfig, complex_noise, draw_channel
 
 from oracles import (
     equivalent_channel,
@@ -77,9 +77,9 @@ class TestChannelAssembly:
             schedule = derive_schedule(code)
             cfg = LinkConfig(16, 4, PowerConfig(9.0, 1.0, 1.0 / code.num_relays))
             channel = draw_channel(rng, code.num_relays, 4)
-            cov = noise_covariance(schedule, channel, cfg)
-            assert np.allclose(np.diag(cov), slot_noise_variances(code, schedule, channel, cfg))
-            assert np.allclose(cov, np.diag(np.diag(cov)))
+            var = noise_covariance(schedule, channel, cfg)
+            assert var.shape == (schedule.num_slots,)
+            assert np.allclose(var, slot_noise_variances(code, schedule, channel, cfg))
 
     def test_build_model_validates_subcarrier(self):
         rng = np.random.default_rng(1)
@@ -114,11 +114,11 @@ class TestTablesReproduceThePerUnitComputation:
     def test_equivalent_channel_with_drawn_delays(self, n, cp):
         rng = np.random.default_rng(n + cp)
         for code in _all_codes():
-            tables = link_tables(derive_schedule(code), n, cp)
+            rotations = rotation_table(n, cp)
             for _ in range(25):
                 channel = draw_channel(rng, code.num_relays, cp)
                 expected = equivalent_channel_exp(code, channel, n).view(float)
-                for got in (equivalent_channel_matrix(code, channel, n, tables=tables), equivalent_channel_matrix(code, channel, n)):
+                for got in (equivalent_channel_matrix(code, channel, n, rotations=rotations), equivalent_channel_matrix(code, channel, n)):
                     assert np.array_equal(got.view(float), expected)
 
     @pytest.mark.parametrize("n, cp", [(16, 4), (64, 16)])
@@ -128,9 +128,9 @@ class TestTablesReproduceThePerUnitComputation:
             for last in (cp + 1, 3 * cp, n - 1, n, n + cp, 5 * n):
                 delays = np.round(np.linspace(0, last, code.num_relays)).astype(int)
                 channel = draw_channel(rng, code.num_relays, cp, delays)
-                tables = link_tables(derive_schedule(code), n, cp, delays)
+                rotations = rotation_table(n, cp, delays)
                 expected = equivalent_channel_exp(code, channel, n).view(float)
-                for got in (equivalent_channel_matrix(code, channel, n, tables=tables), equivalent_channel_matrix(code, channel, n)):
+                for got in (equivalent_channel_matrix(code, channel, n, rotations=rotations), equivalent_channel_matrix(code, channel, n)):
                     assert np.array_equal(got.view(float), expected)
 
     def test_noise_covariance_equals_the_slot_loop(self):
@@ -164,22 +164,47 @@ class TestTablesReproduceThePerUnitComputation:
 class TestModelContract:
     def test_non_diagonal_covariance_rejected(self):
         cov = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
-        with pytest.raises(ValueError, match="diagonal"):
-            SubcarrierModel(channel=np.ones(2, dtype=complex), noise_cov=cov, gain=1.0)
+        with pytest.raises(ValueError, match="real"):
+            SubcarrierModel(channel=np.ones(2, dtype=complex), noise_var=cov, gain=1.0)
 
     def test_non_positive_variance_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            SubcarrierModel(channel=np.ones(2, dtype=complex), noise_cov=np.diag([1.0, 0.0]), gain=1.0)
+            SubcarrierModel(channel=np.ones(2, dtype=complex), noise_var=np.array([1.0, 0.0]), gain=1.0)
+
+    @pytest.mark.parametrize(
+        "noise_var, message",
+        [
+            (np.diag([4.0, 0.5]), r"\(T,\) vector"),  # the (T, T) form of the covariance
+            (np.array([4.0, 0.5], dtype=complex), "real"),
+            (np.array([4.0 + 0.5j, 0.5]), "real"),
+            (np.array([4.0, 0.0]), "finite and positive"),
+            (np.array([4.0, np.nan]), "finite and positive"),
+            (np.array([np.inf, 0.5]), "finite and positive"),
+            (np.array([-1.0, 0.5]), "finite and positive"),
+            (np.float64(2.0), r"\(T,\) vector"),
+        ],
+    )
+    def test_only_a_vector_of_positive_real_variances_is_accepted(self, noise_var, message):
+        with pytest.raises(ValueError, match=message):
+            SubcarrierModel(channel=np.ones(2, dtype=complex), noise_var=noise_var, gain=1.0)
 
     def test_weights_are_inverse_slot_variances(self):
-        model = SubcarrierModel(channel=np.ones(2, dtype=complex), noise_cov=np.diag([4.0, 0.5]), gain=1.0)
-        assert np.array_equal(whitening_weights(model.noise_cov), [0.25, 2.0])
+        model = SubcarrierModel(channel=np.ones(2, dtype=complex), noise_var=np.array([4.0, 0.5]), gain=1.0)
+        assert np.array_equal(1.0 / model.noise_var, [0.25, 2.0])
         assert model.channels.shape == (1, 2)
+
+    def test_the_callers_arrays_stay_writeable(self):
+        h, var = np.ones((3, 2), dtype=complex), np.array([4.0, 0.5])
+        model = SubcarrierModel(h, var, 1.0)
+        assert h.flags.writeable and var.flags.writeable
+        assert not model.channel.flags.writeable and not model.noise_var.flags.writeable
+        h[0, 0] = var[0] = 7.0
+        assert model.channel[0, 0] == 1.0 and model.noise_var[0] == 4.0
 
     @pytest.mark.parametrize("shape", [(4,), (4, 5), (3, 6), (4, 6, 1)])
     def test_observation_must_match_slots_and_subcarriers(self, shape):
         code = named_code("relay4")
-        model = SubcarrierModel(channel=np.ones((6, 4), dtype=complex), noise_cov=np.eye(4), gain=1.0)
+        model = SubcarrierModel(channel=np.ones((6, 4), dtype=complex), noise_var=np.ones(4), gain=1.0)
         y = np.zeros(shape, dtype=complex)
         for decode in (ml_decode_grouped, ml_decode_exhaustive):
             with pytest.raises(ValueError, match="observation shape"):
@@ -222,7 +247,7 @@ class TestDispersionStructure:
         for _ in range(5):
             h = complex_noise(rng, code.num_relays)
             variances = rng.uniform(1.0, 4.0, size=code.slot_count)
-            model = SubcarrierModel(h, np.diag(variances), 1.0)
+            model = SubcarrierModel(h, variances, 1.0)
             assert abs(decomposition_gap(code, model) - gram_gap(code, h, variances)) <= 1e-12
 
     def test_candidate_enumeration_is_lexicographic(self):
@@ -277,7 +302,7 @@ class TestDecoding:
             variances = rng.uniform(1.0, 4.0, size=code.slot_count)
             gain = rng.uniform(0.5, 3.0)
             y = complex_noise(rng, code.slot_count) * rng.uniform(0.5, 3.0)
-            decided = ml_decode_exhaustive(y, SubcarrierModel(h, np.diag(variances), gain), code)
+            decided = ml_decode_exhaustive(y, SubcarrierModel(h, variances, gain), code)
             expected = candidates[rows[exhaustive_ml(code, y, h, variances, gain)]]
             assert np.array_equal(decided, expected)
 
@@ -285,26 +310,26 @@ class TestDecoding:
         rng = np.random.default_rng(34)
         code = named_code("relay4")
         h_all = complex_noise(rng, (6, 4))
-        cov = 1.5 * np.eye(4)
+        var = np.full(4, 1.5)
         y = complex_noise(rng, (4, 6))
-        batch = SubcarrierModel(h_all, cov, 2.0)
+        batch = SubcarrierModel(h_all, var, 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the grouped search itself, no fallback
             grouped = ml_decode_grouped(y, batch, code)
         exhaustive = ml_decode_exhaustive(y, batch, code)
         assert grouped.shape == exhaustive.shape == (6, code.symbol_count)
         for k in range(6):
-            one = SubcarrierModel(h_all[k], cov, 2.0)
+            one = SubcarrierModel(h_all[k], var, 2.0)
             assert np.array_equal(grouped[k], ml_decode_grouped(y[:, k], one, code))
             assert np.array_equal(exhaustive[k], ml_decode_exhaustive(y[:, k], one, code))
-        per_subcarrier = max(decomposition_gap(code, SubcarrierModel(h, cov, 2.0)) for h in h_all)
+        per_subcarrier = max(decomposition_gap(code, SubcarrierModel(h, var, 2.0)) for h in h_all)
         assert decomposition_gap(code, batch) == pytest.approx(per_subcarrier, abs=1e-12)
 
     def test_all_tied_metrics_pick_the_first_candidate(self):
         code = named_code("relay4")
         model = SubcarrierModel(
             channel=np.zeros(4, dtype=complex),
-            noise_cov=np.eye(4, dtype=complex),
+            noise_var=np.ones(4),
             gain=1.0,
         )
         y = np.zeros(4, dtype=complex)
@@ -319,7 +344,7 @@ class TestDecoding:
         model, _, _, _ = _model_for(code, rng)
         y = complex_noise(rng, 4)
         scaled = SubcarrierModel(
-            channel=model.channel, noise_cov=model.noise_cov * 16.0, gain=model.gain * 4.0
+            channel=model.channel, noise_var=model.noise_var * 16.0, gain=model.gain * 4.0
         )
         assert np.allclose(
             ml_decode_grouped(y, model, code), ml_decode_grouped(4.0 * y, scaled, code)
@@ -330,7 +355,7 @@ class TestDecoding:
         code = sheared_code()
         rng = np.random.default_rng(40)
         h = complex_noise(rng, 2)
-        model = SubcarrierModel(channel=h, noise_cov=np.eye(2, dtype=complex), gain=1.0)
+        model = SubcarrierModel(channel=h, noise_var=np.ones(2), gain=1.0)
         assert decomposition_gap(code, model) > 1e-9
         y = complex_noise(rng, 2)
         with pytest.warns(UserWarning, match="exhaustive"):
@@ -541,7 +566,7 @@ class TestCompactTables:
         for n in (1, 16):
             h_all, y, w2 = _draw(rng, code, n)
             assert decoder.gap(h_all, w2) == 0.0
-            model = SubcarrierModel(h_all, np.diag(1.0 / w2), 1.0)
+            model = SubcarrierModel(h_all, 1.0 / w2, 1.0)
             assert decomposition_gap(code, model) == 0.0
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # no fallback

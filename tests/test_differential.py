@@ -209,12 +209,12 @@ class TestPipelineChain:
         for _ in range(4):
             channel = draw_channel(rng, 4, cp)
             state = initial_state(4, n)
-            y_prev = run_frame(state.symbols, schedule, channel, cfg, noise_on=False)
+            y_prev = run_frame(state.symbols, schedule, channel, cfg)
             scales = np.ones(n)
             for _ in range(10):
                 tx = rng.integers(0, 256, size=n)
                 state = diff_encode(state, tx, codebook)
-                y_now = run_frame(state.symbols, schedule, channel, cfg, noise_on=False)
+                y_now = run_frame(state.symbols, schedule, channel, cfg)
                 rx, scales = diff_decode_frame(y_now, y_prev, scales, codebook)
                 assert np.array_equal(rx, tx)
                 y_prev = y_now

@@ -23,7 +23,7 @@ from asyncrelay.decoder import (
     coherent_decoder,
     equivalent_channel_matrix,
     noise_covariance,
-    whitening_weights,
+    rotation_table,
 )
 from asyncrelay.differential import diff_decode_frame, diff_encode, initial_state
 from asyncrelay.harness import (
@@ -43,7 +43,7 @@ from asyncrelay.harness import (
     wilson_interval,
 )
 from asyncrelay.codebook import ScheduleError, derive_schedule, format_code_text, named_code
-from asyncrelay.relaysim import LinkConfig, draw_channel, link_tables, run_frame
+from asyncrelay.relaysim import LinkConfig, draw_channel, frame_noise, link_tables, run_frame
 
 from oracles import (
     diff_decisions,
@@ -243,7 +243,7 @@ def _engine(code, n_fft=16, cp_len=4, p_db=12.0):
     cfg = SimConfig(code=code.name, n_fft=n_fft, cp_len=cp_len)
     link = LinkConfig(n_fft, cp_len, harness._power_config(cfg, code, p_db))
     schedule = derive_schedule(code)
-    return _CoherentEngine(cfg, code, schedule, link, link_tables(schedule, n_fft, cp_len))
+    return _CoherentEngine(cfg, code, schedule, link, link_tables(schedule, n_fft, cp_len), rotation_table(n_fft, cp_len))
 
 
 class TestCoherentEngine:
@@ -255,7 +255,7 @@ class TestCoherentEngine:
         for _ in range(20):
             channel = draw_channel(rng, code.num_relays, engine.link.cp_len)
             h_all = equivalent_channel_matrix(code, channel, engine.link.n_fft)
-            variances = np.real(np.diag(noise_covariance(engine.schedule, channel, engine.link)))
+            variances = noise_covariance(engine.schedule, channel, engine.link)
             gap = engine._gap(h_all, 1.0 / variances)
             expected = max(gram_gap(code, h, variances) for h in h_all)
             assert abs(gap - expected) <= 1e-12
@@ -278,9 +278,9 @@ class TestCoherentEngine:
             rng = frame_rng(3, 0, unit)  # replay the unit's draws
             channel = draw_channel(rng, code.num_relays, cfg.cp_len, cfg.delays)
             tx, frame = engine._draw_frame(rng)
-            received = run_frame(frame, engine.schedule, channel, engine.link, cfg.noise, rng)
+            received = run_frame(frame, engine.schedule, channel, engine.link, frame_noise(rng, engine.schedule, engine.link))
             h_all = equivalent_channel_matrix(code, channel, cfg.n_fft)
-            variances = np.real(np.diag(noise_covariance(engine.schedule, channel, engine.link)))
+            variances = noise_covariance(engine.schedule, channel, engine.link)
             errors = 0
             for k in range(cfg.n_fft):
                 decided = exhaustive_ml(code, received[:, k], h_all[k], variances, gain)
@@ -303,9 +303,9 @@ class TestCoherentEngine:
             rng = frame_rng(cfg.seed, 0, unit)  # replay the unit's draws
             channel = draw_channel(rng, 1, cfg.cp_len, cfg.delays)
             tx, frame = engine._draw_frame(rng)
-            received = run_frame(frame, engine.schedule, channel, engine.link, cfg.noise, rng)
+            received = run_frame(frame, engine.schedule, channel, engine.link, frame_noise(rng, engine.schedule, engine.link))
             h_all = equivalent_channel_matrix(engine.code, channel, cfg.n_fft)
-            w2 = whitening_weights(noise_covariance(engine.schedule, channel, engine.link))
+            w2 = 1.0 / noise_covariance(engine.schedule, channel, engine.link)
             decided = engine.decoder.grouped(received, h_all, w2)
             errors += sum(bin(int(a) ^ int(b)).count("1") for a, b in zip(tx.ravel(), decided.ravel()))
             labels.extend(tx[:, 0])
@@ -356,13 +356,13 @@ class TestDifferentialEngine:
             rng = frame_rng(cfg.seed, 0, unit)  # replay the unit's draws
             channel = draw_channel(rng, 4, cfg.cp_len, cfg.delays)
             state = initial_state(4, cfg.n_fft)
-            y_prev = run_frame(state.symbols, engine.schedule, channel, engine.link, cfg.noise, rng)
+            y_prev = run_frame(state.symbols, engine.schedule, channel, engine.link, frame_noise(rng, engine.schedule, engine.link))
             scales = np.ones(cfg.n_fft)
             errors = 0
             for _ in range(cfg.diff_chain - 1):
                 tx = rng.integers(0, codebook.num_words, size=cfg.n_fft)
                 state = diff_encode(state, tx, codebook)
-                y_now = run_frame(state.symbols, engine.schedule, channel, engine.link, cfg.noise, rng)
+                y_now = run_frame(state.symbols, engine.schedule, channel, engine.link, frame_noise(rng, engine.schedule, engine.link))
                 decided = diff_decisions(y_now, y_prev, scales, engine.code)
                 assert np.array_equal(diff_decode_frame(y_now, y_prev, scales, codebook)[0], decided)
                 errors += sum(bin(int(a) ^ int(b)).count("1") for a, b in zip(tx, decided))
@@ -497,6 +497,17 @@ class TestSweepOwnedTables:
                     assert value.cache_info().currsize <= (2 if name == "coherent_decoder" else 0), where
                 if isinstance(value, dict):
                     assert not any(isinstance(v, np.ndarray) for v in value.values()), where
+
+    @pytest.mark.parametrize("mode,code,calls", [("differential", "relay4_diff", 0), ("coherent", "relay4", 1)])
+    def test_only_a_coherent_sweep_builds_delay_rotations(self, mode, code, calls, monkeypatch):
+        # the rotations belong to the flat model, which a differential sweep never forms
+        counted = []
+        for module in [m for name, m in sorted(sys.modules.items()) if name.partition(".")[0] == "asyncrelay"]:
+            original = getattr(module, "delay_phases", None)
+            if original is not None:  # every name that binds it, so no call goes uncounted
+                monkeypatch.setattr(module, "delay_phases", lambda *args, _f=original: counted.append(args) or _f(*args))
+        run_sweep(SimConfig(mode=mode, code=code, power_db=(10.0, 20.0), **FAST))
+        assert len(counted) == calls
 
     def test_a_sweep_past_the_prefix_leaves_a_later_sweep_as_it_runs_alone(self, tmp_path):
         fixed = SimConfig(n_fft=16, cp_len=4, power_db=(15.0,), frames=10, min_errors=0, delays=(0, 1, 2, 9), seed=5)

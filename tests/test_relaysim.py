@@ -15,6 +15,7 @@ from asyncrelay.relaysim import (
     destination_frontend,
     destination_receive,
     draw_channel,
+    frame_noise,
     relay_process,
     relay_receive,
     run_frame,
@@ -23,6 +24,7 @@ from asyncrelay.relaysim import (
 from asyncrelay import spectral
 
 from oracles import (
+    add_cp,
     complex_noise_two_calls,
     destination_receive_loop,
     expected_subcarrier_rx,
@@ -119,6 +121,15 @@ class TestChannelRealization:
             draw_channel(np.random.default_rng(0), 4, cp_len=4, delays=(0, 0.5, 1, 2))
         assert ChannelRealization(f, f, [0, np.int64(1)]).delays.tolist() == [0, 1]
 
+    def test_the_callers_arrays_stay_writeable(self):
+        f, d = np.ones(2, dtype=complex), np.array([0, 1])
+        channel = ChannelRealization(f, f, d)
+        assert f.flags.writeable and d.flags.writeable
+        for field in (channel.source_to_relay, channel.relay_to_dest, channel.delays):
+            assert not field.flags.writeable
+        f[0], d[1] = 5.0, 3
+        assert channel.source_to_relay[0] == channel.relay_to_dest[0] == 1.0 and channel.delays[1] == 1
+
 
 class TestDrawChannel:
     def test_random_delays_sorted_and_in_range(self):
@@ -154,8 +165,8 @@ class TestSourceTransmit:
         out = source_transmit(frame, schedule, cfg)
         assert out.shape == (2, 10)
         scale = math.sqrt(4.0)
-        assert np.allclose(out[0], scale * spectral.add_cp(spectral.idft(frame[0]), 2))
-        assert np.allclose(out[1], scale * spectral.add_cp(spectral.dft(frame[1]), 2))
+        assert np.allclose(out[0], scale * add_cp(spectral.idft(frame[0]), 2))
+        assert np.allclose(out[1], scale * add_cp(spectral.dft(frame[1]), 2))
         # prefix repeats the tail
         assert np.allclose(out[:, :2], out[:, -2:])
 
@@ -221,9 +232,10 @@ class TestRelayProcess:
         schedule = derive_schedule(named_code("relay4"))
         channel = draw_channel(np.random.default_rng(3), 4, cp_len=2)
         symbols = np.zeros((2, 10), dtype=complex)  # blocks 2 and 3 were never sent
-        for noise_on in (False, True):
+        relay_noise, _ = frame_noise(np.random.default_rng(4), schedule, LinkConfig(8, 2, PowerConfig(1.0)))
+        for noise in (None, relay_noise):
             with pytest.raises(ValueError, match="slot 0 tells relay 2 to forward block 2, but only 2 blocks"):
-                relay_receive(symbols, schedule, channel, noise_on, np.random.default_rng(4))
+                relay_receive(symbols, schedule, channel, noise)
 
     def test_row_count_mismatch_names_the_instruction_count(self):
         schedule = derive_schedule(named_code("relay5"))  # 10 of 30 (relay, slot) pairs forward
@@ -264,25 +276,28 @@ class TestNoiseAndReceiveArithmetic:
             symbols = source_transmit(frame, schedule, cfg)
             blocks = [spectral.dft(f) if m == "dft" else spectral.idft(f) for f, m in zip(frame, schedule.source_modulation)]
             assert np.array_equal(
-                _bits(symbols), _bits(cfg.power.source_scale * spectral.add_cp(np.array(blocks), cp))
+                _bits(symbols), _bits(cfg.power.source_scale * add_cp(np.array(blocks), cp))
             )
             clean = channel.source_to_relay[:, None, None] * symbols[None, :, :]
-            for noise_on in (True, False):
+            for noisy in (True, False):
                 a, b = np.random.default_rng(18), np.random.default_rng(18)
-                received = relay_receive(symbols, schedule, channel, noise_on, a)
-                expected = clean + complex_noise_two_calls(b, shape) if noise_on else clean
+                relay_noise, destination_noise = frame_noise(a, schedule, cfg) if noisy else (None, None)
+                received = relay_receive(symbols, schedule, channel, relay_noise)
+                expected = clean + complex_noise_two_calls(b, shape) if noisy else clean
                 assert np.array_equal(_bits(received), _bits(instruction_rows(expected, schedule, "block")))
                 transmitted = relay_process(received, schedule, cfg)
                 dense = relay_process_loop(expected, schedule, cfg)
                 assert np.array_equal(_bits(transmitted), _bits(instruction_rows(dense, schedule, "slot")))
                 assert not np.any(silent_rows(dense, schedule))
-                raw = destination_receive(transmitted, schedule, channel, noise_on, a)
-                noise = complex_noise_two_calls(b, (code.slot_count, n + cp)) if noise_on else None
+                raw = destination_receive(transmitted, schedule, channel, destination_noise)
+                noise = complex_noise_two_calls(b, (code.slot_count, n + cp)) if noisy else None
                 assert np.array_equal(_bits(raw), _bits(destination_receive_loop(dense, channel, noise)))
                 assert a.integers(1 << 62) == b.integers(1 << 62)  # both streams are at one place
 
     @pytest.mark.parametrize("name", LINK_CODES)
     def test_run_frame_leaves_the_stream_where_the_two_call_draws_do(self, name):
+        # frame_noise is the two-call draws of the relays' (R, nu, N + cp)
+        # noise, at the forwarded rows, and of the destination's (T, N + cp)
         code = _link_code(name)
         schedule = derive_schedule(code)
         n, cp = 16, 4
@@ -290,24 +305,30 @@ class TestNoiseAndReceiveArithmetic:
         channel = draw_channel(np.random.default_rng(5), code.num_relays, cp)
         frame = _random_frame(np.random.default_rng(6), code.symbol_count, n)
         a, b = np.random.default_rng(19), np.random.default_rng(19)
-        run_frame(frame, schedule, channel, cfg, noise_on=True, rng=a)
-        complex_noise_two_calls(b, (code.num_relays, code.symbol_count, n + cp))
-        complex_noise_two_calls(b, (code.slot_count, n + cp))
+        noise = frame_noise(a, schedule, cfg)
+        relay_noise = complex_noise_two_calls(b, (code.num_relays, code.symbol_count, n + cp))
+        destination_noise = complex_noise_two_calls(b, (code.slot_count, n + cp))
         assert np.array_equal(a.standard_normal(5), b.standard_normal(5))
+        assert np.array_equal(_bits(noise[0]), _bits(instruction_rows(relay_noise, schedule, "block")))
+        assert np.array_equal(_bits(noise[1]), _bits(destination_noise))
+        received = channel.source_to_relay[:, None, None] * source_transmit(frame, schedule, cfg)[None] + relay_noise
+        raw = destination_receive_loop(relay_process_loop(received, schedule, cfg), channel, destination_noise)
+        got = run_frame(frame, schedule, channel, cfg, noise)
+        assert np.array_equal(_bits(got), _bits(destination_frontend(raw, schedule, cfg)))
 
     def test_destination_needs_one_row_per_instruction(self):
         schedule = derive_schedule(named_code("alamouti"))  # 4 instructions
         ch = ChannelRealization(np.ones(2, dtype=complex), np.ones(2, dtype=complex), np.array([0, 1]))
         with pytest.raises(ValueError, match=r"shape \(2, 6\) needs one row per forwarding instruction .*\(4\)"):
-            destination_receive(np.ones((2, 6), dtype=complex), schedule, ch, noise_on=False)
+            destination_receive(np.ones((2, 6), dtype=complex), schedule, ch)
 
     def test_stages_reject_a_channel_with_other_relays(self):
         schedule = derive_schedule(named_code("alamouti"))
         ch = draw_channel(np.random.default_rng(0), 3, cp_len=2)
         with pytest.raises(ValueError, match="the channel has 3 relays, the schedule 2"):
-            relay_receive(np.ones((2, 6), dtype=complex), schedule, ch, noise_on=False)
+            relay_receive(np.ones((2, 6), dtype=complex), schedule, ch)
         with pytest.raises(ValueError, match="the channel has 3 relays, the schedule 2"):
-            destination_receive(np.ones((4, 6), dtype=complex), schedule, ch, noise_on=False)
+            destination_receive(np.ones((4, 6), dtype=complex), schedule, ch)
 
 
 class TestDestinationReceive:
@@ -317,7 +338,7 @@ class TestDestinationReceive:
         t[1] = 10.0 * np.arange(1.0, 7.0)
         g = np.array([1.0 + 0j, 1j])
         ch = ChannelRealization(np.ones(2, dtype=complex), g, np.array([0, 2]))
-        out = destination_receive(t, _one_slot_schedule(2), ch, noise_on=False)
+        out = destination_receive(t, _one_slot_schedule(2), ch)
         expected = t[0].copy()
         expected[2:] += 1j * t[1, :4]
         assert np.allclose(out[0], expected)
@@ -328,7 +349,7 @@ class TestDestinationReceive:
         schedule = RelaySchedule(("idft",), (False, False), ((None, instr), (instr, instr)))
         t = np.arange(1.0, 19.0).reshape(3, 6).astype(complex)  # rows: (0, slot 1), (1, slot 0), (1, slot 1)
         ch = ChannelRealization(np.ones(2, dtype=complex), np.array([2.0 + 0j, 1j]), np.array([0, 1]))
-        out = destination_receive(t, schedule, ch, noise_on=False)
+        out = destination_receive(t, schedule, ch)
         assert np.array_equal(out[0], np.concatenate(([0.0], 1j * t[1, :5])))
         assert np.array_equal(out[1], 2.0 * t[0] + np.concatenate(([0.0], 1j * t[2, :5])))
 
@@ -342,7 +363,7 @@ class TestDestinationReceive:
         for relay, slot in ((1, 2), (2, 0), (2, 2)):
             dense[relay, slot] = 0.0
         ch = ChannelRealization(np.ones(3, dtype=complex), complex_noise(rng, 3), np.array([0, 1, 3]))
-        out = destination_receive(instruction_rows(dense, schedule, "slot"), schedule, ch, noise_on=False)
+        out = destination_receive(instruction_rows(dense, schedule, "slot"), schedule, ch)
         assert np.array_equal(_bits(out), _bits(destination_receive_loop(dense, ch, None)))
 
     def test_relay_zero_in_slots_that_are_not_contiguous_equals_the_loop(self):
@@ -365,15 +386,14 @@ class TestDestinationReceive:
         clean = ch.source_to_relay[:, None, None] * symbols[None, :, :]
         dense = relay_process_loop(clean, schedule, cfg)
         assert not np.any(silent_rows(dense, schedule))
-        for noise_on in (True, False):
-            a, b = np.random.default_rng(24), np.random.default_rng(24)
-            out = destination_receive(instruction_rows(dense, schedule, "slot"), schedule, ch, noise_on, a)
-            noise = complex_noise_two_calls(b, (3, n + cp)) if noise_on else None
+        for noisy in (True, False):
+            noise = complex_noise_two_calls(np.random.default_rng(24), (3, n + cp)) if noisy else None
+            out = destination_receive(instruction_rows(dense, schedule, "slot"), schedule, ch, noise)
             assert np.array_equal(_bits(out), _bits(destination_receive_loop(dense, ch, noise)))
         a, b = np.random.default_rng(25), np.random.default_rng(25)
         received = clean + complex_noise_two_calls(b, (2, 3, n + cp))
         raw = destination_receive_loop(relay_process_loop(received, schedule, cfg), ch, complex_noise_two_calls(b, (3, n + cp)))
-        out = run_frame(frame, schedule, ch, cfg, noise_on=True, rng=a)
+        out = run_frame(frame, schedule, ch, cfg, frame_noise(a, schedule, cfg))
         assert np.array_equal(_bits(out), _bits(destination_frontend(raw, schedule, cfg)))
 
     def test_delay_beyond_window_contributes_nothing(self):
@@ -381,20 +401,29 @@ class TestDestinationReceive:
         ch = ChannelRealization(
             np.ones(1, dtype=complex), np.ones(1, dtype=complex), np.array([0])
         )
-        base = destination_receive(t, _one_slot_schedule(1), ch, noise_on=False)
+        base = destination_receive(t, _one_slot_schedule(1), ch)
         assert np.allclose(base, 1.0)
         with pytest.raises(ValueError):
             ChannelRealization(np.ones(1, dtype=complex), np.ones(1, dtype=complex), np.array([7]))
 
-    def test_noise_requires_generator(self):
-        t = np.zeros((1, 6), dtype=complex)
-        ch = ChannelRealization(
-            np.ones(1, dtype=complex), np.ones(1, dtype=complex), np.array([0])
-        )
-        with pytest.raises(ValueError):
-            destination_receive(t, _one_slot_schedule(1), ch, noise_on=True, rng=None)
-        with pytest.raises(ValueError):
-            relay_receive(np.zeros((1, 6), dtype=complex), _one_slot_schedule(1), ch, noise_on=True, rng=None)
+    def test_stages_reject_noise_of_another_shape(self):
+        # without the check, a (1, N + cp) row would be added to every row
+        rng = np.random.default_rng(26)
+        schedule = derive_schedule(named_code("alamouti"))  # 4 instructions, 2 slots
+        cfg = LinkConfig(4, 2, PowerConfig(1.0))
+        ch = draw_channel(rng, 2, 2)
+        frame = _random_frame(rng, 2, 4)
+        relay_noise, destination_noise = frame_noise(rng, schedule, cfg)
+        symbols = source_transmit(frame, schedule, cfg)
+        for wrong in (relay_noise[:1], relay_noise[:, :-1], relay_noise[None], destination_noise):
+            with pytest.raises(ValueError, match=r"noise of shape .* does not match the \(4, 6\) signal"):
+                relay_receive(symbols, schedule, ch, wrong)
+        transmitted = relay_process(relay_receive(symbols, schedule, ch, relay_noise), schedule, cfg)
+        for wrong in (destination_noise[:1], destination_noise.T, relay_noise):
+            with pytest.raises(ValueError, match=r"noise of shape .* does not match the \(2, 6\) signal"):
+                destination_receive(transmitted, schedule, ch, wrong)
+        with pytest.raises(ValueError, match="noise of shape"):
+            run_frame(frame, schedule, ch, cfg, (destination_noise, relay_noise))
 
 
 class TestEndToEndIdentity:
@@ -410,7 +439,7 @@ class TestEndToEndIdentity:
         for _ in range(10):
             channel = draw_channel(rng, code.num_relays, cp)
             frame = _random_frame(rng, code.symbol_count, n)
-            got = run_frame(frame, schedule, channel, cfg, noise_on=False)
+            got = run_frame(frame, schedule, channel, cfg)
             want = expected_subcarrier_rx(code, schedule, channel, cfg, frame)
             assert np.max(np.abs(got - want)) < 1e-9
 
@@ -425,7 +454,7 @@ class TestEndToEndIdentity:
         delays[-1] = cp  # latest relay exactly one prefix late
         channel = draw_channel(rng, code.num_relays, cp, tuple(delays))
         frame = _random_frame(rng, code.symbol_count, n)
-        got = run_frame(frame, schedule, channel, cfg, noise_on=False)
+        got = run_frame(frame, schedule, channel, cfg)
         want = expected_subcarrier_rx(code, schedule, channel, cfg, frame)
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -438,7 +467,7 @@ class TestEndToEndIdentity:
         delays = (0, 0, 0, cp + n // 4)
         channel = draw_channel(rng, code.num_relays, cp, delays)
         frame = _random_frame(rng, code.symbol_count, n)
-        got = run_frame(frame, schedule, channel, cfg, noise_on=False)
+        got = run_frame(frame, schedule, channel, cfg)
         want = expected_subcarrier_rx(code, schedule, channel, cfg, frame)
         assert np.max(np.abs(got - want)) > 1e-3
 
@@ -450,10 +479,10 @@ class TestEndToEndIdentity:
         cfg = LinkConfig(n, cp, PowerConfig(8.0, 1.0, 0.25))
         channel = draw_channel(rng, code.num_relays, cp)
         frame = _random_frame(rng, code.symbol_count, n)
-        clean = run_frame(frame, schedule, channel, cfg, noise_on=False)
+        clean = run_frame(frame, schedule, channel, cfg)
         residuals = []
         for _ in range(150):
-            noisy = run_frame(frame, schedule, channel, cfg, noise_on=True, rng=rng)
+            noisy = run_frame(frame, schedule, channel, cfg, frame_noise(rng, schedule, cfg))
             residuals.append(noisy - clean)
         measured = np.mean(np.abs(np.stack(residuals)) ** 2, axis=(0, 2))
         expected = slot_noise_variances(code, schedule, channel, cfg)
@@ -465,6 +494,6 @@ class TestEndToEndIdentity:
         cfg = LinkConfig(16, 4, PowerConfig(5.0, 1.0, 0.5))
         channel = draw_channel(np.random.default_rng(1), 2, 4)
         frame = _random_frame(np.random.default_rng(2), 2, 16)
-        a = run_frame(frame, schedule, channel, cfg, noise_on=False)
-        b = run_frame(frame, schedule, channel, cfg, noise_on=False)
+        a = run_frame(frame, schedule, channel, cfg)
+        b = run_frame(frame, schedule, channel, cfg)
         assert np.array_equal(a, b)
