@@ -14,10 +14,10 @@ points of a sweep: every unfinished point keeps one batch in flight, so a
 pool always has other points' work queued while a point's stopping rule is
 applied, and the results stay byte-identical for any worker count.
 
-A unit draws its stream in one order: f and g, then the delays
-(``draw_channel``), then per frame the labels (none for a differential
-chain's reference frame) and, with noise on, ``relaysim.frame_noise``. The
-pipeline stages and the decoders are pure functions of these draws.
+A unit's whole stream is drawn by one function, ``_draw_unit``, whose
+docstring is the one statement of its order, before any stage runs; the
+engines' ``simulate``, the pipeline stages and the decoders are pure
+functions of these draws.
 
 ``run_sweep`` builds its state once per call: it reads the code (a built-in
 name or the code file as it is at call time), checks its feasibility,
@@ -32,6 +32,7 @@ decoders of ``decoder.coherent_decoder``, where a fallback unit finds its own.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 import warnings
@@ -64,7 +65,8 @@ from .differential import (
     verify_commutation,
     verify_scaled_unitary,
 )
-from .relaysim import LinkConfig, LinkTables, PowerConfig, draw_channel, frame_noise, link_tables, run_frame
+from .relaysim import (ChannelRealization, LinkConfig, LinkTables, PowerConfig, draw_channel, frame_noise, link_tables,
+                       run_frame)
 
 __all__ = [
     "BerPoint",
@@ -219,6 +221,9 @@ def _validate(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule]:
                 operator.index(value)  # a fractional value would run rounded down
             except TypeError:
                 raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    for p in cfg.power_db:
+        if isinstance(p, bool) or not isinstance(p, numbers.Real):  # numpy's real scalars are Real
+            raise ConfigError(f"power points must be real numbers, got {p!r}")
     if not cfg.power_db:
         raise ConfigError("power sweep is empty")
     if len(set(cfg.power_db)) != len(cfg.power_db):
@@ -283,6 +288,11 @@ def _verified_codebook(code: CodeDefinition) -> DifferentialCodebook:
     return codebook
 
 
+def _power_points(cfg: SimConfig) -> list[float]:
+    """The sweep's power points, ascending, as Python floats."""
+    return sorted(float(p) for p in cfg.power_db)
+
+
 def _power_config(cfg: SimConfig, code: CodeDefinition, p_db: float) -> PowerConfig:
     fraction = cfg.relay_fraction if cfg.relay_fraction is not None else 1.0 / code.num_relays
     return PowerConfig(
@@ -309,30 +319,24 @@ class _CoherentEngine:
         self.bits_per_unit = sum(code.bits_per_group()) * cfg.n_fft
         sizes = [t.shape[0] for t in code.alphabet]
         self._popcount = _popcount_table(max(sizes))
-        # a scalar bound when the alphabets are equal takes numpy's faster fill
-        self._label_bound = sizes[0] if len(set(sizes)) == 1 else np.array(sizes)[:, None]
+        # one frame of (G, N) labels, the stream of G per-group draws of N (each
+        # label takes one 32-bit output, as the alphabet sizes are powers of
+        # two); a scalar bound when the alphabets are equal takes numpy's faster fill
+        bound = sizes[0] if len(set(sizes)) == 1 else np.array(sizes)[:, None]
+        self.frame_labels = ((bound, (len(sizes), cfg.n_fft)),)
         self._warned = False
-
-    def _draw_frame(self, rng) -> tuple[np.ndarray, np.ndarray]:
-        """Per-group alphabet indices (N, G), drawn group by group, and the (nu, N) frame.
-
-        One (G, N) draw is the stream of G calls of N: each label takes one
-        32-bit output, as the alphabet sizes are powers of two.
-        """
-        tx = rng.integers(0, self._label_bound, size=(len(self.code.alphabet), self.cfg.n_fft)).T
-        return tx, self.decoder.symbols(tx).T
 
     def _gap(self, h_all: np.ndarray, w2: np.ndarray) -> float:
         """Largest cross-group whitened Gram entry; above the decoder's
         orthogonality tolerance the unit is decoded by exhaustive search."""
         return self.decoder.gap(h_all, w2)
 
-    def simulate(self, rng: np.random.Generator) -> tuple[int, int]:
+    def simulate(self, channel: ChannelRealization, frames: list) -> tuple[int, int]:
+        """Errors and bits of one unit from its draws (``_draw_unit``)."""
         cfg = self.cfg
-        channel = draw_channel(rng, self.code.num_relays, cfg.cp_len, cfg.delays)
-        tx, frame = self._draw_frame(rng)
-        noise = frame_noise(rng, self.schedule, self.link) if cfg.noise else None
-        received = run_frame(frame, self.schedule, channel, self.link, noise, tables=self.tables)
+        ((labels, noise),) = frames
+        tx = labels.T  # (N, G)
+        received = run_frame(self.decoder.symbols(tx).T, self.schedule, channel, self.link, noise, tables=self.tables)
 
         h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft, rotations=self.rotations)
         var = _decoder.noise_covariance(self.schedule, channel, self.link)
@@ -370,19 +374,19 @@ class _DifferentialEngine:
         self.tables = tables
         self.bits_per_unit = self.codebook.bits_per_word * cfg.n_fft * (cfg.diff_chain - 1)
         self._popcount = _popcount_table(self.codebook.num_words)
+        # the reference frame carries no labels; each data frame N code words
+        self.frame_labels = (None,) + ((self.codebook.num_words, cfg.n_fft),) * (cfg.diff_chain - 1)
 
-    def simulate(self, rng: np.random.Generator) -> tuple[int, int]:
+    def simulate(self, channel: ChannelRealization, frames: list) -> tuple[int, int]:
+        """Errors and bits of one unit from its draws (``_draw_unit``)."""
         cfg = self.cfg
-        channel = draw_channel(rng, self.code.num_relays, cfg.cp_len, cfg.delays)
         state = initial_state(self.code.symbol_count, cfg.n_fft)
-        noise = frame_noise(rng, self.schedule, self.link) if cfg.noise else None
+        (_, noise), *chain = frames
         y_prev = run_frame(state.symbols, self.schedule, channel, self.link, noise, tables=self.tables)
         scales_rx = np.ones(cfg.n_fft)
         errors = 0
-        for _ in range(cfg.diff_chain - 1):
-            tx = rng.integers(0, self.codebook.num_words, size=cfg.n_fft)
+        for tx, noise in chain:
             state = diff_encode(state, tx, self.codebook)
-            noise = frame_noise(rng, self.schedule, self.link) if cfg.noise else None
             y_now = run_frame(state.symbols, self.schedule, channel, self.link, noise, tables=self.tables)
             decided, scales_rx = diff_decode_frame(y_now, y_prev, scales_rx, self.codebook)
             errors += int(self._popcount[np.bitwise_xor(tx, decided)].sum())
@@ -397,7 +401,7 @@ def _sweep_engines(cfg: SimConfig) -> list:
     code, schedule = _validate(cfg)
     codebook = _verified_codebook(code) if cfg.mode == "differential" else None
     links = []
-    for p_db in sorted(cfg.power_db):
+    for p_db in _power_points(cfg):
         try:
             links.append(LinkConfig(cfg.n_fft, cfg.cp_len, _power_config(cfg, code, p_db)))
         except ValueError as exc:
@@ -419,6 +423,25 @@ def _init_pool(engines: list) -> None:
     _pool_engines = engines
 
 
+def _draw_unit(rng: np.random.Generator, engine) -> tuple[ChannelRealization, list]:
+    """The whole random stream of one unit, drawn before any stage runs.
+
+    This is the one definition of a unit's order: f and g, then the delays
+    (``draw_channel``); then, frame by frame, the labels,
+    ``rng.integers(0, bound, size)`` by the engine's ``frame_labels`` (none
+    for a differential chain's reference frame), and, with noise on, the
+    frame's ``relaysim.frame_noise``. Returns the channel and each frame's
+    (labels, noise), with None for what is not drawn.
+    """
+    cfg = engine.cfg
+    channel = draw_channel(rng, engine.code.num_relays, cfg.cp_len, cfg.delays)
+    frames = []
+    for spec in engine.frame_labels:
+        labels = None if spec is None else rng.integers(0, *spec)
+        frames.append((labels, frame_noise(rng, engine.schedule, engine.link) if cfg.noise else None))
+    return channel, frames
+
+
 def _chunk_task(args) -> tuple[int, int]:
     """Errors and bits of units [start, stop) of one point; a pool worker
     gets None for the engine and uses the one its pool started with."""
@@ -428,7 +451,7 @@ def _chunk_task(args) -> tuple[int, int]:
     errors = 0
     bits = 0
     for unit in range(start, stop):
-        e, b = engine.simulate(frame_rng(engine.cfg.seed, point_index, unit))
+        e, b = engine.simulate(*_draw_unit(frame_rng(engine.cfg.seed, point_index, unit), engine))
         errors += e
         bits += b
     return errors, bits
@@ -498,7 +521,7 @@ def _run_points(cfg: SimConfig, powers: list[float], dispatch) -> list[BerPoint]
 def run_sweep(cfg: SimConfig) -> list[BerPoint]:
     """Simulate every power point of the sweep, ascending, and return the curve."""
     engines = _sweep_engines(cfg)
-    powers = sorted(cfg.power_db)
+    powers = _power_points(cfg)
     if cfg.workers == 1:
         return _run_points(cfg, powers, lambda idx, ranges: [_chunk_task((engines[idx], idx, a, b)) for a, b in ranges])
     executor = ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_pool, initargs=(engines,))

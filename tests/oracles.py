@@ -444,13 +444,15 @@ def _symbol_vectors(coords: np.ndarray) -> np.ndarray:
     return coords[..., 0::2] + 1j * coords[..., 1::2]
 
 
-def _rank_and_det(code, differences: np.ndarray) -> tuple[int, float | None]:
+def _rank_and_det(code, differences: np.ndarray, columns=None) -> tuple[int, float | None]:
     """Smallest rank of X(d) over the (D, nu) symbol differences, and the
     smallest det(X(d)^H X(d)) over those whose X(d) has full rank R (None if
-    none has)."""
+    none has); ``columns`` (R,) multiplies column r of every X(d)."""
     from asyncrelay.codebook import codeword
 
     words = codeword(code, differences)  # (D, T, R)
+    if columns is not None:
+        words = words * np.asarray(columns)
     eigen = np.linalg.eigvalsh(np.conj(np.swapaxes(words, 1, 2)) @ words)  # ascending, (D, R)
     ranks = np.sum(eigen > 1e-9 * eigen[:, -1:], axis=1)
     full = ranks == code.num_relays
@@ -475,7 +477,7 @@ def cross_groups_orthogonal(code) -> bool:
     return True
 
 
-def diversity(code, method: str = "auto") -> tuple[int, float | None]:
+def diversity(code, method: str = "auto", columns=None) -> tuple[int, float | None]:
     """Diversity order and smallest determinant of a code: the smallest rank
     of X(s - s') over distinct code words s, s' (the rank criterion), and
     the smallest det(X^H X) over the differences of full rank R (None when
@@ -489,6 +491,11 @@ def diversity(code, method: str = "auto") -> tuple[int, float | None]:
     exact, and so is the determinant when that rank is full; otherwise the
     determinant covers the single-group differences only. ``"auto"`` takes
     the per-group method where it holds and brute force elsewhere.
+
+    ``columns``, an (R,) vector, multiplies column r of every X(s - s') by
+    its entry: the words X(s) diag(h) of one subcarrier, h a row of
+    ``equivalent_channel_matrix``. The per-group method still holds then,
+    as diag(h)^H (A_c^H A_d + A_d^H A_c) diag(h) = 0.
     """
     if method == "auto":
         method = "group" if cross_groups_orthogonal(code) else "brute"
@@ -515,4 +522,4 @@ def diversity(code, method: str = "auto") -> tuple[int, float | None]:
         differences = np.array(differences)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _rank_and_det(code, _symbol_vectors(differences))
+    return _rank_and_det(code, _symbol_vectors(differences), columns)

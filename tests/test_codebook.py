@@ -30,6 +30,9 @@ from asyncrelay.codebook import (
     row_sets,
 )
 
+from asyncrelay.decoder import equivalent_channel_matrix
+from asyncrelay.relaysim import draw_channel
+
 from oracles import cross_groups_orthogonal, diversity, sheared_code
 
 
@@ -394,6 +397,28 @@ class TestDiversity:
         with pytest.raises(ValueError, match="not orthogonal"):
             diversity(code, "group")
         assert diversity(code) == diversity(code, "brute")
+
+    @pytest.mark.parametrize("name", sorted(builtin_codes()))
+    def test_the_fades_and_delay_phases_of_a_subcarrier_leave_the_rank_unchanged(self, name):
+        # on subcarrier k of the asynchronous OFDM link the destination sees
+        # the words X(s) diag(h_k), h_k = f g e^(-2 pi i k tau / N) per relay
+        # (row k of equivalent_channel_matrix): nonzero fades times unit
+        # phases, so the rank criterion of X(s) carries over unchanged and
+        # the determinant scales by prod |h_k|^2
+        code = named_code(name)
+        rank, det = diversity(code)
+        rng = np.random.default_rng(61)
+        n_fft, cp_len = 16, 8
+        for _ in range(3):
+            channel = draw_channel(rng, code.num_relays, cp_len)
+            h_all = equivalent_channel_matrix(code, channel, n_fft)
+            for k in (0, 1, 5, 15):
+                got_rank, got_det = diversity(code, columns=h_all[k])
+                assert got_rank == rank
+                if det is None:
+                    assert got_det is None
+                else:
+                    assert got_det == pytest.approx(det * np.prod(np.abs(h_all[k]) ** 2), rel=1e-9)
 
     def test_relay5_is_capped_at_three_by_its_groups_and_brought_to_one_by_its_levels(self):
         code = named_code("relay5")

@@ -28,6 +28,7 @@ from asyncrelay.decoder import (
 from asyncrelay.differential import diff_decode_frame, diff_encode, initial_state
 from asyncrelay.harness import (
     _CoherentEngine,
+    _draw_unit,
     _sweep_engines,
     CSV_HEADER,
     BerPoint,
@@ -226,6 +227,25 @@ class TestConfigValidation:
         cfg = SimConfig(**{**FAST, "seed": np.int64(13)}, power_db=(20.0,), delays=tuple(np.array([0, 1, 1, 2])))
         assert _counts(run_sweep(cfg)) == _counts(run_sweep(SimConfig(**FAST, power_db=(20.0,), delays=(0, 1, 1, 2))))
 
+    @pytest.mark.parametrize("point", ["10", None, True, np.True_, 10 + 0j, (10.0,)])
+    def test_power_points_that_are_not_real_numbers_raise_config_error(self, point):
+        # a string or None ended in a TypeError, and True ran as 1 dB
+        with pytest.raises(ConfigError, match="power points must be real numbers"):
+            run_sweep(SimConfig(**FAST, power_db=(20.0, point)))
+
+    def test_numpy_and_integer_power_points_run_as_python_floats(self, tmp_path):
+        # numpy scalars were written as np.float64(10.0) into the CSV and the
+        # plot script, and parse_csv could not read that CSV back
+        floats = SimConfig(**FAST, power_db=(10.0, 20.0))
+        for powers in (tuple(np.arange(10.0, 21.0, 10.0)), (np.int64(20), np.float32(10.0)), (10, 20)):
+            points = run_sweep(dataclasses.replace(floats, power_db=powers))
+            assert [type(p.power_db) for p in points] == [float, float]
+            assert _counts(points) == _counts(run_sweep(floats))
+            emit_csv(points, tmp_path / "sweep.csv")
+            emit_plotscript(points, tmp_path / "sweep.gp")
+            assert [p.power_db for p in parse_csv(tmp_path / "sweep.csv")] == [10.0, 20.0]
+            assert "set xrange [9.0:21.0]" in (tmp_path / "sweep.gp").read_text()
+
     def test_fixed_delays_past_the_prefix_warn_and_still_simulate(self):
         cfg = SimConfig(power_db=(20.0, 30.0), delays=(0, 1, 2, 5), **FAST)
         with pytest.warns(UserWarning, match="cyclic prefix"):
@@ -268,16 +288,16 @@ class TestCoherentEngine:
         engine = _engine(code, n_fft=8, cp_len=2, p_db=6.0)
         cfg = engine.cfg
         gain = engine.link.power.cascade_gain
-        grouped = [engine.simulate(frame_rng(3, 0, unit)) for unit in range(4)]
+        grouped = [engine.simulate(*_draw_unit(frame_rng(3, 0, unit), engine)) for unit in range(4)]
         monkeypatch.setattr(_CoherentEngine, "_gap", lambda self, h_all, w2: 1.0)
         with pytest.warns(UserWarning, match="exhaustive"):
-            exhaustive = [engine.simulate(frame_rng(3, 0, unit)) for unit in range(4)]
+            exhaustive = [engine.simulate(*_draw_unit(frame_rng(3, 0, unit), engine)) for unit in range(4)]
         assert grouped == exhaustive
         oracle = []
         for unit in range(2 if name == "relay5" else 4):  # the oracle scans 4096 relay5 code words per subcarrier
             rng = frame_rng(3, 0, unit)  # replay the unit's draws
             channel = draw_channel(rng, code.num_relays, cfg.cp_len, cfg.delays)
-            tx, frame = engine._draw_frame(rng)
+            tx, frame = draw_frame_per_group(rng, code, cfg.n_fft)
             received = run_frame(frame, engine.schedule, channel, engine.link, frame_noise(rng, engine.schedule, engine.link))
             h_all = equivalent_channel_matrix(code, channel, cfg.n_fft)
             variances = noise_covariance(engine.schedule, channel, engine.link)
@@ -302,7 +322,7 @@ class TestCoherentEngine:
         for unit in range(3):
             rng = frame_rng(cfg.seed, 0, unit)  # replay the unit's draws
             channel = draw_channel(rng, 1, cfg.cp_len, cfg.delays)
-            tx, frame = engine._draw_frame(rng)
+            tx, frame = draw_frame_per_group(rng, engine.code, cfg.n_fft)
             received = run_frame(frame, engine.schedule, channel, engine.link, frame_noise(rng, engine.schedule, engine.link))
             h_all = equivalent_channel_matrix(engine.code, channel, cfg.n_fft)
             w2 = 1.0 / noise_covariance(engine.schedule, channel, engine.link)
@@ -319,7 +339,8 @@ class TestCoherentEngine:
         engine = _engine(code, n_fft=n_fft, cp_len=0)
         for unit in range(5):
             a, b = frame_rng(2, 0, unit), frame_rng(2, 0, unit)
-            tx, frame = engine._draw_frame(a)
+            tx = a.integers(0, *engine.frame_labels[0]).T
+            frame = engine.decoder.symbols(tx).T
             tx_ref, frame_ref = draw_frame_per_group(b, code, n_fft)
             assert np.array_equal(tx, tx_ref)
             assert np.array_equal(frame.real, frame_ref.real) and np.array_equal(frame.imag, frame_ref.imag)
@@ -368,8 +389,76 @@ class TestDifferentialEngine:
                 errors += sum(bin(int(a) ^ int(b)).count("1") for a, b in zip(tx, decided))
                 scales, y_prev = codebook.scales[decided], y_now
             counted.append((errors, engine.bits_per_unit))
-        assert counted == [engine.simulate(frame_rng(cfg.seed, 0, unit)) for unit in range(4)]
+        assert counted == [engine.simulate(*_draw_unit(frame_rng(cfg.seed, 0, unit), engine)) for unit in range(4)]
         assert sum(e for e, _ in counted) > 0
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+class TestUnitDraw:
+    """``_draw_unit`` draws a unit's whole stream before any stage runs,
+    in the order the engines used to interleave with their stages."""
+
+    @staticmethod
+    def _interleaved(rng, engine):
+        """The channel, then per frame the labels and the frame's noise, one
+        draw at a time: the engines' own order before the unit draw."""
+        cfg = engine.cfg
+        channel = draw_channel(rng, engine.code.num_relays, cfg.cp_len, cfg.delays)
+        frames = []
+        for index in range(cfg.diff_chain if cfg.mode == "differential" else 1):
+            if cfg.mode == "coherent":
+                labels = draw_frame_per_group(rng, engine.code, cfg.n_fft)[0].T
+            else:
+                labels = rng.integers(0, engine.codebook.num_words, size=cfg.n_fft) if index else None
+            frames.append((labels, frame_noise(rng, engine.schedule, engine.link) if cfg.noise else None))
+        return channel, frames
+
+    @pytest.mark.parametrize("noise", [True, False])
+    @pytest.mark.parametrize(
+        "mode,code,delays",
+        [
+            ("coherent", "alamouti", None),
+            ("coherent", "relay4", None),
+            ("coherent", "relay4", (0, 1, 1, 3)),
+            ("coherent", "relay5", None),
+            ("coherent", "unequal", None),
+            ("differential", "relay4_diff", None),
+            ("differential", "relay4_diff", (0, 0, 2, 4)),
+        ],
+    )
+    def test_the_unit_draw_equals_the_interleaved_draws(self, mode, code, delays, noise):
+        if code == "unequal":
+            engine = _engine(unequal_alphabet_code())
+            engine.cfg = dataclasses.replace(engine.cfg, noise=noise)
+        else:
+            cfg = SimConfig(mode=mode, code=code, n_fft=16, cp_len=4, power_db=(12.0,), delays=delays, noise=noise, diff_chain=4)
+            (engine,) = _sweep_engines(cfg)
+        for unit in range(3):
+            a, b = frame_rng(5, 0, unit), frame_rng(5, 0, unit)
+            channel, frames = _draw_unit(a, engine)
+            want_channel, want_frames = self._interleaved(b, engine)
+            for name in ("source_to_relay", "relay_to_dest", "delays"):
+                assert _same_bits(getattr(channel, name), getattr(want_channel, name))
+            assert len(frames) == len(want_frames) == (4 if mode == "differential" else 1)
+            for (labels, pair), (want_labels, want_pair) in zip(frames, want_frames):
+                assert (labels is None) == (want_labels is None) and (pair is None) == (not noise)
+                assert labels is None or _same_bits(labels, want_labels)
+                assert pair is None or all(_same_bits(x, y) for x, y in zip(pair, want_pair, strict=True))
+            assert a.integers(1 << 62) == b.integers(1 << 62)  # both streams are at one place
+
+    def test_a_unit_is_a_pure_function_of_its_draws(self):
+        for cfg in (
+            SimConfig(code="relay4", n_fft=16, cp_len=4, power_db=(8.0,)),
+            SimConfig(mode="differential", code="relay4_diff", n_fft=16, cp_len=4, power_db=(8.0,), diff_chain=3),
+        ):
+            (engine,) = _sweep_engines(cfg)
+            draws = _draw_unit(frame_rng(cfg.seed, 0, 0), engine)
+            assert engine.simulate(*draws) == engine.simulate(*draws)
+            assert engine.simulate(*draws)[0] > 0
 
 
 class TestReproducibility:
@@ -431,7 +520,7 @@ class TestReproducibility:
     def test_a_failing_batch_ends_the_sweep_and_cancels_queued_batches(self, monkeypatch, tmp_path):
         log = tmp_path / "units.log"
 
-        def simulate(engine, rng):
+        def simulate(engine, channel, frames):
             if engine.link.power.total_power == 1.0:  # the 0 dB point, dispatched first
                 raise RuntimeError("engine failure")
             with open(log, "a", encoding="utf-8") as fh:
