@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from configparser import ConfigParser
 from pathlib import Path
-from typing import get_args, get_type_hints
 
+from . import harness
 from .codebook import ScheduleError
 from .harness import (
     ConfigError,
@@ -31,51 +31,45 @@ _EXIT_OK = 0
 _EXIT_BAD_CONFIG = 2
 _EXIT_BAD_CODE = 3
 
+_ALIASES = {"n": "n_fft", "cp": "cp_len", "power": "power_db", "fixed_delays": "delays"}
+_HELP = {
+    "mode": "receiver type",
+    "code": "built-in code name or path to a code description file",
+    "n_fft": "subcarrier count (power of two)",
+    "cp_len": "cyclic prefix length in samples",
+    "power_db": "total power sweep in dB: start:step:stop, comma list, or a single value",
+    "frames": "minimum Monte Carlo units per point",
+    "min_errors": "keep simulating until this many bit errors",
+    "max_frames": "hard cap on units per point",
+    "seed": "master seed for all random streams",
+    "delays": "comma list of per-relay arrival offsets; omit to draw them randomly",
+    "noise": "disable relay and destination noise (pipeline checks)",
+    "workers": "worker processes for the simulation",
+    "source_fraction": "share of total power spent at the source",
+    "relay_fraction": "share of total power spent per relay (default: evenly split)",
+    "rotation_deg": "constellation rotation in degrees, for codes whose alphabets it changes",
+    "diff_chain": "frames per channel draw in differential mode",
+    "out": "output CSV path (a .gp plot script is written alongside)",
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per SimConfig field, ``--`` and its alias or name with ``-`` for
+    ``_`` (``--no-noise`` for the bool field); ``config_from_args`` parses the text."""
     parser = argparse.ArgumentParser(
         prog="simulate",
         description="Simulate bit error rates of a two-hop amplify-and-forward "
         "relay network with OFDM and distributed space-time coding.",
     )
     parser.add_argument("--config", metavar="FILE", help="key=value file supplying defaults")
-    parser.add_argument("--mode", choices=["coherent", "differential"], help="receiver type")
-    parser.add_argument("--code", help="built-in code name or path to a code description file")
-    parser.add_argument("--n", dest="n_fft", help="subcarrier count (power of two)")
-    parser.add_argument("--cp", dest="cp_len", help="cyclic prefix length in samples")
-    parser.add_argument(
-        "--power",
-        dest="power_db",
-        help="total power sweep in dB: start:step:stop, comma list, or a single value",
-    )
-    parser.add_argument("--frames", help="minimum Monte Carlo units per point")
-    parser.add_argument("--min-errors", help="keep simulating until this many bit errors")
-    parser.add_argument("--max-frames", help="hard cap on units per point")
-    parser.add_argument("--seed", help="master seed for all random streams")
-    parser.add_argument("--out", help="output CSV path (a .gp plot script is written alongside)")
-    parser.add_argument(
-        "--fixed-delays",
-        dest="delays",
-        help="comma list of per-relay arrival offsets; omit to draw them randomly",
-    )
-    parser.add_argument(
-        "--no-noise",
-        dest="noise",
-        action="store_const",
-        const="off",
-        help="disable relay and destination noise (pipeline checks)",
-    )
-    parser.add_argument("--workers", help="worker processes for the simulation")
-    parser.add_argument("--source-fraction", help="share of total power spent at the source")
-    parser.add_argument(
-        "--relay-fraction",
-        help="share of total power spent per relay (default: evenly split)",
-    )
-    parser.add_argument(
-        "--rotation-deg",
-        help="constellation rotation in degrees (default: spreads coordinates across pairs)",
-    )
-    parser.add_argument("--diff-chain", help="frames per channel draw in differential mode")
+    spellings = {name: alias for alias, name in _ALIASES.items()}
+    for name, kind in harness._FIELD_TYPES.items():
+        flag, options = spellings.get(name, name).replace("_", "-"), {}
+        if kind is bool:
+            flag, options = f"no-{flag}", dict(action="store_const", const="off")
+        elif name == "mode":
+            options = dict(choices=harness._MODES)
+        parser.add_argument(f"--{flag}", dest=name, help=_HELP[name], **options)
     return parser
 
 
@@ -92,62 +86,40 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = line.split("=", 1)
-        values[key.strip().lower().replace("-", "_")] = value.strip()
+        key = key.strip().lower().replace("-", "_")
+        values[_ALIASES.get(key, key)] = value.strip()
     return values
 
 
-def _parse_bool(value: str) -> bool:
-    low = value.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(value)
-
-
-def _field_type(hint):
-    """The value type of a SimConfig field: ``X | None`` gives X."""
-    args = [a for a in get_args(hint) if a is not type(None)]
-    return args[0] if len(args) < len(get_args(hint)) else hint
-
-
-_FIELD_TYPES = {name: _field_type(hint) for name, hint in get_type_hints(SimConfig).items()}
 _PARSERS = {
     int: int,
     float: float,
-    bool: _parse_bool,
+    bool: lambda text: ConfigParser.BOOLEAN_STATES[text.lower()],  # 1/0, true/false, yes/no, on/off
     str: str,
     tuple[float, ...]: parse_power_spec,
     tuple[int, ...]: parse_delay_spec,
 }
-_EXPECTED = {int: "an integer", float: "a number", bool: "a boolean"}
-_ALIASES = {"n": "n_fft", "cp": "cp_len", "power": "power_db", "fixed_delays": "delays"}
 
 
 def _coerce(key: str, value: str):
     """Parse a config file value or a flag's text into the type of SimConfig field ``key``."""
-    if key not in _FIELD_TYPES:
+    if key not in harness._FIELD_TYPES:
         raise ConfigError(f"unknown config key {key!r}")
-    kind = _FIELD_TYPES[key]
+    kind = harness._FIELD_TYPES[key]
     try:
         return _PARSERS[kind](value)
     except ConfigError:
         raise
-    except ValueError as exc:
-        raise ConfigError(f"{key} needs {_EXPECTED[kind]}, got {value!r}") from exc
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"{key} needs {harness._KINDS[kind][2]}, got {value!r}") from exc
 
 
 def config_from_args(args: argparse.Namespace) -> SimConfig:
     """Merge config file values and command line flags into a SimConfig."""
-    cfg = SimConfig()
-    if args.config:
-        updates = {}
-        for key, value in _read_config_file(args.config).items():
-            key = _ALIASES.get(key, key)
-            updates[key] = _coerce(key, value)
-        cfg = replace(cfg, **updates)
-    flags = {name: getattr(args, name) for name in _FIELD_TYPES}
-    return replace(cfg, **{name: _coerce(name, value) for name, value in flags.items() if value is not None})
+    values = {key: _coerce(key, text) for key, text in (_read_config_file(args.config) if args.config else {}).items()}
+    flags = {name: getattr(args, name) for name in harness._FIELD_TYPES}
+    values.update({name: _coerce(name, text) for name, text in flags.items() if text is not None})
+    return SimConfig(**values)
 
 
 def _print_table(points) -> None:

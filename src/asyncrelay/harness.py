@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
+import os
 import time
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import numpy.random  # imported here, so that forked pool workers inherit it
@@ -52,8 +53,8 @@ from .codebook import (
     ScheduleError,
     check_feasibility,
     derive_schedule,
-    load_code,
     named_code,
+    parse_code_text,
     row_sets,
 )
 from .differential import (
@@ -111,7 +112,8 @@ class SimConfig:
     but warned about, as they break the per-subcarrier model.
     ``relay_fraction`` defaults to 1/R for the chosen code. ``diff_chain`` is
     the number of frames sharing one channel draw in differential mode
-    (reference frame included).
+    (reference frame included). ``rotation_deg`` applies only to a code whose
+    alphabets it changes. The annotations are the schema ``_typed`` checks.
     """
 
     mode: str = "coherent"
@@ -131,6 +133,20 @@ class SimConfig:
     rotation_deg: float | None = None
     diff_chain: int = 2
     out: str | None = None
+
+
+_MODES = ("coherent", "differential")
+_HINTS = get_type_hints(SimConfig)
+_OPTIONAL = frozenset(name for name, hint in _HINTS.items() if type(None) in get_args(hint))
+_FIELD_TYPES = {name: get_args(hint)[0] if name in _OPTIONAL else hint for name, hint in _HINTS.items()}  # X of X | None
+# per value type: the values it takes (numpy's scalars count), their Python form and its name
+_KINDS = {
+    int: (numbers.Integral, int, "an integer"),
+    float: (numbers.Real, float, "a real number"),
+    bool: ((bool, np.bool_), bool, "a bool"),
+    str: ((str, os.PathLike), lambda v: v, "a str or path"),
+}
+_ENTRIES = {"power_db": "power points must be real numbers", "delays": "fixed delays must be integers"}
 
 
 @dataclass(frozen=True)
@@ -194,52 +210,67 @@ def parse_delay_spec(spec: str) -> tuple[int, ...]:
 
 
 def _resolve_code(cfg: SimConfig) -> CodeDefinition:
-    rotation = DEFAULT_ROTATION if cfg.rotation_deg is None else math.radians(cfg.rotation_deg)
+    """The configured code, a built-in or the code file as it reads now, at
+    the configured rotation; a rotation that is set must change its alphabets."""
+    rotations = [DEFAULT_ROTATION] if cfg.rotation_deg is None else [math.radians(cfg.rotation_deg) + t for t in (0.0, 1.0)]
     try:
-        return named_code(cfg.code, rotation)
-    except KeyError:
-        pass
-    try:
-        return load_code(cfg.code, rotation=rotation)
+        try:
+            code, *turned = [named_code(cfg.code, r) for r in rotations]
+        except KeyError:
+            text = Path(cfg.code).read_text(encoding="utf-8")
+            code, *turned = [parse_code_text(text, str(cfg.code), rotation=r) for r in rotations]
     except OSError as exc:
         raise ConfigError(f"code {cfg.code!r} is neither a built-in name nor a readable file") from exc
     except ValueError as exc:
         raise ConfigError(f"code file {cfg.code!r} is malformed: {exc}") from exc
+    if turned and all(map(np.array_equal, code.alphabet, turned[0].alphabet)):
+        raise ConfigError(f"rotation_deg does not apply to code {code.name!r}, whose alphabets no rotation changes")
+    return code
 
 
-_INTEGER_FIELDS = ("n_fft", "cp_len", "frames", "min_errors", "max_frames", "seed", "workers", "diff_chain")
+def _plain(value, kind, error: str):
+    """``value`` in the Python form of field type ``kind``; ConfigError
+    ``error`` for a value of another type: a bool is no number, nor a number a bool."""
+    accepts, form, _ = _KINDS[kind]
+    if isinstance(value, accepts) and isinstance(value, (bool, np.bool_)) == (kind is bool):
+        try:
+            return form(value)
+        except OverflowError:
+            error += " in the float range"
+    raise ConfigError(f"{error}, got {value!r}")
+
+
+def _typed(cfg: SimConfig) -> SimConfig:
+    """``cfg`` with every value in the Python form of its field's annotated type (a
+    list as a tuple); ConfigError, naming the field, for a value of another type."""
+    values = {}
+    for name, kind in _FIELD_TYPES.items():
+        value = getattr(cfg, name)
+        if value is None and name in _OPTIONAL:
+            continue
+        if get_origin(kind) is not tuple:
+            values[name] = _plain(value, kind, f"{name} must be {_KINDS[kind][2]}")
+        elif isinstance(value, (tuple, list)):
+            values[name] = tuple(_plain(v, get_args(kind)[0], f"{name}: {_ENTRIES[name]}") for v in value)
+        else:
+            raise ConfigError(f"{name} must be a tuple or list, got {value!r}")
+    return replace(cfg, **values)
 
 
 def _validate(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule]:
     """Check the configuration; return the code and its schedule."""
-    if cfg.mode not in ("coherent", "differential"):
+    cfg = _typed(cfg)
+    if cfg.mode not in _MODES:
         raise ConfigError(f"mode must be 'coherent' or 'differential', got {cfg.mode!r}")
-    integers = [(name, getattr(cfg, name)) for name in _INTEGER_FIELDS] + [("delays entry", d) for d in cfg.delays or ()]
-    for name, value in integers:
-        if value is not None:
-            try:
-                operator.index(value)  # a fractional value would run rounded down
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    for p in cfg.power_db:
-        if isinstance(p, bool) or not isinstance(p, numbers.Real):  # numpy's real scalars are Real
-            raise ConfigError(f"power points must be real numbers, got {p!r}")
     if not cfg.power_db:
         raise ConfigError("power sweep is empty")
     if len(set(cfg.power_db)) != len(cfg.power_db):
         raise ConfigError(f"power points must be distinct, got {cfg.power_db}")
-    if cfg.frames < 1:
-        raise ConfigError("frames must be at least 1")
-    if cfg.min_errors < 0:
-        raise ConfigError("min_errors cannot be negative")
+    for name, least in {"frames": 1, "min_errors": 0, "workers": 1, "seed": 0, "diff_chain": 2}.items():
+        if getattr(cfg, name) < least:
+            raise ConfigError(f"{name} must be at least {least}, got {getattr(cfg, name)}")
     if cfg.max_frames is not None and cfg.max_frames < cfg.frames:
         raise ConfigError("max_frames cannot be smaller than frames")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be at least 1")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
-    if cfg.diff_chain < 2:
-        raise ConfigError("diff_chain needs at least a reference frame and one data frame")
     if cfg.rotation_deg is not None and not math.isfinite(cfg.rotation_deg):
         raise ConfigError(f"rotation_deg must be finite, got {cfg.rotation_deg!r}")
     if cfg.out:  # the command line writes no files for an empty path
@@ -286,11 +317,6 @@ def _verified_codebook(code: CodeDefinition) -> DifferentialCodebook:
         if not report:
             raise ScheduleError(f"code {code.name!r} has no verified differential codebook: {report.detail}")
     return codebook
-
-
-def _power_points(cfg: SimConfig) -> list[float]:
-    """The sweep's power points, ascending, as Python floats."""
-    return sorted(float(p) for p in cfg.power_db)
 
 
 def _power_config(cfg: SimConfig, code: CodeDefinition, p_db: float) -> PowerConfig:
@@ -401,7 +427,7 @@ def _sweep_engines(cfg: SimConfig) -> list:
     code, schedule = _validate(cfg)
     codebook = _verified_codebook(code) if cfg.mode == "differential" else None
     links = []
-    for p_db in _power_points(cfg):
+    for p_db in sorted(cfg.power_db):
         try:
             links.append(LinkConfig(cfg.n_fft, cfg.cp_len, _power_config(cfg, code, p_db)))
         except ValueError as exc:
@@ -520,8 +546,9 @@ def _run_points(cfg: SimConfig, powers: list[float], dispatch) -> list[BerPoint]
 
 def run_sweep(cfg: SimConfig) -> list[BerPoint]:
     """Simulate every power point of the sweep, ascending, and return the curve."""
+    cfg = _typed(cfg)
     engines = _sweep_engines(cfg)
-    powers = _power_points(cfg)
+    powers = sorted(cfg.power_db)
     if cfg.workers == 1:
         return _run_points(cfg, powers, lambda idx, ranges: [_chunk_task((engines[idx], idx, a, b)) for a, b in ranges])
     executor = ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_pool, initargs=(engines,))

@@ -259,6 +259,101 @@ class TestConfigValidation:
             run_sweep(cfg)
 
 
+_PIPE = object()  # stands for the read end of a pipe holding a code's text
+
+
+class TestConfigSchema:
+    """Every SimConfig field is checked against its annotation before any
+    unit runs: no bool for a number, no string for a number or a bool, a str
+    or path for a name, and a tuple or list for a sweep."""
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("noise", "off"),  # ran with noise
+            ("noise", None),  # ran with noise off
+            ("seed", True),  # ran as seed 1
+            ("frames", True),
+            ("workers", True),
+            ("delays", (0, True)),
+            ("source_fraction", True),
+            ("relay_fraction", True),
+            ("rotation_deg", True),
+            ("source_fraction", "0.5"),  # these four ended in a TypeError
+            ("rotation_deg", "30"),
+            ("power_db", 10.0),
+            ("out", 5),
+            ("rotation_deg", 10**400),  # these two ended in an OverflowError
+            ("power_db", (10**400,)),
+            ("code", _PIPE),  # an int was opened as a file descriptor
+        ],
+    )
+    def test_a_value_of_the_wrong_type_raises_config_error_naming_its_field(self, name, value):
+        read_end, write_end = os.pipe()  # never fd 0-2: those are taken
+        try:
+            os.write(write_end, format_code_text(named_code("alamouti")).encode())
+            os.close(write_end)
+            if value is _PIPE:
+                value = read_end
+            with pytest.raises(ConfigError, match=f"^{name}"):
+                run_sweep(SimConfig(**{**FAST, "code": "alamouti", "power_db": (0.0,), name: value}))
+            os.fstat(read_end)  # still open
+        finally:
+            os.close(read_end)
+
+    def test_numpy_scalars_paths_and_lists_give_the_csv_of_the_plain_forms(self, tmp_path):
+        code = tmp_path / "pair.code"
+        code.write_text(format_code_text(named_code("alamouti")).replace("groups 0 1 | 2 3", "groups 0 2 | 1 3"))
+        plain = SimConfig(
+            code=str(code), n_fft=8, cp_len=2, power_db=(5.0, 10.0), frames=20, min_errors=4, max_frames=60,
+            seed=13, delays=(0, 1), noise=True, workers=1, source_fraction=1.0, relay_fraction=0.5,
+            rotation_deg=30.0, diff_chain=2, out=str(tmp_path / "plain.csv"),
+        )
+        numpy = SimConfig(
+            code=code, n_fft=np.int64(8), cp_len=np.int32(2), power_db=[np.float64(5.0), 10.0], frames=np.int64(20),
+            min_errors=np.uint8(4), max_frames=np.int16(60), seed=np.int64(13), delays=[np.int64(0), 1],
+            noise=np.True_, workers=np.int64(1), source_fraction=np.float64(1.0), relay_fraction=np.float64(0.5),
+            rotation_deg=np.float64(30.0), diff_chain=np.int8(2), out=tmp_path / "numpy.csv",
+        )
+        for cfg in (plain, numpy):
+            emit_csv(run_sweep(cfg), cfg.out)
+        assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        quiet = [dataclasses.replace(cfg, noise=flag) for cfg, flag in ((plain, False), (numpy, np.False_))]
+        assert _counts(run_sweep(quiet[0])) == _counts(run_sweep(quiet[1]))
+
+    @pytest.mark.parametrize(
+        "mode, code",
+        [("coherent", "alamouti"), ("differential", "relay4_diff"), ("coherent", "grid")],
+    )
+    def test_a_rotation_that_leaves_the_alphabets_unchanged_raises_config_error(self, mode, code, tmp_path, capsys):
+        # they ran, and gave the errors of the default rotation
+        if code == "grid":  # one group of four coordinates: a +/-sqrt(1/2) grid at any rotation
+            path = tmp_path / "grid.code"
+            path.write_text("2 2 1\ncolumn conj=0\n1 0\n0 1\ngroups 0 1 2 3\n")
+            code = str(path)
+        for rotation in (30.0, 0.0):
+            with pytest.raises(ConfigError, match="^rotation_deg does not apply"):
+                run_sweep(SimConfig(**{**FAST, "mode": mode, "code": code, "rotation_deg": rotation}))
+        assert cli_main(["--mode", mode, "--code", code, "--rotation-deg", "30", "--frames", "1"]) == 2
+        assert "rotation_deg does not apply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "code, counts",
+        [
+            ("relay4", [(232, 1280, 20), (69, 1280, 20)]),
+            ("relay5", [(553, 1920, 20), (292, 1920, 20)]),
+            ("pair", [(131, 640, 20), (77, 640, 20)]),
+        ],
+    )
+    def test_a_rotation_that_changes_the_alphabets_runs_as_before(self, code, counts, tmp_path):
+        if code == "pair":  # a file code with pair groups takes rotated QPSK
+            path = tmp_path / "pair.code"
+            path.write_text("2 2 1\ncolumn conj=0\n1 0\n0 1\ngroups 0 1 | 2 3\n")
+            code = str(path)
+        points = run_sweep(SimConfig(code=code, power_db=(5.0, 10.0), rotation_deg=30.0, **FAST))
+        assert [(p.bit_errors, p.bits, p.frames) for p in points] == counts
+
+
 def _engine(code, n_fft=16, cp_len=4, p_db=12.0):
     cfg = SimConfig(code=code.name, n_fft=n_fft, cp_len=cp_len)
     link = LinkConfig(n_fft, cp_len, harness._power_config(cfg, code, p_db))
@@ -739,6 +834,18 @@ class TestCli:
         path.write_text("1 1 1\ncolumn conj=0\n0\n")
         assert cli_main(["--code", str(path), "--power", "10", "--frames", "1"]) == 3
         assert "symbol 0 is sent by no relay" in capsys.readouterr().err
+
+    def test_the_parser_has_one_flag_per_field_and_the_readme_lists_each(self):
+        # the parser is built from SimConfig's annotations: this pins its surface and its docs
+        flags = {a.option_strings[0]: a.dest for a in build_parser()._actions if a.dest != "help"}
+        assert sorted(flags) == sorted(
+            "--config --mode --code --n --cp --power --frames --min-errors --max-frames --seed --out "
+            "--fixed-delays --no-noise --workers --source-fraction --relay-fraction --rotation-deg --diff-chain".split()
+        )
+        assert sorted(flags.values()) == sorted([f.name for f in dataclasses.fields(SimConfig)] + ["config"])
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| flag | meaning |", 1)[1].split("\n\n", 1)[0]
+        assert set(re.findall(r"`(--[a-z-]+)`", table)) == set(flags)
 
     def test_config_file_with_flag_overrides(self, tmp_path):
         conf = tmp_path / "run.conf"
