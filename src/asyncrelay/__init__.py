@@ -26,7 +26,7 @@ from .codebook import (
     named_code,
     row_sets,
 )
-from .decoder import SubcarrierModel, build_model, ml_decode_exhaustive, ml_decode_grouped
+from .decoder import CoherentDecoder, SubcarrierModel, build_model, ml_decode_exhaustive, ml_decode_grouped
 from .differential import DifferentialCodebook, build_codebook_4relay, diff_decode, diff_encode, verify_commutation
 from .harness import BerPoint, ConfigError, SimConfig, emit_csv, emit_plotscript, parse_csv, run_sweep
 from .relaysim import ChannelRealization, LinkConfig, PowerConfig, draw_channel, frame_noise, run_frame
@@ -38,6 +38,7 @@ __all__ = [
     "BerPoint",
     "ChannelRealization",
     "CodeDefinition",
+    "CoherentDecoder",
     "ConfigError",
     "DifferentialCodebook",
     "FeasibilityReport",

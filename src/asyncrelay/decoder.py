@@ -18,12 +18,13 @@ metric splits into independent per-group problems whenever the dispersion
 vectors of different groups are orthogonal under the real inner product.
 ``CoherentDecoder`` computes the largest cross-group Gram entry, the
 grouped search and the exhaustive search for all N subcarriers of a frame
-at once, one shared instance per code and gain (``coherent_decoder``);
-``decomposition_gap``, ``ml_decode_grouped`` and ``ml_decode_exhaustive``
-apply it to one ``SubcarrierModel``. Its second caller is differential
-decoding: ``differential.diff_decode_frame`` runs ``grouped`` over the
-codebook's pair code with the scaled previous block y^{t-1} / a_{t-1} as
-the channel and unit slot weights.
+at once, for one code and cascade gain. Its owner builds it once and passes
+it to every call: ``decomposition_gap``, ``ml_decode_grouped`` and
+``ml_decode_exhaustive`` apply a given decoder to one ``SubcarrierModel``,
+and no module keeps one, so nothing is kept between sweeps. Its second
+caller is differential decoding: ``differential.diff_decode_frame`` runs
+``grouped`` over the codebook's pair code with the scaled previous block
+y^{t-1} / a_{t-1} as the channel and unit slot weights.
 
 Each decoder proves group decodability once, with its gap's table. Slots
 with the same set of active relays form a class (``codebook.slot_classes``)
@@ -65,7 +66,6 @@ differ from the full tables'; the decisions still match.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -79,10 +79,8 @@ __all__ = [
     "CoherentDecoder",
     "SubcarrierModel",
     "build_model",
-    "coherent_decoder",
     "decomposition_gap",
     "delay_phases",
-    "dispersion_basis",
     "group_candidates",
     "full_candidates",
     "ml_decode_exhaustive",
@@ -95,12 +93,12 @@ _ORTHOGONALITY_TOL = 1e-9
 @dataclass(frozen=True)
 class SubcarrierModel:
     """Flat channel description used by the ML decoders: one subcarrier, or
-    N subcarriers that share the slot noise. Both arrays are copied, so
-    freezing them leaves the caller's arrays writeable."""
+    N subcarriers that share the slot noise. The cascade gain belongs to the
+    ``CoherentDecoder`` that decodes it. Both arrays are copied, so freezing
+    them leaves the caller's arrays writeable."""
 
     channel: np.ndarray  # (R,) equivalent channel vector, or (N, R)
     noise_var: np.ndarray  # (T,) slot noise variances, real and positive
-    gain: float  # cascaded signal coefficient
 
     def __post_init__(self):
         h = np.array(self.channel, dtype=complex)
@@ -186,14 +184,14 @@ def build_model(
     cfg: LinkConfig,
     subcarrier: int,
 ) -> SubcarrierModel:
-    """Assemble the flat model for one subcarrier index."""
+    """Assemble the flat model for one subcarrier index; its decoder is
+    ``CoherentDecoder(code, cfg.power.cascade_gain)``."""
     if not 0 <= subcarrier < cfg.n_fft:
         raise ValueError(f"subcarrier {subcarrier} out of range [0, {cfg.n_fft})")
     h_all = equivalent_channel_matrix(code, channel, cfg.n_fft)
     return SubcarrierModel(
         channel=h_all[subcarrier],
         noise_var=noise_covariance(schedule, channel, cfg),
-        gain=cfg.power.cascade_gain,
     )
 
 
@@ -210,28 +208,6 @@ def complex_to_real(symbols: np.ndarray) -> np.ndarray:
     out[..., 0::2] = symbols.real
     out[..., 1::2] = symbols.imag
     return out
-
-
-def dispersion_basis(code: CodeDefinition, h: np.ndarray) -> np.ndarray:
-    """Derivatives of X(s) @ h with respect to each real coordinate, (2*nu, T).
-
-    X(s) @ h = G @ s + Hc @ conj(s) with G (Hc) summing plain (conjugated)
-    columns, so coordinate 2j gives G[:, j] + Hc[:, j] and coordinate 2j+1
-    gives i * (G[:, j] - Hc[:, j]).
-    """
-    h = np.asarray(h, dtype=complex)
-    nu = code.symbol_count
-    plain = np.zeros((nu, nu), dtype=complex)
-    conj = np.zeros((nu, nu), dtype=complex)
-    for i, a in enumerate(code.relay_matrices):
-        if i in code.conjugated_columns:
-            conj = conj + h[i] * a
-        else:
-            plain = plain + h[i] * a
-    basis = np.empty((2 * nu, nu), dtype=complex)
-    basis[0::2] = (plain + conj).T
-    basis[1::2] = (1j * (plain - conj)).T
-    return basis
 
 
 def group_candidates(code: CodeDefinition) -> list[np.ndarray]:
@@ -318,15 +294,15 @@ class _Columns:
 def _gap_terms(code: CodeDefinition) -> np.ndarray:
     """Real coefficients of the cross-group Gram entries, (T, 2*R*R, X).
 
-    E[r] is relay r's (2*nu, T) dispersion basis, i.e. the dispersion
-    basis of the channel with h_r = 1 and every other entry 0. The
-    whitened Gram entry (m, n) on subcarrier k is
+    E[r] is relay r's (2*nu, T) dispersion basis: X(s) @ h is linear in
+    the real coordinates of s, and E[r, m] is column r of the code word at
+    unit coordinate m. The whitened Gram entry (m, n) on subcarrier k is
     Re sum_{r,s} h_r conj(h_s) sum_t w_t^2 E[r, m, t] conj(E[s, n, t]);
     only the X cross-group entries with m < n are kept (the Gram matrix
     is symmetric).
     """
     num_relays = code.num_relays
-    disp = np.stack([dispersion_basis(code, unit) for unit in np.eye(num_relays)])
+    disp = np.moveaxis(codeword(code, real_to_complex(np.eye(2 * code.symbol_count))), -1, 0)  # (R, 2*nu, T)
     group_of = np.empty(2 * code.symbol_count, dtype=int)
     for g, coords in enumerate(code.group_partition):
         group_of[list(coords)] = g
@@ -445,10 +421,6 @@ class CoherentDecoder:
         self._proof = _proof(code, gap_terms)
         self._full = None  # (index table, metric form) of the product alphabet
 
-    def _gram(self, h_all: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        """The kept cross-group whitened Gram entries (N, X), computed."""
-        return self._gap(h_all, w2)
-
     def gap(self, h_all: np.ndarray, w2: np.ndarray) -> float:
         """Largest cross-group whitened Gram entry over all subcarriers: 0.0
         where the code's proof covers ``w2``, computed everywhere else."""
@@ -458,7 +430,7 @@ class CoherentDecoder:
             w = w2.tolist()  # T Python floats: cheaper to compare than arrays
             if all(w[slot] == w[first] for slot, first in self._proof):
                 return 0.0
-        return float(np.abs(self._gram(h_all, w2)).max())
+        return float(np.abs(self._gap(h_all, w2)).max())
 
     def grouped(self, y: np.ndarray, h_all: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """Per-group alphabet indices (N, G), each group searched with every
@@ -488,19 +460,9 @@ class CoherentDecoder:
         return np.stack([np.abs(t - coords[..., list(g)]).sum(-1).argmin(-1) for g, t in tables], axis=-1)
 
 
-@functools.lru_cache(maxsize=2)
-def coherent_decoder(code: CodeDefinition, gain: float) -> CoherentDecoder:
-    """The shared decoder of a (code, gain) pair, kept for the two most
-    recent pairs (relay5's exhaustive table takes 7.1 MiB): the one table
-    kept between sweeps, as a fallback unit's ``ml_decode_exhaustive`` call
-    finds its engine's decoder here."""
-    return CoherentDecoder(code, gain)
-
-
-def decomposition_gap(code: CodeDefinition, model: SubcarrierModel) -> float:
+def decomposition_gap(decoder: CoherentDecoder, model: SubcarrierModel) -> float:
     """Largest cross-group real inner product of whitened dispersion vectors,
     over the model's subcarriers."""
-    decoder = coherent_decoder(code, model.gain)
     return decoder.gap(model.channels, 1.0 / model.noise_var)
 
 
@@ -515,15 +477,14 @@ def _decide(decoder: CoherentDecoder, search, y: np.ndarray, model: SubcarrierMo
     return decoder.symbols(indices).reshape(y.shape[1:] + (-1,))
 
 
-def ml_decode_exhaustive(y: np.ndarray, model: SubcarrierModel, code: CodeDefinition) -> np.ndarray:
+def ml_decode_exhaustive(y: np.ndarray, model: SubcarrierModel, decoder: CoherentDecoder) -> np.ndarray:
     """Whitened-ML symbol vector over the full product alphabet, (nu,) for a
     (T,) observation or (N, nu) for (T, N) and an (N, R) channel; ties
     resolve to the lexicographically first candidate in group-index order."""
-    decoder = coherent_decoder(code, model.gain)
     return _decide(decoder, decoder.exhaustive, y, model)
 
 
-def ml_decode_grouped(y: np.ndarray, model: SubcarrierModel, code: CodeDefinition) -> np.ndarray:
+def ml_decode_grouped(y: np.ndarray, model: SubcarrierModel, decoder: CoherentDecoder) -> np.ndarray:
     """Whitened-ML search run independently per coordinate group.
 
     Each group is minimised with every other group's coordinates at zero,
@@ -531,12 +492,11 @@ def ml_decode_grouped(y: np.ndarray, model: SubcarrierModel, code: CodeDefinitio
     products vanish; that premise is checked and a failed check falls back
     to the exhaustive search.
     """
-    decoder = coherent_decoder(code, model.gain)
-    if decomposition_gap(code, model) > _ORTHOGONALITY_TOL:
+    if decomposition_gap(decoder, model) > _ORTHOGONALITY_TOL:
         warnings.warn(
-            f"code {code.name!r}: group decomposition invalid for this channel; "
+            f"code {decoder.code.name!r}: group decomposition invalid for this channel; "
             "falling back to exhaustive search",
             stacklevel=2,
         )
-        return ml_decode_exhaustive(y, model, code)
+        return ml_decode_exhaustive(y, model, decoder)
     return _decide(decoder, decoder.grouped, y, model)

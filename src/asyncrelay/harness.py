@@ -24,9 +24,9 @@ name or the code file as it is at call time), checks its feasibility,
 derives its schedule and, in differential mode, builds and verifies its
 codebook, then builds the link's tables (``relaysim.LinkTables``), in
 coherent mode the delay rotations (``decoder.rotation_table``), and one
-engine per power point. Pool workers receive those engines once, when the
-pool starts. Nothing else is kept between sweeps but the two most recent
-decoders of ``decoder.coherent_decoder``, where a fallback unit finds its own.
+engine per power point, which in coherent mode builds its own
+``decoder.CoherentDecoder``. Pool workers receive those engines once, when
+the pool starts. Nothing is kept between sweeps.
 """
 
 from __future__ import annotations
@@ -329,9 +329,9 @@ def _power_config(cfg: SimConfig, code: CodeDefinition, p_db: float) -> PowerCon
 
 
 class _CoherentEngine:
-    """Per-point simulation state for coherent frames; the shared
-    ``decoder.coherent_decoder`` of the code and gain decides every
-    subcarrier of a frame at once."""
+    """Per-point simulation state for coherent frames; its own
+    ``decoder.CoherentDecoder`` of the code and the point's cascade gain
+    decides every subcarrier of a frame at once."""
 
     def __init__(self, cfg: SimConfig, code: CodeDefinition, schedule: RelaySchedule, link: LinkConfig,
                  tables: LinkTables, rotations: np.ndarray):
@@ -341,7 +341,7 @@ class _CoherentEngine:
         self.link = link
         self.tables = tables
         self.rotations = rotations
-        self.decoder = _decoder.coherent_decoder(code, self.link.power.cascade_gain)
+        self.decoder = _decoder.CoherentDecoder(code, self.link.power.cascade_gain)
         self.bits_per_unit = sum(code.bits_per_group()) * cfg.n_fft
         sizes = [t.shape[0] for t in code.alphabet]
         self._popcount = _popcount_table(max(sizes))
@@ -377,8 +377,8 @@ class _CoherentEngine:
                 self._warned = True
             # perfbench's traced run counts fallback units by these two calls
             h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft, rotations=self.rotations)
-            model = _decoder.SubcarrierModel(h_all, var, self.link.power.cascade_gain)
-            decided = self.decoder.indices(_decoder.ml_decode_exhaustive(received, model, self.code))
+            model = _decoder.SubcarrierModel(h_all, var)
+            decided = self.decoder.indices(_decoder.ml_decode_exhaustive(received, model, self.decoder))
         else:
             decided = self.decoder.grouped(received, h_all, w2)
         return int(self._popcount[np.bitwise_xor(tx, decided)].sum()), self.bits_per_unit

@@ -144,6 +144,47 @@ def gram_gap(code, h: np.ndarray, noise_var: np.ndarray) -> float:
     return worst
 
 
+def dispersion_basis_loop(code, h: np.ndarray) -> np.ndarray:
+    """Derivatives of X(s) @ h with respect to each real coordinate, (2*nu, T),
+    from the relay matrices: X(s) @ h = G @ s + Hc @ conj(s) with G (Hc)
+    summing plain (conjugated) columns, so coordinate 2j gives
+    G[:, j] + Hc[:, j] and coordinate 2j+1 gives i * (G[:, j] - Hc[:, j])."""
+    nu = code.symbol_count
+    plain = np.zeros((nu, nu), dtype=complex)
+    conj = np.zeros((nu, nu), dtype=complex)
+    for i, a in enumerate(code.relay_matrices):
+        if i in code.conjugated_columns:
+            conj = conj + h[i] * a
+        else:
+            plain = plain + h[i] * a
+    basis = np.empty((2 * nu, nu), dtype=complex)
+    basis[0::2] = (plain + conj).T
+    basis[1::2] = (1j * (plain - conj)).T
+    return basis
+
+
+def gap_terms_loop(code) -> np.ndarray:
+    """The (T, 2*R*R, X) cross-group Gram coefficient table in the layout of
+    ``decoder._gap_terms``, built from ``dispersion_basis_loop`` of every
+    unit channel: entry (t, r * R + s, x) holds Re, and entry
+    (t, R * R + r * R + s, x) minus Im, of E[r, m, t] conj(E[s, n, t]) for
+    the x-th cross-group pair m < n in row-major order."""
+    num_relays = code.num_relays
+    disp = [dispersion_basis_loop(code, unit) for unit in np.eye(num_relays)]
+    group_of = {c: g for g, coords in enumerate(code.group_partition) for c in coords}
+    pairs = [(m, n) for m in range(2 * code.symbol_count) for n in range(m + 1, 2 * code.symbol_count)
+             if group_of[m] != group_of[n]]
+    terms = np.zeros((code.slot_count, 2 * num_relays * num_relays, len(pairs)))
+    for t in range(code.slot_count):
+        for r in range(num_relays):
+            for s in range(num_relays):
+                for x, (m, n) in enumerate(pairs):
+                    value = disp[r][m, t] * np.conj(disp[s][n, t])
+                    terms[t, r * num_relays + s, x] = value.real
+                    terms[t, num_relays * num_relays + r * num_relays + s, x] = -value.imag
+    return terms
+
+
 def exhaustive_ml(code, y: np.ndarray, h: np.ndarray, noise_var: np.ndarray, gain: float) -> tuple[int, ...]:
     """Per-group alphabet indices of the whitened-ML code word at one
     subcarrier: every combination of group indices in lexicographic order,

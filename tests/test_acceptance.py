@@ -24,6 +24,7 @@ from asyncrelay.codebook import (
     row_sets,
 )
 from asyncrelay.decoder import (
+    CoherentDecoder,
     SubcarrierModel,
     equivalent_channel_matrix,
     ml_decode_exhaustive,
@@ -185,17 +186,18 @@ def test_criterion_04_grouped_decoding_is_exact(capsys):
             code = named_code(name)
             schedule = derive_schedule(code)
             cfg = LinkConfig(n, cp, PowerConfig(8.0, 1.0, 1.0 / code.num_relays))
+            decoder = CoherentDecoder(code, cfg.power.cascade_gain)
             for _ in range(1000):
                 channel = draw_channel(rng, code.num_relays, cp)
                 h = equivalent_channel_matrix(code, channel, n)[int(rng.integers(0, n))]
                 var = noise_covariance(schedule, channel, cfg)
-                model = SubcarrierModel(h, var, cfg.power.cascade_gain)
+                model = SubcarrierModel(h, var)
                 indices = _random_codeword_indices(rng, code, 1)
                 s = _frame_from_indices(code, indices, 1)[:, 0]
                 noise = np.sqrt(var) * complex_noise(rng, code.slot_count)
-                y = model.gain * (codeword(code, s) @ h) + noise
-                a = ml_decode_grouped(y, model, code)
-                b = ml_decode_exhaustive(y, model, code)
+                y = decoder.gain * (codeword(code, s) @ h) + noise
+                a = ml_decode_grouped(y, model, decoder)
+                b = ml_decode_exhaustive(y, model, decoder)
                 assert np.allclose(a, b), f"{name}: grouped and exhaustive decisions differ"
 
         codebook = build_codebook_4relay()
@@ -247,6 +249,7 @@ def test_criterion_06_noiseless_chains_are_error_free(capsys):
         schedule = derive_schedule(code)
         n, cp = 32, 8
         cfg = LinkConfig(n, cp, PowerConfig(15.0, 1.0, 0.25))
+        decoder = CoherentDecoder(code, cfg.power.cascade_gain)
         coherent_bits = 0
         for _ in range(100):
             delays = _inclusive_delays(rng, 4, cp)
@@ -257,8 +260,8 @@ def test_criterion_06_noiseless_chains_are_error_free(capsys):
             var = noise_covariance(schedule, channel, cfg)
             h_all = equivalent_channel_matrix(code, channel, n)
             for k in range(n):
-                model = SubcarrierModel(h_all[k], var, cfg.power.cascade_gain)
-                s_hat = ml_decode_grouped(y[:, k], model, code)
+                model = SubcarrierModel(h_all[k], var)
+                s_hat = ml_decode_grouped(y[:, k], model, decoder)
                 assert np.allclose(s_hat, frame[:, k], atol=1e-6)
             coherent_bits += 8 * n
 

@@ -12,13 +12,15 @@ from asyncrelay.codebook import RelayInstruction, RelaySchedule, builtin_codes, 
 from asyncrelay.decoder import (
     CoherentDecoder,
     SubcarrierModel,
+    _Form,
     _gap_terms,
     _metric_terms,
+    _proof,
+    _used,
     build_model,
     complex_to_real,
     decomposition_gap,
     delay_phases,
-    dispersion_basis,
     equivalent_channel_matrix,
     full_candidates,
     group_candidates,
@@ -37,22 +39,25 @@ from oracles import (
     exhaustive_ml,
     full_features,
     full_form,
+    gap_terms_loop,
     gram_gap,
     grouped_argmin_slices,
     noise_covariance_loop,
     pair_products,
     sheared_code,
     slot_noise_variances,
+    slot_swapped_code,
     unequal_alphabet_code,
     unpaired_groups_code,
 )
 
 
 def _model_for(code, rng, n=16, cp=4, power=10.0, subcarrier=3):
+    """A drawn subcarrier's flat model and the decoder of its cascade gain."""
     schedule = derive_schedule(code)
     cfg = LinkConfig(n, cp, PowerConfig(power, 1.0, 1.0 / code.num_relays))
     channel = draw_channel(rng, code.num_relays, cp)
-    return build_model(channel, schedule, code, cfg, subcarrier), channel, cfg, schedule
+    return build_model(channel, schedule, code, cfg, subcarrier), CoherentDecoder(code, cfg.power.cascade_gain)
 
 
 class TestChannelAssembly:
@@ -165,11 +170,11 @@ class TestModelContract:
     def test_non_diagonal_covariance_rejected(self):
         cov = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
         with pytest.raises(ValueError, match="real"):
-            SubcarrierModel(channel=np.ones(2, dtype=complex), noise_var=cov, gain=1.0)
+            SubcarrierModel(channel=np.ones(2, dtype=complex), noise_var=cov)
 
     def test_non_positive_variance_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            SubcarrierModel(channel=np.ones(2, dtype=complex), noise_var=np.array([1.0, 0.0]), gain=1.0)
+            SubcarrierModel(channel=np.ones(2, dtype=complex), noise_var=np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize(
         "noise_var, message",
@@ -186,16 +191,23 @@ class TestModelContract:
     )
     def test_only_a_vector_of_positive_real_variances_is_accepted(self, noise_var, message):
         with pytest.raises(ValueError, match=message):
-            SubcarrierModel(channel=np.ones(2, dtype=complex), noise_var=noise_var, gain=1.0)
+            SubcarrierModel(channel=np.ones(2, dtype=complex), noise_var=noise_var)
 
     def test_weights_are_inverse_slot_variances(self):
-        model = SubcarrierModel(channel=np.ones(2, dtype=complex), noise_var=np.array([4.0, 0.5]), gain=1.0)
+        model = SubcarrierModel(channel=np.ones(2, dtype=complex), noise_var=np.array([4.0, 0.5]))
         assert np.array_equal(1.0 / model.noise_var, [0.25, 2.0])
         assert model.channels.shape == (1, 2)
 
+    def test_the_model_is_the_channel_and_the_slot_variances(self):
+        # the cascade gain is the decoder's, so no second copy can disagree with it
+        assert [f.name for f in dataclasses.fields(SubcarrierModel)] == ["channel", "noise_var"]
+        code = named_code("relay4")
+        model, decoder = _model_for(code, np.random.default_rng(2), power=7.0)
+        assert decoder.gain == LinkConfig(16, 4, PowerConfig(7.0, 1.0, 0.25)).power.cascade_gain
+
     def test_the_callers_arrays_stay_writeable(self):
         h, var = np.ones((3, 2), dtype=complex), np.array([4.0, 0.5])
-        model = SubcarrierModel(h, var, 1.0)
+        model = SubcarrierModel(h, var)
         assert h.flags.writeable and var.flags.writeable
         assert not model.channel.flags.writeable and not model.noise_var.flags.writeable
         h[0, 0] = var[0] = 7.0
@@ -203,12 +215,12 @@ class TestModelContract:
 
     @pytest.mark.parametrize("shape", [(4,), (4, 5), (3, 6), (4, 6, 1)])
     def test_observation_must_match_slots_and_subcarriers(self, shape):
-        code = named_code("relay4")
-        model = SubcarrierModel(channel=np.ones((6, 4), dtype=complex), noise_var=np.ones(4), gain=1.0)
+        decoder = CoherentDecoder(named_code("relay4"), 1.0)
+        model = SubcarrierModel(channel=np.ones((6, 4), dtype=complex), noise_var=np.ones(4))
         y = np.zeros(shape, dtype=complex)
         for decode in (ml_decode_grouped, ml_decode_exhaustive):
             with pytest.raises(ValueError, match="observation shape"):
-                decode(y, model, code)
+                decode(y, model, decoder)
 
 
 class TestCoordinateMaps:
@@ -228,27 +240,52 @@ class TestDispersionStructure:
         rng = np.random.default_rng(10)
         code = named_code(name)
         h = complex_noise(rng, code.num_relays)
-        basis = dispersion_basis(code, h)
+        basis = codeword(code, real_to_complex(np.eye(2 * code.symbol_count))) @ h  # (2*nu, T): unit coordinates
         s = complex_noise(rng, code.symbol_count)
         assert np.allclose(codeword(code, s) @ h, complex_to_real(s) @ basis)
+
+    @pytest.mark.parametrize(
+        "name", ["alamouti", "relay4", "relay5", "relay4_diff", "sheared", "unpaired", "swapped"]
+    )
+    def test_gap_table_from_unit_coordinates_equals_the_per_relay_bases(self, name):
+        """The gap table read off the code words at unit real coordinates
+        equals the one built from each relay's dispersion basis: equal values,
+        the same kept rows and Gram columns, and the same proof. It need not
+        be byte-equal, as some zeros change sign, but no decision reads a
+        zero's sign: the gap is read through abs().max() and the proof
+        through exact sums."""
+        others = {"sheared": sheared_code, "unpaired": unpaired_groups_code, "swapped": slot_swapped_code}
+        code = others.get(name, lambda: named_code(name))()
+        terms, expected = _gap_terms(code), gap_terms_loop(code)
+        assert np.array_equal(terms, expected)
+        for axis in ((0, 2), (0, 1)):
+            assert np.array_equal(_used(terms, axis), _used(expected, axis))
+        assert _proof(code, terms) == _proof(code, expected)
+        decoder = CoherentDecoder(code, 1.0)
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            h_all, _, w2 = _draw(rng, code, 16)
+            full = full_form(pair_products(h_all), expected, w2)[:, decoder._gap.columns]
+            assert np.array_equal(np.abs(decoder._gap(h_all, w2)), np.abs(full))
 
     @pytest.mark.parametrize("name", ["alamouti", "relay4", "relay5", "relay4_diff"])
     def test_cross_group_products_vanish_for_builtins(self, name):
         rng = np.random.default_rng(20)
         code = named_code(name)
         for _ in range(20):
-            model, _, _, _ = _model_for(code, rng)
-            assert decomposition_gap(code, model) < 1e-9
+            model, decoder = _model_for(code, rng)
+            assert decomposition_gap(decoder, model) < 1e-9
 
     @pytest.mark.parametrize("name", ["alamouti", "relay4", "relay5", "sheared"])
     def test_gap_matches_the_explicit_gram_matrix(self, name):
         rng = np.random.default_rng(21)
         code = sheared_code() if name == "sheared" else named_code(name)
+        decoder = CoherentDecoder(code, 1.0)
         for _ in range(5):
             h = complex_noise(rng, code.num_relays)
             variances = rng.uniform(1.0, 4.0, size=code.slot_count)
-            model = SubcarrierModel(h, variances, 1.0)
-            assert abs(decomposition_gap(code, model) - gram_gap(code, h, variances)) <= 1e-12
+            model = SubcarrierModel(h, variances)
+            assert abs(decomposition_gap(decoder, model) - gram_gap(code, h, variances)) <= 1e-12
 
     def test_candidate_enumeration_is_lexicographic(self):
         code = named_code("relay4")
@@ -275,20 +312,20 @@ class TestDecoding:
         code = named_code(name)
         candidates, _ = full_candidates(code)
         for _ in range(5):
-            model, _, _, _ = _model_for(code, rng)
+            model, decoder = _model_for(code, rng)
             s = candidates[rng.integers(0, len(candidates))]
-            y = model.gain * (codeword(code, s) @ model.channel)
-            assert np.allclose(ml_decode_grouped(y, model, code), s, atol=1e-8)
+            y = decoder.gain * (codeword(code, s) @ model.channel)
+            assert np.allclose(ml_decode_grouped(y, model, decoder), s, atol=1e-8)
 
     @pytest.mark.parametrize("name", ["alamouti", "relay4", "relay5"])
     def test_grouped_equals_exhaustive_on_noisy_inputs(self, name):
         rng = np.random.default_rng(31)
         code = named_code(name)
         for _ in range(40):
-            model, _, _, _ = _model_for(code, rng, power=rng.uniform(0.5, 50.0))
+            model, decoder = _model_for(code, rng, power=rng.uniform(0.5, 50.0))
             y = complex_noise(rng, code.slot_count) * rng.uniform(0.1, 5.0)
-            a = ml_decode_grouped(y, model, code)
-            b = ml_decode_exhaustive(y, model, code)
+            a = ml_decode_grouped(y, model, decoder)
+            b = ml_decode_exhaustive(y, model, decoder)
             assert np.allclose(a, b)
 
     @pytest.mark.parametrize("name", ["relay4", "sheared"])
@@ -302,65 +339,62 @@ class TestDecoding:
             variances = rng.uniform(1.0, 4.0, size=code.slot_count)
             gain = rng.uniform(0.5, 3.0)
             y = complex_noise(rng, code.slot_count) * rng.uniform(0.5, 3.0)
-            decided = ml_decode_exhaustive(y, SubcarrierModel(h, variances, gain), code)
+            decided = ml_decode_exhaustive(y, SubcarrierModel(h, variances), CoherentDecoder(code, gain))
             expected = candidates[rows[exhaustive_ml(code, y, h, variances, gain)]]
             assert np.array_equal(decided, expected)
 
     def test_a_model_over_n_subcarriers_decodes_each_one(self):
         rng = np.random.default_rng(34)
         code = named_code("relay4")
+        decoder = CoherentDecoder(code, 2.0)
         h_all = complex_noise(rng, (6, 4))
         var = np.full(4, 1.5)
         y = complex_noise(rng, (4, 6))
-        batch = SubcarrierModel(h_all, var, 2.0)
+        batch = SubcarrierModel(h_all, var)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the grouped search itself, no fallback
-            grouped = ml_decode_grouped(y, batch, code)
-        exhaustive = ml_decode_exhaustive(y, batch, code)
+            grouped = ml_decode_grouped(y, batch, decoder)
+        exhaustive = ml_decode_exhaustive(y, batch, decoder)
         assert grouped.shape == exhaustive.shape == (6, code.symbol_count)
         for k in range(6):
-            one = SubcarrierModel(h_all[k], var, 2.0)
-            assert np.array_equal(grouped[k], ml_decode_grouped(y[:, k], one, code))
-            assert np.array_equal(exhaustive[k], ml_decode_exhaustive(y[:, k], one, code))
-        per_subcarrier = max(decomposition_gap(code, SubcarrierModel(h, var, 2.0)) for h in h_all)
-        assert decomposition_gap(code, batch) == pytest.approx(per_subcarrier, abs=1e-12)
+            one = SubcarrierModel(h_all[k], var)
+            assert np.array_equal(grouped[k], ml_decode_grouped(y[:, k], one, decoder))
+            assert np.array_equal(exhaustive[k], ml_decode_exhaustive(y[:, k], one, decoder))
+        per_subcarrier = max(decomposition_gap(decoder, SubcarrierModel(h, var)) for h in h_all)
+        assert decomposition_gap(decoder, batch) == pytest.approx(per_subcarrier, abs=1e-12)
 
     def test_all_tied_metrics_pick_the_first_candidate(self):
         code = named_code("relay4")
-        model = SubcarrierModel(
-            channel=np.zeros(4, dtype=complex),
-            noise_var=np.ones(4),
-            gain=1.0,
-        )
+        decoder = CoherentDecoder(code, 1.0)
+        model = SubcarrierModel(channel=np.zeros(4, dtype=complex), noise_var=np.ones(4))
         y = np.zeros(4, dtype=complex)
         candidates, _ = full_candidates(code)
-        assert np.allclose(ml_decode_exhaustive(y, model, code), candidates[0])
-        assert np.allclose(ml_decode_grouped(y, model, code), candidates[0])
+        assert np.allclose(ml_decode_exhaustive(y, model, decoder), candidates[0])
+        assert np.allclose(ml_decode_grouped(y, model, decoder), candidates[0])
 
     def test_decision_invariant_to_common_observation_scale(self):
         # whitened metric ranking is not affected by scaling y and gain together
         rng = np.random.default_rng(33)
         code = named_code("relay4")
-        model, _, _, _ = _model_for(code, rng)
+        model, decoder = _model_for(code, rng)
         y = complex_noise(rng, 4)
-        scaled = SubcarrierModel(
-            channel=model.channel, noise_var=model.noise_var * 16.0, gain=model.gain * 4.0
-        )
+        scaled = SubcarrierModel(channel=model.channel, noise_var=model.noise_var * 16.0)
         assert np.allclose(
-            ml_decode_grouped(y, model, code), ml_decode_grouped(4.0 * y, scaled, code)
+            ml_decode_grouped(y, model, decoder),
+            ml_decode_grouped(4.0 * y, scaled, CoherentDecoder(code, decoder.gain * 4.0)),
         )
 
     def test_non_orthogonal_grouping_falls_back_with_warning(self):
         # two plain columns sharing slots break the cross-group orthogonality
-        code = sheared_code()
+        decoder = CoherentDecoder(sheared_code(), 1.0)
         rng = np.random.default_rng(40)
         h = complex_noise(rng, 2)
-        model = SubcarrierModel(channel=h, noise_var=np.ones(2), gain=1.0)
-        assert decomposition_gap(code, model) > 1e-9
+        model = SubcarrierModel(channel=h, noise_var=np.ones(2))
+        assert decomposition_gap(decoder, model) > 1e-9
         y = complex_noise(rng, 2)
         with pytest.warns(UserWarning, match="exhaustive"):
-            fallback = ml_decode_grouped(y, model, code)
-        assert np.allclose(fallback, ml_decode_exhaustive(y, model, code))
+            fallback = ml_decode_grouped(y, model, decoder)
+        assert np.allclose(fallback, ml_decode_exhaustive(y, model, decoder))
 
 
 def _compact_code(name):
@@ -436,7 +470,7 @@ class TestDecodabilityProof:
         decoder = _proof_decoder(name)
         code = decoder.code
         classes = _slot_classes(code)
-        monkeypatch.setattr(decoder, "_gram", lambda h_all, w2: pytest.fail("numeric gap path taken"))
+        monkeypatch.setattr(_Form, "__call__", lambda *args: pytest.fail("numeric gap path taken"))
         rng = np.random.default_rng(80)
         worst = 0.0
         for _ in range(200):
@@ -458,7 +492,7 @@ class TestDecodabilityProof:
             h_all = complex_noise(rng, (4, code.num_relays))
             variances = rng.uniform(1.0, 4.0, size=code.slot_count)
             gap = decoder.gap(h_all, 1.0 / variances)
-            assert gap == float(np.abs(decoder._gram(h_all, 1.0 / variances)).max())
+            assert gap == float(np.abs(decoder._gap(h_all, 1.0 / variances)).max())
             assert abs(gap - max(gram_gap(code, h, variances) for h in h_all)) <= 1e-12
 
     def test_an_unproven_code_takes_the_numeric_path_for_any_weights(self):
@@ -491,7 +525,7 @@ class TestCompactTables:
             h_all, y, w2 = _draw(rng, code, n)
             metrics = decoder._group(h_all, w2, y)
             assert _same_bits(metrics, full_form(full_features(y, h_all), group_terms, w2))
-            gram = decoder._gram(h_all, w2)
+            gram = decoder._gap(h_all, w2)
             assert _same_bits(gram, full_form(pair_products(h_all), gap_terms, w2)[:, decoder._gap.columns])
 
     @pytest.mark.parametrize("n", [2, 16, 64, 1024])
@@ -566,8 +600,8 @@ class TestCompactTables:
         for n in (1, 16):
             h_all, y, w2 = _draw(rng, code, n)
             assert decoder.gap(h_all, w2) == 0.0
-            model = SubcarrierModel(h_all, 1.0 / w2, 1.0)
-            assert decomposition_gap(code, model) == 0.0
+            model = SubcarrierModel(h_all, 1.0 / w2)
+            assert decomposition_gap(decoder, model) == 0.0
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # no fallback
-                assert np.array_equal(ml_decode_grouped(y, model, code), ml_decode_exhaustive(y, model, code))
+                assert np.array_equal(ml_decode_grouped(y, model, decoder), ml_decode_exhaustive(y, model, decoder))

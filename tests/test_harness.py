@@ -10,18 +10,22 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from asyncrelay import decoder as decoder_module
 from asyncrelay import harness
 from asyncrelay.cli import build_parser, config_from_args
 from asyncrelay.cli import main as cli_main
 from asyncrelay.decoder import (
-    coherent_decoder,
+    CoherentDecoder,
+    SubcarrierModel,
     equivalent_channel_matrix,
+    ml_decode_grouped,
     noise_covariance,
     rotation_table,
 )
@@ -44,7 +48,7 @@ from asyncrelay.harness import (
     wilson_interval,
 )
 from asyncrelay.codebook import ScheduleError, derive_schedule, format_code_text, named_code
-from asyncrelay.relaysim import LinkConfig, draw_channel, frame_noise, link_tables, run_frame
+from asyncrelay.relaysim import LinkConfig, complex_noise, draw_channel, frame_noise, link_tables, run_frame
 
 from oracles import (
     diff_decisions,
@@ -442,8 +446,19 @@ class TestCoherentEngine:
             assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
 
     def test_engine_shares_the_decoder_of_the_per_subcarrier_functions(self):
+        # each engine builds the decoder of its own point's gain, and the
+        # per-subcarrier functions decide with the decoder they are passed
         engine = _engine(named_code("relay4"))
-        assert engine.decoder is coherent_decoder(engine.code, engine.link.power.cascade_gain)
+        assert isinstance(engine.decoder, CoherentDecoder)
+        assert (engine.decoder.code, engine.decoder.gain) == (engine.code, engine.link.power.cascade_gain)
+        assert _engine(named_code("relay4")).decoder is not engine.decoder
+        rng = np.random.default_rng(51)
+        channel = draw_channel(rng, 4, engine.link.cp_len)
+        h_all = equivalent_channel_matrix(engine.code, channel, engine.link.n_fft)
+        var = noise_covariance(engine.schedule, channel, engine.link)
+        y = complex_noise(rng, (4, engine.link.n_fft))
+        decided = ml_decode_grouped(y, SubcarrierModel(h_all, var), engine.decoder)
+        assert np.array_equal(engine.decoder.indices(decided), engine.decoder.grouped(y, h_all, 1.0 / var))
 
 
 class TestDifferentialEngine:
@@ -670,17 +685,39 @@ class TestSweepOwnedTables:
         "mode,code,workers", [("coherent", "relay5", 1), ("differential", "relay4_diff", 1), ("coherent", "relay4", 2)]
     )
     def test_a_sweep_leaves_no_table_in_a_module(self, mode, code, workers):
-        # every per-frame table lives on the sweep's schedule, code, LinkTables
-        # and engines; coherent_decoder keeps the two most recent decoders
+        # every per-frame table and every decoder lives on the sweep's
+        # schedule, code, LinkTables and engines
         run_sweep(SimConfig(mode=mode, code=code, power_db=(10.0, 20.0), workers=workers, **FAST))
         modules = [m for name, m in sorted(sys.modules.items()) if name.partition(".")[0] == "asyncrelay"]
         for module in modules:
             for name, value in vars(module).items():
                 where = f"{module.__name__}.{name}"
                 if hasattr(value, "cache_info"):
-                    assert value.cache_info().currsize <= (2 if name == "coherent_decoder" else 0), where
+                    assert value.cache_info().currsize == 0, where
                 if isinstance(value, dict):
                     assert not any(isinstance(v, np.ndarray) for v in value.values()), where
+
+    def test_a_fallback_sweep_builds_one_decoder_and_one_exhaustive_table_per_point(self, tmp_path, monkeypatch):
+        # every unit of the sheared code falls back to the exhaustive search,
+        # and each point's engine decodes it with the decoder it built
+        path = tmp_path / "sheared.code"
+        path.write_text(format_code_text(sheared_code()))
+        cfg = SimConfig(code=str(path), n_fft=16, cp_len=4, power_db=(5.0, 10.0, 15.0, 20.0), frames=50,
+                        max_frames=200, min_errors=10**6, seed=3)
+        built = Counter()
+        init, candidates = CoherentDecoder.__init__, decoder_module.full_candidates
+        monkeypatch.setattr(CoherentDecoder, "__init__", lambda self, *a: built.update(["decoder"]) or init(self, *a))
+        monkeypatch.setattr(decoder_module, "full_candidates", lambda code: built.update(["table"]) or candidates(code))
+        for workers in (1, 2):
+            built.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # the fallback's warning
+                points = run_sweep(dataclasses.replace(cfg, workers=workers))
+            assert [(p.bit_errors, p.bits, p.frames) for p in points] == [
+                (2697, 12800, 200), (1283, 12800, 200), (485, 12800, 200), (138, 12800, 200)
+            ]
+            # a pool's workers build their tables in their own processes
+            assert built == (Counter(decoder=4, table=4) if workers == 1 else Counter(decoder=4))
 
     @pytest.mark.parametrize("mode,code,calls", [("differential", "relay4_diff", 0), ("coherent", "relay4", 1)])
     def test_only_a_coherent_sweep_builds_delay_rotations(self, mode, code, calls, monkeypatch):

@@ -1,13 +1,31 @@
 """Property tests over generated codes: the paper's claim is structural, so
 the invariants the built-in codes pass must hold for any code the program
-accepts. The tests are deterministic (``derandomize=True``, a fixed example
-count) and write no example database."""
+accepts, and every malformed code file must be rejected as such. The tests
+are deterministic (``derandomize=True``, a fixed example count) and write no
+example database."""
+
+import contextlib
+import io
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asyncrelay.codebook import DEFAULT_ROTATION, CodeDefinition, ScheduleError, derive_schedule, named_code, qpsk_pairs
+from asyncrelay import cli
+from asyncrelay.codebook import (
+    DEFAULT_ROTATION,
+    CodeDefinition,
+    ScheduleError,
+    builtin_codes,
+    derive_schedule,
+    format_code_text,
+    named_code,
+    qpsk_pairs,
+)
 from asyncrelay.decoder import _ORTHOGONALITY_TOL, CoherentDecoder, equivalent_channel_matrix, noise_covariance
 from asyncrelay.relaysim import LinkConfig, PowerConfig, complex_noise, draw_channel, run_frame
 
@@ -90,3 +108,89 @@ def test_a_scheduled_generated_code_is_proven_soundly_and_its_vanishing_gap_make
     if decoder.gap(h_all, w2) <= _ORTHOGONALITY_TOL:
         y = complex_noise(rng, (code.slot_count, n_fft))
         assert np.array_equal(decoder.grouped(y, h_all, w2), decoder.exhaustive(y, h_all, w2))
+
+
+# tokens float() rejects: a first letter that starts no number, "nan" or "inf"
+_NON_NUMERIC = st.from_regex(r"[g-hj-mo-z][a-z0-9.+-]{0,4}", fullmatch=True)
+_NOT_FINITE = st.sampled_from(("nan", "NaN", "-nan", "inf", "-inf", "+Infinity", "1e999", "-2e400"))
+_TEXTS = {name: format_code_text(code) for name, code in builtin_codes().items()}
+_CORRUPTIONS = ("entry", "short row", "no column line", "conj=2", "group index past 2nu", "repeated group index",
+                "2-field header")
+
+
+@st.composite
+def malformed_code_texts(draw) -> str:
+    """A built-in code in the text format with one corruption that always
+    makes it malformed."""
+    lines = _TEXTS[draw(st.sampled_from(sorted(_TEXTS)))].splitlines()  # header, R x (column, nu rows), groups
+    columns = [i for i, line in enumerate(lines) if line.startswith("column")]
+    rows = [i for i in range(1, len(lines) - 1) if i not in columns]
+    nu = int(lines[0].split()[0])
+    kind = draw(st.sampled_from(_CORRUPTIONS))
+    if kind in ("entry", "short row"):
+        at = draw(st.sampled_from(rows))
+        entries = lines[at].split()
+        position = draw(st.integers(0, nu - 1))
+        if kind == "entry":
+            entries[position] = draw(st.one_of(_NON_NUMERIC, _NOT_FINITE))
+        else:
+            del entries[position]
+        lines[at] = " ".join(entries)
+    elif kind == "no column line":
+        del lines[draw(st.sampled_from(columns))]
+    elif kind == "conj=2":
+        lines[draw(st.sampled_from(columns))] = "column conj=2"
+    elif kind == "2-field header":
+        fields = lines[0].split()
+        del fields[draw(st.integers(0, 2))]
+        lines[0] = " ".join(fields)
+    else:
+        tokens = lines[-1].split()
+        indices = [i for i, token in enumerate(tokens) if token.isdigit()]
+        at = draw(st.sampled_from(indices))
+        if kind == "group index past 2nu":
+            tokens[at] = str(draw(st.integers(2 * nu, 4 * nu)))
+        else:
+            tokens[at] = tokens[draw(st.sampled_from([i for i in indices if i != at]))]
+        lines[-1] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(_SETTINGS, max_examples=200)
+@given(text=malformed_code_texts())
+def test_a_malformed_code_file_exits_2_with_an_error_line(text):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "malformed.code"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["--code", str(path), "--n", "8", "--cp", "2", "--power", "0", "--frames", "1"])
+    assert code == 2
+    assert err.getvalue().startswith("error: code file ") and "is malformed: " in err.getvalue()
+    assert "Traceback" not in err.getvalue() and out.getvalue() == ""
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, max_examples=20, database=None)
+@given(st.integers(0, 10))
+def test_fails(x):
+    assert x < 5
+"""
+
+
+def test_a_failing_property_prints_its_example_under_the_repository_settings(tmp_path):
+    # hypothesis imports libcst to report a failure; the suite's warning
+    # filters must let that import through, or pytest ends in INTERNALERROR
+    (tmp_path / "test_failing.py").write_text(_FAILING_PROPERTY, encoding="utf-8")
+    ini = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(ini), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_failing.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    report = done.stdout + done.stderr
+    assert done.returncode == 1, report
+    assert "Falsifying example" in report and "INTERNALERROR" not in report, report
