@@ -22,12 +22,10 @@ from .codebook import (
     codeword,
     derive_schedule,
     infeasible_example,
-    load_code,
     named_code,
-    row_sets,
 )
 from .decoder import CoherentDecoder, SubcarrierModel, build_model, ml_decode_exhaustive, ml_decode_grouped
-from .differential import DifferentialCodebook, build_codebook_4relay, diff_decode, diff_encode, verify_commutation
+from .differential import DifferentialCodebook, build_codebook_4relay, diff_encode, verify_commutation
 from .harness import BerPoint, ConfigError, SimConfig, emit_csv, emit_plotscript, parse_csv, run_sweep
 from .relaysim import ChannelRealization, LinkConfig, PowerConfig, draw_channel, frame_noise, run_frame
 from .spectral import dft, idft
@@ -56,7 +54,6 @@ __all__ = [
     "codeword",
     "derive_schedule",
     "dft",
-    "diff_decode",
     "diff_encode",
     "draw_channel",
     "emit_csv",
@@ -64,12 +61,10 @@ __all__ = [
     "frame_noise",
     "idft",
     "infeasible_example",
-    "load_code",
     "ml_decode_exhaustive",
     "ml_decode_grouped",
     "named_code",
     "parse_csv",
-    "row_sets",
     "run_frame",
     "run_sweep",
     "verify_commutation",

@@ -8,7 +8,11 @@ where each relay matrix ``A_i`` is a real nu x nu matrix with at most one
 nonzero entry per row and ``v_i`` is conjugated exactly for the columns
 listed in ``conjugated_columns``. Row ``t`` of column ``i`` tells relay ``i``
 what to transmit in slot ``t``: a signed, possibly conjugated copy of one
-source block, or nothing when the row is all zero.
+source block, or nothing when the row is all zero. The sign is the entry,
+which must be +1 or -1: a relay forwards at the gain of its power split,
+which the noise model (``decoder.noise_covariance``) assumes, so an entry
+of another magnitude would scale its signal and its forwarded noise alike
+and be simulated with the wrong slot variances.
 
 Feasibility of running such a code over an asynchronous OFDM relay channel
 is a purely combinatorial property of which symbols appear plainly versus
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +40,6 @@ __all__ = [
     "FeasibilityReport",
     "RelayInstruction",
     "RelaySchedule",
-    "RowSets",
     "ScheduleError",
     "builtin_codes",
     "check_feasibility",
@@ -45,11 +47,9 @@ __all__ = [
     "derive_schedule",
     "format_code_text",
     "infeasible_example",
-    "load_code",
     "named_code",
     "parse_code_text",
     "qpsk_pairs",
-    "row_sets",
     "slot_classes",
 ]
 
@@ -101,14 +101,6 @@ def _coordinate_product_set(pair_set: np.ndarray, extra_levels: np.ndarray) -> n
         for level in extra_levels:
             rows.append([pair[0], pair[1], level])
     return np.array(rows)
-
-
-@dataclass(frozen=True)
-class RowSets:
-    """Symbol indices appearing plainly / conjugated in each code word row."""
-
-    plain: tuple[frozenset[int], ...]
-    conjugated: tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
@@ -262,12 +254,8 @@ class CodeDefinition:
             if np.any(nonzero_per_row > 1):
                 bad = int(np.argmax(nonzero_per_row > 1))
                 raise ValueError(f"relay matrix {i} row {bad} has more than one nonzero entry")
-            values = m[m != 0]
-            if values.size and not np.all(np.isin(np.abs(values), [1.0])):
-                warnings.warn(
-                    f"code {self.name!r}: relay matrix {i} has nonzero entries other than +/-1",
-                    stacklevel=2,
-                )
+            if np.any((m != 0) & (np.abs(m) != 1.0)):
+                raise ValueError(f"relay matrix {i} has a nonzero entry other than +1 or -1")
             m.setflags(write=False)
         object.__setattr__(self, "relay_matrices", matrices)
         object.__setattr__(self, "conjugated_columns", frozenset(self.conjugated_columns))
@@ -333,37 +321,29 @@ def _row_entries(code: CodeDefinition):
                 yield slot, relay, block, float(matrix[slot, block])
 
 
-def row_sets(code: CodeDefinition) -> RowSets:
-    """Collect which symbols appear plainly / conjugated in each row."""
-    plain = [set() for _ in range(code.slot_count)]
-    conj = [set() for _ in range(code.slot_count)]
-    for slot, relay, block, _ in _row_entries(code):
-        target = conj if relay in code.conjugated_columns else plain
-        target[slot].add(block)
-    return RowSets(
-        plain=tuple(frozenset(p) for p in plain),
-        conjugated=tuple(frozenset(c) for c in conj),
-    )
-
-
-def check_feasibility(sets: RowSets) -> FeasibilityReport:
-    """Evaluate the three row-structure conditions for asynchronous operation.
+def check_feasibility(code: CodeDefinition) -> FeasibilityReport:
+    """Evaluate the three row-structure conditions for asynchronous operation,
+    on the symbols each code word row carries plainly and conjugated.
 
     1. No symbol appears both plainly and conjugated in the same row.
     2. Each row carries equally many plain and conjugated symbols, unless
        one of the two sides is empty.
     3. The plain sets of two rows are nested or disjoint.
     """
-    n = len(sets.plain)
+    n = code.slot_count
+    plain = [set() for _ in range(n)]
+    conjugated = [set() for _ in range(n)]
+    for slot, relay, block, _ in _row_entries(code):
+        (conjugated if relay in code.conjugated_columns else plain)[slot].add(block)
     for i in range(n):
-        both = sets.plain[i] & sets.conjugated[i]
+        both = plain[i] & conjugated[i]
         if both:
             return FeasibilityReport(
                 False, 1, (i,),
                 f"row {i} carries symbols {sorted(both)} both plainly and conjugated",
             )
     for i in range(n):
-        p, c = sets.plain[i], sets.conjugated[i]
+        p, c = plain[i], conjugated[i]
         if p and c and len(p) != len(c):
             return FeasibilityReport(
                 False, 2, (i,),
@@ -371,8 +351,8 @@ def check_feasibility(sets: RowSets) -> FeasibilityReport:
             )
     for i in range(n):
         for j in range(i + 1, n):
-            inter = sets.plain[i] & sets.plain[j]
-            if inter and inter != sets.plain[i] and inter != sets.plain[j]:
+            inter = plain[i] & plain[j]
+            if inter and inter != plain[i] and inter != plain[j]:
                 return FeasibilityReport(
                     False, 3, (i, j),
                     f"rows {i} and {j} share symbols {sorted(inter)} without nesting",
@@ -694,10 +674,3 @@ def parse_code_text(
         alphabet=alphabet,
     )
 
-
-def load_code(path, **kwargs) -> CodeDefinition:
-    """Read a code description file (see ``parse_code_text`` for the format)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    name = kwargs.pop("name", None) or str(path)
-    return parse_code_text(text, name=name, **kwargs)

@@ -67,6 +67,7 @@ differ from the full tables'; the decisions still match.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -420,6 +421,21 @@ class CoherentDecoder:
         self._gap = _Form(gap_terms, code.num_relays, _used(gap_terms, (0, 1)))
         self._proof = _proof(code, gap_terms)
         self._full = None  # (index table, metric form) of the product alphabet
+
+    @property
+    def proven(self) -> bool:
+        """Whether ``gap`` is 0.0 for every channel given slot weights
+        constant on each class, as ``noise_covariance``'s are: no cross-group
+        Gram entry is nonzero in any slot, or the code's proof holds."""
+        return not self._gap.terms.size or self._proof is not None
+
+    @property
+    def exhaustive_nbytes(self) -> int:
+        """Size of the (T, 2*R*R + 2*T*R, C) float64 metric table that
+        ``exhaustive`` builds on first use, C the product alphabet's size."""
+        slots, num_relays = self.code.slot_count, self.code.num_relays
+        candidates = math.prod(table.shape[0] for table in self.code.alphabet)
+        return 8 * slots * (2 * num_relays * num_relays + 2 * slots * num_relays) * candidates
 
     def gap(self, h_all: np.ndarray, w2: np.ndarray) -> float:
         """Largest cross-group whitened Gram entry over all subcarriers: 0.0

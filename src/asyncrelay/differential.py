@@ -42,7 +42,6 @@ __all__ = [
     "DifferentialCodebook",
     "DifferentialState",
     "build_codebook_4relay",
-    "diff_decode",
     "diff_decode_frame",
     "diff_encode",
     "initial_state",
@@ -166,17 +165,6 @@ def diff_encode(
     mats = codebook.matrices[word_indices]
     new_symbols = np.einsum("kij,jk->ik", mats, state.symbols) / state.scales[None, :]
     return DifferentialState(symbols=new_symbols, scales=codebook.scales[word_indices])
-
-
-def diff_decode(
-    y_now: np.ndarray, y_prev: np.ndarray, scale_prev: float, codebook: DifferentialCodebook
-) -> tuple[int, float]:
-    """Word index and scale minimising || y_now - C y_prev / scale_prev ||
-    on one subcarrier: the one-column case of ``diff_decode_frame``."""
-    y_now = np.asarray(y_now, dtype=complex)
-    y_prev = np.asarray(y_prev, dtype=complex)
-    indices, scales = diff_decode_frame(y_now[:, None], y_prev[:, None], np.array([scale_prev]), codebook)
-    return int(indices[0]), float(scales[0])
 
 
 def diff_decode_frame(

@@ -25,7 +25,9 @@ derives its schedule and, in differential mode, builds and verifies its
 codebook, then builds the link's tables (``relaysim.LinkTables``), in
 coherent mode the delay rotations (``decoder.rotation_table``), and one
 engine per power point, which in coherent mode builds its own
-``decoder.CoherentDecoder``. Pool workers receive those engines once, when
+``decoder.CoherentDecoder``; a code that is not proven group decodable and
+whose exhaustive tables could exceed ``_EXHAUSTIVE_BUDGET`` is rejected
+then, before any unit runs. Pool workers receive those engines once, when
 the pool starts. Nothing is kept between sweeps.
 """
 
@@ -55,7 +57,6 @@ from .codebook import (
     derive_schedule,
     named_code,
     parse_code_text,
-    row_sets,
 )
 from .differential import (
     DifferentialCodebook,
@@ -86,6 +87,14 @@ __all__ = [
 CSV_HEADER = "P_dB,ber,ci_lo,ci_hi,bits,frames"
 
 _Z95 = 1.959963984540054
+
+# Bytes of exhaustive search tables (``CoherentDecoder.exhaustive_nbytes``)
+# that one process may need over the sweep of a code that is not proven group
+# decodable. Each point's engine builds its own table on its first fallback
+# unit and keeps its nonzero rows, and a pool worker may serve every point;
+# the build peaks near three times the table (relay5: 64 MiB for 20.6 MiB).
+# 256 MiB is twelve times relay5's table, the largest of a built-in code.
+_EXHAUSTIVE_BUDGET = 256 * 2**20
 
 
 def _popcount_table(size: int) -> np.ndarray:
@@ -286,7 +295,7 @@ def _validate(cfg: SimConfig) -> tuple[CodeDefinition, RelaySchedule]:
             raise ConfigError(f"the plot script {str(script)!r} of output {cfg.out!r} is a directory")
 
     code = _resolve_code(cfg)
-    report = check_feasibility(row_sets(code))
+    report = check_feasibility(code)
     if not report:
         raise ScheduleError(f"code {code.name!r} fails feasibility condition {report.condition}: {report.detail}")
     schedule = derive_schedule(code)
@@ -437,7 +446,16 @@ def _sweep_engines(cfg: SimConfig) -> list:
     tables = link_tables(schedule, cfg.n_fft, cfg.cp_len)
     if codebook is None:
         rotations = _decoder.rotation_table(cfg.n_fft, cfg.cp_len, cfg.delays)
-        return [_CoherentEngine(cfg, code, schedule, link, tables, rotations) for link in links]
+        engines = [_CoherentEngine(cfg, code, schedule, link, tables, rotations) for link in links]
+        decoder = engines[0].decoder
+        if not decoder.proven and decoder.exhaustive_nbytes * len(engines) > _EXHAUSTIVE_BUDGET:
+            raise ConfigError(
+                f"code {code.name!r} is not proven group decodable, so each of its {len(engines)} power points may "
+                f"build an exhaustive search table of {decoder.exhaustive_nbytes / 2**20:.1f} MiB "
+                f"({decoder.exhaustive_nbytes * len(engines) / 2**20:.1f} MiB in all), above the sweep's budget of "
+                f"{_EXHAUSTIVE_BUDGET // 2**20} MiB"
+            )
+        return engines
     return [_DifferentialEngine(cfg, code, schedule, link, codebook, tables) for link in links]
 
 

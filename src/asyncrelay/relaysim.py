@@ -76,7 +76,9 @@ class PowerConfig:
     on unit-power symbols; each relay scales its received samples by
     sqrt(relay_fraction * total_power / (source_fraction * total_power + 1))
     so its average transmit power is relay_fraction * total_power under
-    unit-variance fading and noise.
+    unit-variance fading and noise. The three values must be finite and
+    positive, and so must the source scale, relay gain and cascade gain they
+    give: a split whose arithmetic overflows or underflows is rejected.
     """
 
     total_power: float
@@ -90,6 +92,13 @@ class PowerConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("source_scale", "relay_gain", "cascade_gain"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value != 0.0):
+                raise ValueError(
+                    f"{name} must be finite and nonzero, got {value!r} from total_power {self.total_power!r}, "
+                    f"source_fraction {self.source_fraction!r} and relay_fraction {self.relay_fraction!r}"
+                )
 
     @property
     def source_scale(self) -> float:

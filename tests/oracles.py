@@ -8,6 +8,7 @@ package under test. Tests compare package output against these routines.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -185,22 +186,29 @@ def gap_terms_loop(code) -> np.ndarray:
     return terms
 
 
-def exhaustive_ml(code, y: np.ndarray, h: np.ndarray, noise_var: np.ndarray, gain: float) -> tuple[int, ...]:
+def exhaustive_ml(code, y: np.ndarray, h: np.ndarray, noise_var: np.ndarray, gain: float,
+                  chunk: int = 16384) -> tuple[int, ...]:
     """Per-group alphabet indices of the whitened-ML code word at one
     subcarrier: every combination of group indices in lexicographic order,
-    scored by the whitened residual norm; the first minimum wins."""
+    scored by the whitened residual norm; the first minimum wins. The
+    candidates are scored ``chunk`` at a time, so that product alphabets of
+    any size fit: the (chunk, T, R) code words of a chunk take 16 MiB for
+    T = R = 8."""
     from asyncrelay.codebook import codeword
 
+    sizes = [len(table) for table in code.alphabet]
     best, best_metric = None, math.inf
-    for choice in itertools.product(*(range(len(table)) for table in code.alphabet)):
-        coords = np.zeros(2 * code.symbol_count)
+    for start in range(0, math.prod(sizes), chunk):
+        choices = np.unravel_index(np.arange(start, min(start + chunk, math.prod(sizes))), sizes)  # G x (n,)
+        coords = np.zeros((len(choices[0]), 2 * code.symbol_count))
         for g, group in enumerate(code.group_partition):
-            coords[list(group)] = code.alphabet[g][choice[g]]
-        s = coords[0::2] + 1j * coords[1::2]
-        residual = (y - gain * (codeword(code, s) @ h)) / np.sqrt(noise_var)
-        metric = float(np.vdot(residual, residual).real)
-        if metric < best_metric:
-            best, best_metric = choice, metric
+            coords[:, list(group)] = code.alphabet[g][choices[g]]
+        words = codeword(code, coords[:, 0::2] + 1j * coords[:, 1::2])  # (n, T, R)
+        residual = (y - gain * (words @ h)) / np.sqrt(noise_var)
+        metrics = np.sum(np.abs(residual) ** 2, axis=1)
+        at = int(np.argmin(metrics))
+        if metrics[at] < best_metric:
+            best, best_metric = tuple(int(c[at]) for c in choices), float(metrics[at])
     return best
 
 
@@ -478,6 +486,33 @@ def unpaired_groups_code():
 
     text = format_code_text(named_code("relay4_diff"))
     return parse_code_text(text.replace("0 2 | 1 3 | 4 6 | 5 7", "0 1 | 2 3 | 4 5 | 6 7"))
+
+
+def grid_alphabet(width: int) -> np.ndarray:
+    """The (2**width, width) grid of +/-sqrt(1/2) per coordinate, the first
+    coordinate's sign slowest: a code file's default for groups of other
+    than two coordinates."""
+    return np.array(list(itertools.product((math.sqrt(0.5), -math.sqrt(0.5)), repeat=width)))
+
+
+def kronecker_code(levels: int, alphabet: np.ndarray):
+    """The Kronecker family of ``relay4``: R = 2**levels relays over R slots.
+
+    Relay matrices are kron(P, Q_1, ..., Q_{levels-1}), P in (I, [[0, -1],
+    [1, 0]]) and each Q in (I, [[0, 1], [1, 0]]), in lexicographic order of
+    the factors; the columns of the second P, the second half, are
+    conjugated. The four groups are the real parts and the imaginary parts
+    of each half of the symbols, and every group's alphabet is
+    ``alphabet``, a (K, R / 2) table. ``levels=2`` is ``relay4``'s structure.
+    """
+    from asyncrelay.codebook import CodeDefinition
+
+    first = (np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]]))
+    rest = (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    matrices = tuple(functools.reduce(np.kron, f) for f in itertools.product(first, *[rest] * (levels - 1)))
+    half = len(matrices) // 2
+    groups = tuple(tuple(range(2 * start + part, 2 * (start + half), 2)) for start in (0, half) for part in (0, 1))
+    return CodeDefinition(f"kronecker{len(matrices)}", matrices, frozenset(range(half, 2 * half)), groups, (alphabet,) * 4)
 
 
 def _symbol_vectors(coords: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from asyncrelay.codebook import (
     derive_schedule,
     infeasible_example,
     named_code,
-    row_sets,
 )
 from asyncrelay.decoder import (
     CoherentDecoder,
@@ -33,7 +32,6 @@ from asyncrelay.decoder import (
 )
 from asyncrelay.differential import (
     build_codebook_4relay,
-    diff_decode,
     diff_decode_frame,
     diff_encode,
     initial_state,
@@ -128,10 +126,10 @@ def test_criterion_02_feasibility_classification(capsys):
     with verdict(capsys, 2, "feasibility classification of the code library") as out:
         started = time.perf_counter()
         for name, code in builtin_codes().items():
-            report = check_feasibility(row_sets(code))
+            report = check_feasibility(code)
             assert report, f"{name} wrongly rejected: {report.detail}"
             derive_schedule(code)
-        rejected = check_feasibility(row_sets(infeasible_example()))
+        rejected = check_feasibility(infeasible_example())
         assert not rejected
         assert rejected.condition == 3
         assert rejected.rows == (0, 1)
@@ -206,7 +204,8 @@ def test_criterion_04_grouped_decoding_is_exact(capsys):
             word = int(rng.integers(0, 256))
             scale = rng.uniform(0.7, 1.4)
             y_now = codebook.matrices[word] @ y_prev / scale + 0.3 * complex_noise(rng, 4)
-            assert diff_decode(y_now, y_prev, scale, codebook)[0] == diff_decode_scan(y_now, y_prev, scale, codebook)[0]
+            decided = diff_decode_frame(y_now[:, None], y_prev[:, None], np.array([scale]), codebook)[0][0]
+            assert decided == diff_decode_scan(y_now, y_prev, scale, codebook)[0]
 
         elapsed = time.perf_counter() - started
         assert elapsed < 120.0

@@ -23,17 +23,25 @@ from asyncrelay.codebook import (
     derive_schedule,
     format_code_text,
     infeasible_example,
-    load_code,
     named_code,
     parse_code_text,
     qpsk_pairs,
-    row_sets,
 )
 
-from asyncrelay.decoder import equivalent_channel_matrix
-from asyncrelay.relaysim import draw_channel
+from asyncrelay.decoder import CoherentDecoder, equivalent_channel_matrix, noise_covariance
+from asyncrelay.harness import SimConfig, _resolve_code
+from asyncrelay.relaysim import LinkConfig, PowerConfig, complex_noise, draw_channel, run_frame
 
-from oracles import cross_groups_orthogonal, diversity, sheared_code
+from oracles import (
+    cross_groups_orthogonal,
+    diversity,
+    exhaustive_ml,
+    expected_subcarrier_rx,
+    grid_alphabet,
+    kronecker_code,
+    noise_covariance_loop,
+    sheared_code,
+)
 
 
 def _as_complex(table):
@@ -117,6 +125,20 @@ class TestCodeDefinitionValidation:
         single = self._make((np.eye(2),), groups=((0, 1), (2, 3)), alphabet=(qpsk_pairs(), qpsk_pairs()[:1]))
         assert single.bits_per_group() == (2, 0)
 
+    @pytest.mark.parametrize("value", [2.0, -2.0, 0.5, -1.0 - 2**-52])
+    def test_entries_other_than_plus_or_minus_one_rejected(self, value):
+        # the relay gain and the noise model assume every relay forwards at |entry| = 1
+        with pytest.raises(ValueError, match=r"relay matrix 1 has a nonzero entry other than \+1 or -1"):
+            self._make((np.eye(2), np.array([[0.0, -1.0], [value, 0.0]])))
+
+    def test_the_shape_finite_and_one_nonzero_checks_report_first(self):
+        with pytest.raises(ValueError, match=r"relay matrix 1 has shape \(2, 3\)"):
+            self._make((np.eye(2), np.full((2, 3), 2.0)))
+        with pytest.raises(ValueError, match="relay matrix 1 has a non-finite entry"):
+            self._make((np.eye(2), np.array([[2.0, 0.0], [0.0, np.nan]])))
+        with pytest.raises(ValueError, match="relay matrix 1 row 0 has more than one nonzero entry"):
+            self._make((np.eye(2), np.array([[2.0, 2.0], [0.0, 1.0]])))
+
     def test_counts(self):
         code = named_code("relay5")
         assert code.symbol_count == 6
@@ -163,14 +185,19 @@ class TestCodeword:
 
 
 class TestFeasibility:
-    def test_two_relay_row_sets(self):
-        sets = row_sets(named_code("alamouti"))
-        assert sets.plain == (frozenset({0}), frozenset({1}))
-        assert sets.conjugated == (frozenset({1}), frozenset({0}))
+    def test_rows_read_the_plain_and_the_conjugated_columns(self):
+        alamouti = named_code("alamouti")
+        assert check_feasibility(alamouti)
+        # the rows carry plain {0}, {1} and conjugated {1}, {0}; a third, plain
+        # column [[0, 1], [1, 0]] adds symbol 1 to row 0's plain set
+        extended = dataclasses.replace(alamouti, relay_matrices=(*alamouti.relay_matrices, np.abs(alamouti.relay_matrices[1])))
+        report = check_feasibility(extended)
+        assert (report.condition, report.rows) == (1, (0,))
+        assert report.detail == "row 0 carries symbols [1] both plainly and conjugated"
 
     def test_all_builtins_pass(self):
         for name, code in builtin_codes().items():
-            report = check_feasibility(row_sets(code))
+            report = check_feasibility(code)
             assert report, f"{name}: {report.detail}"
 
     def test_symbol_both_plain_and_conjugated_fails_condition_1(self):
@@ -181,7 +208,7 @@ class TestFeasibility:
             ((0, 1), (2, 3)),
             (qpsk_pairs(), qpsk_pairs()),
         )
-        report = check_feasibility(row_sets(code))
+        report = check_feasibility(code)
         assert not report
         assert report.condition == 1
 
@@ -194,7 +221,7 @@ class TestFeasibility:
             ((0, 1), (2, 3), (4, 5)),
             (qpsk_pairs(), qpsk_pairs(), qpsk_pairs()),
         )
-        report = check_feasibility(row_sets(code))
+        report = check_feasibility(code)
         assert not report
         assert report.condition == 2
 
@@ -207,10 +234,10 @@ class TestFeasibility:
             ((0, 1), (2, 3)),
             (qpsk_pairs(), qpsk_pairs()),
         )
-        assert check_feasibility(row_sets(code))
+        assert check_feasibility(code)
 
     def test_overlapping_unnested_plain_sets_fail_condition_3(self):
-        report = check_feasibility(row_sets(infeasible_example()))
+        report = check_feasibility(infeasible_example())
         assert not report
         assert report.condition == 3
         assert report.rows == (0, 1)
@@ -324,11 +351,12 @@ class TestTextFormat:
         code = parse_code_text(text)
         assert code.group_partition == ((0, 2), (1, 3))
 
-    def test_load_code_reads_file(self, tmp_path):
+    def test_a_code_file_is_read_by_the_sweep(self, tmp_path):
         original = named_code("relay4")
         path = tmp_path / "four.code"
         path.write_text(format_code_text(original), encoding="utf-8")
-        loaded = load_code(path)
+        loaded = _resolve_code(SimConfig(code=str(path)))
+        assert loaded.name == str(path)
         assert loaded.conjugated_columns == original.conjugated_columns
         for a, b in zip(loaded.relay_matrices, original.relay_matrices):
             assert np.allclose(a, b)
@@ -353,7 +381,7 @@ class TestNamedCode:
 
     def test_infeasible_example_is_reachable_by_name(self):
         code = named_code("example1")
-        assert not check_feasibility(row_sets(code))
+        assert not check_feasibility(code)
 
 
 def _rotated(name: str):
@@ -431,3 +459,106 @@ class TestDiversity:
                 if np.array_equal(table[a][:2], table[b][:2]):  # the level alone differs
                     assert columns.tolist() == [4]
 
+
+
+_GRID = grid_alphabet(4)
+# a seeded random orthogonal 4 x 4 matrix: rotating the grid by it gives the 8-relay code full diversity
+_ROTATION = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
+
+
+class TestTheKroneckerFamily:
+    """relay4's matrices are kron(P, Q); one more factor gives an 8-relay,
+    8-slot code with the paper's structure: feasible, scheduled, four-group
+    decodable, and of full diversity for a suitable alphabet."""
+
+    def test_two_levels_are_relay4(self):
+        relay4 = named_code("relay4")
+        code = kronecker_code(2, qpsk_pairs(DEFAULT_ROTATION))
+        assert len(code.relay_matrices) == len(relay4.relay_matrices)
+        assert all(map(np.array_equal, code.relay_matrices, relay4.relay_matrices))
+        assert code.conjugated_columns == relay4.conjugated_columns
+        assert code.group_partition == relay4.group_partition
+        assert all(map(np.array_equal, code.alphabet, relay4.alphabet))
+
+    def test_three_levels_give_eight_relays_in_four_groups(self):
+        code = kronecker_code(3, _GRID)
+        assert (code.num_relays, code.slot_count) == (8, 8)
+        assert code.conjugated_columns == frozenset({4, 5, 6, 7})
+        # {Re s0..s3}, {Im s0..s3}, {Re s4..s7}, {Im s4..s7}
+        assert code.group_partition == ((0, 2, 4, 6), (1, 3, 5, 7), (8, 10, 12, 14), (9, 11, 13, 15))
+
+    def test_eight_relays_are_feasible_scheduled_and_proven(self):
+        code = kronecker_code(3, _GRID)
+        assert check_feasibility(code)
+        schedule = derive_schedule(code)
+        assert len(schedule.forwarding.relays) == 64  # every relay forwards in every slot
+        assert CoherentDecoder(code, 1.0)._proof is not None
+
+    def test_the_noiseless_eight_relay_link_is_the_flat_model(self):
+        code = kronecker_code(3, _GRID)
+        schedule = derive_schedule(code)
+        n_fft, cp_len = 16, 8
+        cfg = LinkConfig(n_fft, cp_len, PowerConfig(12.0, 1.0, 1.0 / code.num_relays))
+        rng = np.random.default_rng(81)
+        for delays in (None, None, None, (0, 1, 2, 3, 5, 6, 7, cp_len)):  # the last one a prefix late
+            channel = draw_channel(rng, code.num_relays, cp_len, delays)
+            frame = complex_noise(rng, (code.symbol_count, n_fft))
+            got = run_frame(frame, schedule, channel, cfg)
+            assert np.max(np.abs(got - expected_subcarrier_rx(code, schedule, channel, cfg, frame))) <= 1e-12
+
+    def test_the_eight_relay_slot_variances_equal_the_slot_loop(self):
+        # every slot sums |g|^2 over eight relays, where numpy starts to sum pairwise
+        code = kronecker_code(3, _GRID)
+        schedule = derive_schedule(code)
+        rng = np.random.default_rng(82)
+        for _ in range(5):
+            cfg = LinkConfig(16, 8, PowerConfig(rng.uniform(0.5, 500.0), 1.0, rng.uniform(0.05, 1.0)))
+            channel = draw_channel(rng, code.num_relays, 8)
+            got = noise_covariance(schedule, channel, cfg)
+            assert np.array_equal(got.view(float), noise_covariance_loop(schedule, channel, cfg).view(float))
+
+    def test_the_eight_relay_grouped_search_equals_a_search_over_all_candidates(self):
+        # four groups of 16 rotated grid points: 65536 code words, none
+        # scored by the decoder's own exhaustive search
+        code = kronecker_code(3, _GRID @ _ROTATION.T)
+        schedule = derive_schedule(code)
+        n_fft, cp_len = 16, 8
+        cfg = LinkConfig(n_fft, cp_len, PowerConfig(20.0, 1.0, 1.0 / code.num_relays))
+        decoder = CoherentDecoder(code, cfg.power.cascade_gain)
+        rng = np.random.default_rng(83)
+        channel = draw_channel(rng, code.num_relays, cp_len)
+        h_all = equivalent_channel_matrix(code, channel, n_fft)
+        variances = noise_covariance(schedule, channel, cfg)
+        labels = rng.integers(0, 16, size=(n_fft, 4))
+        clean = cfg.power.cascade_gain * np.einsum("ktr,kr->tk", codeword(code, decoder.symbols(labels)), h_all)
+        y = clean + np.sqrt(variances)[:, None] * complex_noise(rng, (code.slot_count, n_fft))
+        assert decoder.gap(h_all, 1.0 / variances) == 0.0
+        decided = decoder.grouped(y, h_all, 1.0 / variances)
+        for k in (0, 5, 11):
+            want = exhaustive_ml(code, y[:, k], h_all[k], variances, cfg.power.cascade_gain)
+            assert tuple(int(i) for i in decided[k]) == want
+
+    def test_eight_relays_reach_full_diversity_with_a_rotated_grid(self):
+        rank, det = diversity(kronecker_code(3, _GRID))
+        assert (rank, det) == (2, pytest.approx(256.0, rel=1e-12))
+        rank, det = diversity(kronecker_code(3, _GRID @ _ROTATION.T))
+        assert (rank, det) == (8, pytest.approx(0.0029579, rel=1e-4))
+
+    def test_every_five_relay_subset_is_of_full_diversity_and_fails_condition_2(self):
+        # the check is stricter than the link needs: each subset gets a
+        # schedule, yet its rows carry unequal plain and conjugated counts
+        code = kronecker_code(3, _GRID @ _ROTATION.T)
+        dets = []
+        for columns in itertools.combinations(range(8), 5):
+            subset = dataclasses.replace(
+                code,
+                relay_matrices=tuple(code.relay_matrices[c] for c in columns),
+                conjugated_columns=frozenset(i for i, c in enumerate(columns) if c >= 4),
+            )
+            rank, det = diversity(subset)
+            assert rank == 5
+            dets.append(det)
+            assert check_feasibility(subset).condition == 2
+            derive_schedule(subset)
+        assert len(dets) == 56
+        assert min(dets) == pytest.approx(0.3025, rel=1e-3)

@@ -9,7 +9,6 @@ import pytest
 from asyncrelay.codebook import derive_schedule, format_code_text, named_code, parse_code_text
 from asyncrelay.differential import (
     build_codebook_4relay,
-    diff_decode,
     diff_decode_frame,
     diff_encode,
     initial_state,
@@ -66,7 +65,7 @@ class TestCodebookStructure:
         assembled = sum(fields[g, c] for g, c in enumerate((1, 2, 3, 0)))
         assert np.allclose(assembled, codebook.matrices[idx])
         y = complex_noise(np.random.default_rng(54), 4)
-        assert diff_decode(codebook.matrices[idx] @ y, y, 1.0, codebook)[0] == idx
+        assert diff_decode_frame((codebook.matrices[idx] @ y)[:, None], y[:, None], np.array([1.0]), codebook)[0][0] == idx
 
     # the code file carries relay4's matrices and groups (and its own
     # alphabet, which the codebook replaces by the generating pairs)
@@ -145,7 +144,8 @@ class TestDecoding:
             y_prev = complex_noise(rng, 4) * rng.uniform(0.5, 2.0)
             y_now = complex_noise(rng, 4) * rng.uniform(0.5, 2.0)
             scale = rng.uniform(0.5, 1.5)
-            assert diff_decode(y_now, y_prev, scale, codebook)[0] == diff_decode_scan(y_now, y_prev, scale, codebook)[0]
+            decided = diff_decode_frame(y_now[:, None], y_prev[:, None], np.array([scale]), codebook)[0][0]
+            assert decided == diff_decode_scan(y_now, y_prev, scale, codebook)[0]
 
     def test_frame_decode_matches_scalar_decode(self, codebook):
         rng = np.random.default_rng(51)
@@ -177,7 +177,8 @@ class TestDecoding:
         scale_prev = 1.0
         word = 201
         y_next = codebook.matrices[word] @ y / scale_prev
-        assert diff_decode(y_next, y, scale_prev, codebook) == (word, codebook.scales[word])
+        indices, scales = diff_decode_frame(y_next[:, None], y[:, None], np.array([scale_prev]), codebook)
+        assert (indices[0], scales[0]) == (word, codebook.scales[word])
 
 
 class TestGroupedSearchIsExact:

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -55,9 +56,12 @@ from oracles import (
     draw_frame_per_group,
     exhaustive_ml,
     gram_gap,
+    grid_alphabet,
+    kronecker_code,
     sheared_code,
     slot_swapped_code,
     unequal_alphabet_code,
+    unpaired_groups_code,
 )
 
 FAST = dict(n_fft=8, cp_len=2, frames=20, min_errors=4, seed=13)
@@ -742,6 +746,61 @@ class TestSweepOwnedTables:
         assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
+class TestExhaustiveBudget:
+    """A code that is not proven group decodable may fall back to the
+    exhaustive search, whose table grows with the product alphabet; a sweep
+    whose tables could exceed the budget is rejected before any unit runs."""
+
+    @pytest.mark.parametrize(
+        "name, proven, fallbacks, errors",
+        [
+            ("relay5", True, [0, 0, 0], [554, 92, 21]),
+            ("sheared", False, [20, 20, 20], [137, 36, 0]),
+            ("unpaired", False, [20, 20, 20], [236, 16, 0]),
+            ("swapped", True, [0, 0, 0], [552, 98, 22]),
+        ],
+    )
+    def test_the_fallback_codes_stay_under_the_budget(self, name, proven, fallbacks, errors, tmp_path, monkeypatch):
+        codes = {"sheared": sheared_code, "unpaired": unpaired_groups_code, "swapped": slot_swapped_code}
+        code = name
+        if name in codes:
+            code = str(tmp_path / f"{name}.code")
+            Path(code).write_text(format_code_text(codes[name]()))
+        cfg = SimConfig(code=code, n_fft=8, cp_len=2, power_db=(5.0, 15.0, 25.0), frames=20, max_frames=20,
+                        min_errors=0, seed=13)
+        engines = _sweep_engines(cfg)
+        assert engines[0].decoder.proven == proven
+        assert engines[0].decoder.exhaustive_nbytes * 12 <= harness._EXHAUSTIVE_BUDGET  # twelve points fit
+        calls = Counter()
+        exhaustive = CoherentDecoder.exhaustive
+        monkeypatch.setattr(CoherentDecoder, "exhaustive", lambda self, *a: calls.update([self.gain]) or exhaustive(self, *a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the fallback's warning
+            points = run_sweep(cfg)
+        assert [calls[engine.decoder.gain] for engine in engines] == fallbacks
+        assert [p.bit_errors for p in points] == errors
+
+    def test_an_unproven_code_over_the_budget_exits_2_before_any_unit_runs(self, tmp_path, monkeypatch, capsys):
+        # the 8-relay Kronecker code without its groups line: each symbol is a
+        # group, 4**8 candidates and no proof, so every point could build a
+        # (8, 256, 65536) float64 table, 1 GiB, plus its temporaries
+        text = format_code_text(kronecker_code(3, grid_alphabet(4)))
+        path = tmp_path / "kronecker8.code"
+        path.write_text(text[: text.index("groups")])
+        monkeypatch.setattr(harness, "_draw_unit", lambda *args: pytest.fail("a unit ran"))
+        tracemalloc.start()
+        try:
+            rc = cli_main(["--code", str(path), "--n", "16", "--cp", "4", "--power", "10,20", "--frames", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "each of its 2 power points may build an exhaustive search table of 1024.0 MiB (2048.0 MiB in all)" in err
+        assert peak < 16 * 2**20  # the table alone would be 1 GiB
+
+
 class TestStoppingRule:
     def test_noise_off_runs_exactly_the_requested_frames(self):
         cfg = SimConfig(power_db=(15.0,), noise=False, **FAST)
@@ -860,6 +919,10 @@ class TestCli:
         assert cli_main(["--power", "bad-spec", "--frames", "1"]) == 2
         assert cli_main(["--code", "missing", "--power", "10", "--frames", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+        # source_fraction * total_power overflows: source_scale inf, relay_gain 0.0, cascade_gain nan
+        argv = ["--code", "relay4", "--n", "8", "--cp", "4", "--power", "10", "--frames", "2", "--source-fraction", "1e308"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: source_scale must be finite and nonzero, got inf")
 
     def test_infeasible_code_exits_3(self, capsys):
         rc = cli_main(["--code", "example1", "--power", "10", "--frames", "1"])
@@ -956,7 +1019,10 @@ class TestCli:
 
     def test_malformed_code_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.code"
-        for text in ("2 2\ncolumn conj=0\n1 0\n0 1\n", "2 2 1\ncolumn conj=0\n1 0\n0 nan\n"):
+        # the last is Alamouti with its second column doubled, whose forwarded
+        # noise the noise model would take at a quarter of its variance
+        doubled = format_code_text(named_code("alamouti")).replace("0 -1\n1 0", "0 -2\n2 0")
+        for text in ("2 2\ncolumn conj=0\n1 0\n0 1\n", "2 2 1\ncolumn conj=0\n1 0\n0 nan\n", doubled):
             bad.write_text(text)
             assert cli_main(["--code", str(bad), "--power", "10", "--frames", "1"]) == 2
             assert "malformed" in capsys.readouterr().err

@@ -83,6 +83,20 @@ class TestPowerConfig:
             PowerConfig(**{"total_power": 1.0, field: value})
 
 
+    @pytest.mark.parametrize(
+        "kwargs, name, value",
+        [
+            (dict(total_power=10.0, source_fraction=1e308), "source_scale", "inf"),  # the product overflows
+            (dict(total_power=1e-300, source_fraction=1e-300), "source_scale", "0.0"),  # it underflows
+            (dict(total_power=1e300, relay_fraction=1e300), "relay_gain", "inf"),
+            (dict(total_power=1e-100, relay_fraction=1e-250), "relay_gain", "0.0"),
+        ],
+    )
+    def test_rejects_a_split_whose_scales_overflow_or_underflow(self, kwargs, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and nonzero, got {value} "):
+            PowerConfig(**kwargs)
+
+
 class TestLinkConfig:
     def test_symbol_length(self):
         cfg = LinkConfig(16, 4, PowerConfig(1.0))
