@@ -431,11 +431,10 @@ class CoherentDecoder:
 
     @property
     def exhaustive_nbytes(self) -> int:
-        """Size of the (T, 2*R*R + 2*T*R, C) float64 metric table that
-        ``exhaustive`` builds on first use, C the product alphabet's size."""
-        slots, num_relays = self.code.slot_count, self.code.num_relays
-        candidates = math.prod(table.shape[0] for table in self.code.alphabet)
-        return 8 * slots * (2 * num_relays * num_relays + 2 * slots * num_relays) * candidates
+        """Size of the full metric table that ``exhaustive`` builds on first
+        use: one candidate's table times the product alphabet's size."""
+        one = _metric_terms(codeword(self.code, np.zeros((1, self.code.symbol_count))), self.gain)
+        return one.nbytes * math.prod(table.shape[0] for table in self.code.alphabet)
 
     def gap(self, h_all: np.ndarray, w2: np.ndarray) -> float:
         """Largest cross-group whitened Gram entry over all subcarriers: 0.0

@@ -26,8 +26,8 @@ codebook, then builds the link's tables (``relaysim.LinkTables``), in
 coherent mode the delay rotations (``decoder.rotation_table``), and one
 engine per power point, which in coherent mode builds its own
 ``decoder.CoherentDecoder``; a code that is not proven group decodable and
-whose exhaustive tables could exceed ``_EXHAUSTIVE_BUDGET`` is rejected
-then, before any unit runs. Pool workers receive those engines once, when
+whose exhaustive search could need more than ``_EXHAUSTIVE_BUDGET`` in one
+process is rejected then, before any unit runs. Pool workers receive those engines once, when
 the pool starts. Nothing is kept between sweeps.
 """
 
@@ -88,12 +88,17 @@ CSV_HEADER = "P_dB,ber,ci_lo,ci_hi,bits,frames"
 
 _Z95 = 1.959963984540054
 
-# Bytes of exhaustive search tables (``CoherentDecoder.exhaustive_nbytes``)
-# that one process may need over the sweep of a code that is not proven group
-# decodable. Each point's engine builds its own table on its first fallback
-# unit and keeps its nonzero rows, and a pool worker may serve every point;
-# the build peaks near three times the table (relay5: 64 MiB for 20.6 MiB).
-# 256 MiB is twelve times relay5's table, the largest of a built-in code.
+# Bytes that the exhaustive search of a code not proven group decodable may
+# hold in one process over a sweep. Each point's engine builds its full
+# table (``CoherentDecoder.exhaustive_nbytes``) on its first fallback unit
+# and keeps its rows that are nonzero in some slot, at most a table; a
+# process builds one table at a time, and a build peaks near three tables
+# plus the code words (3.1 to 3.2 tables under ``tracemalloc`` for relay4's
+# and relay5's). So a sweep of P points is bounded by P + 3 tables: four for
+# the build under way and one for each other point, even when one pool
+# worker serves them all. 256 MiB is a memory policy, a small share of a
+# machine that runs several sweeps; the unproven test codes' tables are at
+# most 0.5 MiB, so it admits their sweeps of up to 509 points.
 _EXHAUSTIVE_BUDGET = 256 * 2**20
 
 
@@ -447,14 +452,16 @@ def _sweep_engines(cfg: SimConfig) -> list:
     if codebook is None:
         rotations = _decoder.rotation_table(cfg.n_fft, cfg.cp_len, cfg.delays)
         engines = [_CoherentEngine(cfg, code, schedule, link, tables, rotations) for link in links]
-        decoder = engines[0].decoder
-        if not decoder.proven and decoder.exhaustive_nbytes * len(engines) > _EXHAUSTIVE_BUDGET:
-            raise ConfigError(
-                f"code {code.name!r} is not proven group decodable, so each of its {len(engines)} power points may "
-                f"build an exhaustive search table of {decoder.exhaustive_nbytes / 2**20:.1f} MiB "
-                f"({decoder.exhaustive_nbytes * len(engines) / 2**20:.1f} MiB in all), above the sweep's budget of "
-                f"{_EXHAUSTIVE_BUDGET // 2**20} MiB"
-            )
+        if not engines[0].decoder.proven:
+            table = engines[0].decoder.exhaustive_nbytes
+            need = (len(engines) + 3) * table
+            if need > _EXHAUSTIVE_BUDGET:
+                raise ConfigError(
+                    f"code {code.name!r} is not proven group decodable, and its exhaustive search over "
+                    f"{len(engines)} power points may need {need / 2**20:.1f} MiB: "
+                    f"{len(engines) + 3} tables of {table / 2**20:.1f} MiB, four while one is built and one for "
+                    f"each other point, above the sweep's budget of {_EXHAUSTIVE_BUDGET // 2**20} MiB"
+                )
         return engines
     return [_DifferentialEngine(cfg, code, schedule, link, codebook, tables) for link in links]
 

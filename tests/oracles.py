@@ -186,16 +186,15 @@ def gap_terms_loop(code) -> np.ndarray:
     return terms
 
 
-def exhaustive_ml(code, y: np.ndarray, h: np.ndarray, noise_var: np.ndarray, gain: float,
-                  chunk: int = 16384) -> tuple[int, ...]:
+def exhaustive_ml(code, y: np.ndarray, h: np.ndarray, noise_var: np.ndarray, gain: float) -> tuple[int, ...]:
     """Per-group alphabet indices of the whitened-ML code word at one
     subcarrier: every combination of group indices in lexicographic order,
     scored by the whitened residual norm; the first minimum wins. The
-    candidates are scored ``chunk`` at a time, so that product alphabets of
-    any size fit: the (chunk, T, R) code words of a chunk take 16 MiB for
-    T = R = 8."""
+    candidates are scored a chunk at a time, so that product alphabets of
+    any size fit."""
     from asyncrelay.codebook import codeword
 
+    chunk = 16384  # its (chunk, T, R) code words take 16 MiB for T = R = 8
     sizes = [len(table) for table in code.alphabet]
     best, best_metric = None, math.inf
     for start in range(0, math.prod(sizes), chunk):

@@ -546,8 +546,12 @@ class TestTheKroneckerFamily:
 
     def test_every_five_relay_subset_is_of_full_diversity_and_fails_condition_2(self):
         # the check is stricter than the link needs: each subset gets a
-        # schedule, yet its rows carry unequal plain and conjugated counts
+        # schedule and its noiseless link is the flat model, yet its rows
+        # carry unequal plain and conjugated counts
         code = kronecker_code(3, _GRID @ _ROTATION.T)
+        n_fft, cp_len = 16, 8
+        cfg = LinkConfig(n_fft, cp_len, PowerConfig(12.0, 1.0, 1.0 / 5))
+        rng = np.random.default_rng(84)
         dets = []
         for columns in itertools.combinations(range(8), 5):
             subset = dataclasses.replace(
@@ -559,6 +563,10 @@ class TestTheKroneckerFamily:
             assert rank == 5
             dets.append(det)
             assert check_feasibility(subset).condition == 2
-            derive_schedule(subset)
+            schedule = derive_schedule(subset)
+            channel = draw_channel(rng, 5, cp_len)
+            frame = complex_noise(rng, (subset.symbol_count, n_fft))
+            got = run_frame(frame, schedule, channel, cfg)
+            assert np.max(np.abs(got - expected_subcarrier_rx(subset, schedule, channel, cfg, frame))) <= 1e-12
         assert len(dets) == 56
         assert min(dets) == pytest.approx(0.3025, rel=1e-3)

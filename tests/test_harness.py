@@ -749,7 +749,8 @@ class TestSweepOwnedTables:
 class TestExhaustiveBudget:
     """A code that is not proven group decodable may fall back to the
     exhaustive search, whose table grows with the product alphabet; a sweep
-    whose tables could exceed the budget is rejected before any unit runs."""
+    that could need more than the budget in one process, P + 3 tables for P
+    points, is rejected before any unit runs."""
 
     @pytest.mark.parametrize(
         "name, proven, fallbacks, errors",
@@ -770,7 +771,6 @@ class TestExhaustiveBudget:
                         min_errors=0, seed=13)
         engines = _sweep_engines(cfg)
         assert engines[0].decoder.proven == proven
-        assert engines[0].decoder.exhaustive_nbytes * 12 <= harness._EXHAUSTIVE_BUDGET  # twelve points fit
         calls = Counter()
         exhaustive = CoherentDecoder.exhaustive
         monkeypatch.setattr(CoherentDecoder, "exhaustive", lambda self, *a: calls.update([self.gain]) or exhaustive(self, *a))
@@ -797,8 +797,33 @@ class TestExhaustiveBudget:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert "each of its 2 power points may build an exhaustive search table of 1024.0 MiB (2048.0 MiB in all)" in err
+        assert "over 2 power points may need 5120.0 MiB: 5 tables of 1024.0 MiB" in err
         assert peak < 16 * 2**20  # the table alone would be 1 GiB
+
+    @pytest.mark.parametrize(
+        "code, points, budget, admitted",
+        [
+            ("unpaired", 1, 4 * 2**19 - 1, False),
+            ("unpaired", 1, 4 * 2**19, True),
+            ("unpaired", 2, 4 * 2**19, False),
+            ("unpaired", 2, 5 * 2**19, True),
+            ("relay5", 2, 0, True),  # a proven code never falls back
+        ],
+    )
+    def test_the_budget_bounds_one_build_and_each_other_points_table(self, code, points, budget, admitted, tmp_path,
+                                                                     monkeypatch):
+        # unpaired_groups_code's full table is 0.5 MiB: a one-point sweep may
+        # peak near four of them while it builds, and each more point keeps one
+        if code == "unpaired":
+            code = str(tmp_path / "unpaired.code")
+            Path(code).write_text(format_code_text(unpaired_groups_code()))
+        monkeypatch.setattr(harness, "_EXHAUSTIVE_BUDGET", budget)
+        cfg = SimConfig(code=code, n_fft=8, cp_len=2, power_db=(5.0, 15.0)[:points], frames=1)
+        if admitted:
+            _sweep_engines(cfg)
+        else:
+            with pytest.raises(ConfigError, match=f"{points + 3} tables of 0.5 MiB"):
+                _sweep_engines(cfg)
 
 
 class TestStoppingRule:
