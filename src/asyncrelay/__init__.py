@@ -24,7 +24,7 @@ from .codebook import (
     infeasible_example,
     named_code,
 )
-from .decoder import CoherentDecoder, SubcarrierModel, build_model, ml_decode_exhaustive, ml_decode_grouped
+from .decoder import CoherentDecoder
 from .differential import DifferentialCodebook, build_codebook_4relay, diff_encode, verify_commutation
 from .harness import BerPoint, ConfigError, SimConfig, emit_csv, emit_plotscript, parse_csv, run_sweep
 from .relaysim import ChannelRealization, LinkConfig, PowerConfig, draw_channel, frame_noise, run_frame
@@ -46,9 +46,7 @@ __all__ = [
     "RelaySchedule",
     "ScheduleError",
     "SimConfig",
-    "SubcarrierModel",
     "build_codebook_4relay",
-    "build_model",
     "builtin_codes",
     "check_feasibility",
     "codeword",
@@ -61,8 +59,6 @@ __all__ = [
     "frame_noise",
     "idft",
     "infeasible_example",
-    "ml_decode_exhaustive",
-    "ml_decode_grouped",
     "named_code",
     "parse_csv",
     "run_frame",

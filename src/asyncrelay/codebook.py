@@ -604,7 +604,6 @@ def _format_entry(v: float) -> str:
 def parse_code_text(
     text: str,
     name: str = "user",
-    alphabet: tuple[np.ndarray, ...] | None = None,
     rotation: float = DEFAULT_ROTATION,
 ) -> CodeDefinition:
     """Parse the plain-text code format.
@@ -614,8 +613,8 @@ def parse_code_text(
     entries; then an optional ``groups`` line giving the real-coordinate
     partition as ``|``-separated index lists. Blank lines and ``#`` comments
     are ignored. Without a groups line each complex symbol decodes on its
-    own; without an explicit alphabet, two-coordinate groups get the rotated
-    QPSK pair set and other sizes a per-coordinate +/-sqrt(1/2) grid.
+    own. Two-coordinate groups get the QPSK pair set rotated by ``rotation``
+    and other sizes a per-coordinate +/-sqrt(1/2) grid.
     """
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -664,13 +663,11 @@ def parse_code_text(
     if pos != len(lines):
         raise ValueError(f"unexpected trailing content: {lines[pos]!r}")
 
-    if alphabet is None:
-        alphabet = _default_alphabet(groups, rotation)
     return CodeDefinition(
         name=name,
         relay_matrices=tuple(matrices),
         conjugated_columns=frozenset(conjugated),
         group_partition=groups,
-        alphabet=alphabet,
+        alphabet=_default_alphabet(groups, rotation),
     )
 

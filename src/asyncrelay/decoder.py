@@ -8,22 +8,22 @@ with h_k the equivalent per-relay channel (source fading, conjugated for
 conjugated columns, times destination fading and a delay phase) and n_k
 zero-mean complex Gaussian noise: one unit of destination noise plus the
 forwarded relay noise of every relay active in the slot. Distinct slots
-share no noise sample, so the covariance is diagonal, and the model carries
-its (T,) slot variances (``noise_covariance``, ``SubcarrierModel``);
-whitening scales slot t by w_t = var_t^{-1/2}, which turns ML into a
-nearest-point search.
+share no noise sample, so the covariance is diagonal: the model is the
+(N, R) channels (``equivalent_channel_matrix``) and the (T,) slot variances
+(``noise_covariance``). Whitening scales slot t by w_t = var_t^{-1/2},
+which turns ML into a nearest-point search.
 
 The code word is linear in the real symbol coordinates, so the whitened
 metric splits into independent per-group problems whenever the dispersion
 vectors of different groups are orthogonal under the real inner product.
 ``CoherentDecoder`` computes the largest cross-group Gram entry, the
 grouped search and the exhaustive search for all N subcarriers of a frame
-at once, for one code and cascade gain. Its owner builds it once and passes
-it to every call: ``decomposition_gap``, ``ml_decode_grouped`` and
-``ml_decode_exhaustive`` apply a given decoder to one ``SubcarrierModel``,
-and no module keeps one, so nothing is kept between sweeps. Its second
-caller is differential decoding: ``differential.diff_decode_frame`` runs
-``grouped`` over the codebook's pair code with the scaled previous block
+at once, for one code and cascade gain; one subcarrier is the slice
+``y[:, k:k+1]``, ``h_all[k:k+1]``. Its owner builds it once and passes it
+on, and no module keeps one, so nothing is kept between sweeps. The
+coherent sweep's engine owns one per power point, and its second caller is
+differential decoding: ``differential.diff_decode_frame`` runs ``grouped``
+over the codebook's pair code with the scaled previous block
 y^{t-1} / a_{t-1} as the channel and unit slot weights.
 
 Each decoder proves group decodability once, with its gap's table. Slots
@@ -34,9 +34,9 @@ are all exactly 0.0, the Gram entries vanish for every channel whose slot
 weights are constant on each class (``_proof``). ``gap`` then returns 0.0
 for such weights, which weights from ``noise_covariance`` always are, and
 computes the largest Gram entry for any other weights and for a code the
-proof does not cover. The grouped search falls back to the exhaustive search with a
-warning when that gap exceeds 1e-9, so grouping is an optimisation, never
-an approximation.
+proof does not cover. The coherent sweep's engine decides a unit by the
+exhaustive search, with a warning, when that gap exceeds 1e-9, so grouping
+is an optimisation, never an approximation.
 
 Everything that depends only on the code, the schedule or the link is
 tabulated once, on the object it depends on, and read by every frame, with
@@ -68,8 +68,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,47 +76,13 @@ from .relaysim import ChannelRealization, LinkConfig
 
 __all__ = [
     "CoherentDecoder",
-    "SubcarrierModel",
-    "build_model",
-    "decomposition_gap",
     "delay_phases",
     "group_candidates",
     "full_candidates",
     "ml_decode_exhaustive",
-    "ml_decode_grouped",
 ]
 
 _ORTHOGONALITY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SubcarrierModel:
-    """Flat channel description used by the ML decoders: one subcarrier, or
-    N subcarriers that share the slot noise. The cascade gain belongs to the
-    ``CoherentDecoder`` that decodes it. Both arrays are copied, so freezing
-    them leaves the caller's arrays writeable."""
-
-    channel: np.ndarray  # (R,) equivalent channel vector, or (N, R)
-    noise_var: np.ndarray  # (T,) slot noise variances, real and positive
-
-    def __post_init__(self):
-        h = np.array(self.channel, dtype=complex)
-        if h.ndim not in (1, 2):
-            raise ValueError("channel must be an (R,) vector or an (N, R) matrix")
-        if np.iscomplexobj(self.noise_var) or np.ndim(self.noise_var) != 1:
-            raise ValueError(f"noise variances must be a real (T,) vector, got shape {np.shape(self.noise_var)}")
-        var = np.array(self.noise_var, dtype=float)
-        if not np.all(np.isfinite(var) & (var > 0)):
-            raise ValueError("noise variances must be finite and positive")
-        h.setflags(write=False)
-        var.setflags(write=False)
-        object.__setattr__(self, "channel", h)
-        object.__setattr__(self, "noise_var", var)
-
-    @property
-    def channels(self) -> np.ndarray:
-        """The channel as an (N, R) matrix (N = 1 for a single subcarrier)."""
-        return self.channel.reshape(-1, self.channel.shape[-1])
 
 
 def delay_phases(n_fft: int, delays: np.ndarray) -> np.ndarray:
@@ -178,37 +142,10 @@ def noise_covariance(
     return 1.0 + boost * forwarded
 
 
-def build_model(
-    channel: ChannelRealization,
-    schedule: RelaySchedule,
-    code: CodeDefinition,
-    cfg: LinkConfig,
-    subcarrier: int,
-) -> SubcarrierModel:
-    """Assemble the flat model for one subcarrier index; its decoder is
-    ``CoherentDecoder(code, cfg.power.cascade_gain)``."""
-    if not 0 <= subcarrier < cfg.n_fft:
-        raise ValueError(f"subcarrier {subcarrier} out of range [0, {cfg.n_fft})")
-    h_all = equivalent_channel_matrix(code, channel, cfg.n_fft)
-    return SubcarrierModel(
-        channel=h_all[subcarrier],
-        noise_var=noise_covariance(schedule, channel, cfg),
-    )
-
-
 def real_to_complex(coords: np.ndarray) -> np.ndarray:
     """Fold a (..., 2*nu) real coordinate array into (..., nu) complex symbols."""
     coords = np.asarray(coords, dtype=float)
     return coords[..., 0::2] + 1j * coords[..., 1::2]
-
-
-def complex_to_real(symbols: np.ndarray) -> np.ndarray:
-    """Interleave real and imaginary parts into (..., 2*nu) coordinates."""
-    symbols = np.asarray(symbols, dtype=complex)
-    out = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=float)
-    out[..., 0::2] = symbols.real
-    out[..., 1::2] = symbols.imag
-    return out
 
 
 def group_candidates(code: CodeDefinition) -> list[np.ndarray]:
@@ -396,7 +333,7 @@ class CoherentDecoder:
 
     Operations take the (N, R) equivalent channels ``h_all``, the (T,)
     whitening weights ``w2`` (w_t^2 = 1 / var_t) and, to search, the (T, N)
-    observations ``y``.
+    observations ``y``; a search rejects any other shapes.
     Gram entries and metrics are real linear forms in h_r conj(h_s) and
     conj(y_t) h_r whose per-slot coefficients are tabulated once and
     weighted by one ``w2 @ terms`` product per call. Each table keeps only
@@ -447,15 +384,29 @@ class CoherentDecoder:
                 return 0.0
         return float(np.abs(self._gap(h_all, w2)).max())
 
+    def _check(self, y: np.ndarray, h_all: np.ndarray, w2: np.ndarray) -> None:
+        """Reject a search whose observations are not (T, N), channels not
+        (N, R) or weights not (T,) for the code's T slots and R relays."""
+        n = h_all.shape[:1]  # no N for a 0-d array, whose shape then matches none
+        slots, relays = self.code.slot_count, self.code.num_relays
+        shapes = y.shape, h_all.shape, w2.shape
+        if shapes != ((slots, *n), (*n, relays), (slots,)):
+            raise ValueError(
+                f"code {self.code.name!r} searches y (T, N), h_all (N, R) and w2 (T,) with T = {slots} and "
+                f"R = {relays}, got shapes {shapes[0]}, {shapes[1]} and {shapes[2]}"
+            )
+
     def grouped(self, y: np.ndarray, h_all: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """Per-group alphabet indices (N, G), each group searched with every
         other group at zero; the joint minimiser when ``gap`` vanishes."""
+        self._check(y, h_all, w2)
         metrics = self._group(h_all, w2, y)
         return metrics.reshape(metrics.shape[0], -1, self._width).argmin(axis=2)
 
     def exhaustive(self, y: np.ndarray, h_all: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """Per-group alphabet indices (N, G) of the minimiser over the full
         product alphabet; ties go to the lexicographically first candidate."""
+        self._check(y, h_all, w2)
         if self._full is None:
             symbols, index_table = full_candidates(self.code)
             terms = _metric_terms(codeword(self.code, symbols), self.gain)
@@ -467,51 +418,9 @@ class CoherentDecoder:
         """Symbol vectors (..., nu) of per-group alphabet indices (..., G)."""
         return self._assemble(indices)
 
-    def indices(self, symbols: np.ndarray) -> np.ndarray:
-        """Per-group indices (..., G) of the alphabet entries nearest to the
-        coordinates of symbol vectors (..., nu)."""
-        coords = complex_to_real(symbols)[..., None, :]
-        tables = zip(self.code.group_partition, self.code.alphabet)
-        return np.stack([np.abs(t - coords[..., list(g)]).sum(-1).argmin(-1) for g, t in tables], axis=-1)
 
-
-def decomposition_gap(decoder: CoherentDecoder, model: SubcarrierModel) -> float:
-    """Largest cross-group real inner product of whitened dispersion vectors,
-    over the model's subcarriers."""
-    return decoder.gap(model.channels, 1.0 / model.noise_var)
-
-
-def _decide(decoder: CoherentDecoder, search, y: np.ndarray, model: SubcarrierModel) -> np.ndarray:
-    """Symbol vectors (nu,) for a (T,) observation, or (N, nu) for (T, N)."""
-    y = np.asarray(y, dtype=complex)
-    h_all, w2 = model.channels, 1.0 / model.noise_var
-    expected = w2.shape + model.channel.shape[:-1]  # (T,) or (T, N)
-    if y.shape != expected:
-        raise ValueError(f"observation shape {y.shape} does not match the model's {expected}")
-    indices = search(y.reshape(len(y), -1), h_all, w2)
-    return decoder.symbols(indices).reshape(y.shape[1:] + (-1,))
-
-
-def ml_decode_exhaustive(y: np.ndarray, model: SubcarrierModel, decoder: CoherentDecoder) -> np.ndarray:
-    """Whitened-ML symbol vector over the full product alphabet, (nu,) for a
-    (T,) observation or (N, nu) for (T, N) and an (N, R) channel; ties
-    resolve to the lexicographically first candidate in group-index order."""
-    return _decide(decoder, decoder.exhaustive, y, model)
-
-
-def ml_decode_grouped(y: np.ndarray, model: SubcarrierModel, decoder: CoherentDecoder) -> np.ndarray:
-    """Whitened-ML search run independently per coordinate group.
-
-    Each group is minimised with every other group's coordinates at zero,
-    which equals the joint minimiser exactly when the cross-group dispersion
-    products vanish; that premise is checked and a failed check falls back
-    to the exhaustive search.
-    """
-    if decomposition_gap(decoder, model) > _ORTHOGONALITY_TOL:
-        warnings.warn(
-            f"code {decoder.code.name!r}: group decomposition invalid for this channel; "
-            "falling back to exhaustive search",
-            stacklevel=2,
-        )
-        return ml_decode_exhaustive(y, model, decoder)
-    return _decide(decoder, decoder.grouped, y, model)
+def ml_decode_exhaustive(y: np.ndarray, h_all: np.ndarray, w2: np.ndarray, decoder: CoherentDecoder) -> np.ndarray:
+    """``decoder.exhaustive(y, h_all, w2)``. The sweep's fallback decides
+    through this name only so that perfbench's traced run counts its
+    fallback units by it; benchmark v2 retires it."""
+    return decoder.exhaustive(y, h_all, w2)

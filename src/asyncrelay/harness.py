@@ -379,8 +379,7 @@ class _CoherentEngine:
         received = run_frame(self.decoder.symbols(tx).T, self.schedule, channel, self.link, noise, tables=self.tables)
 
         h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft, rotations=self.rotations)
-        var = _decoder.noise_covariance(self.schedule, channel, self.link)
-        w2 = 1.0 / var
+        w2 = 1.0 / _decoder.noise_covariance(self.schedule, channel, self.link)
         if self._gap(h_all, w2) > _decoder._ORTHOGONALITY_TOL:
             if not self._warned:
                 warnings.warn(
@@ -391,8 +390,7 @@ class _CoherentEngine:
                 self._warned = True
             # perfbench's traced run counts fallback units by these two calls
             h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft, rotations=self.rotations)
-            model = _decoder.SubcarrierModel(h_all, var)
-            decided = self.decoder.indices(_decoder.ml_decode_exhaustive(received, model, self.decoder))
+            decided = _decoder.ml_decode_exhaustive(received, h_all, w2, self.decoder)
         else:
             decided = self.decoder.grouped(received, h_all, w2)
         return int(self._popcount[np.bitwise_xor(tx, decided)].sum()), self.bits_per_unit

@@ -24,10 +24,7 @@ from asyncrelay.codebook import (
 )
 from asyncrelay.decoder import (
     CoherentDecoder,
-    SubcarrierModel,
     equivalent_channel_matrix,
-    ml_decode_exhaustive,
-    ml_decode_grouped,
     noise_covariance,
 )
 from asyncrelay.differential import (
@@ -187,16 +184,18 @@ def test_criterion_04_grouped_decoding_is_exact(capsys):
             decoder = CoherentDecoder(code, cfg.power.cascade_gain)
             for _ in range(1000):
                 channel = draw_channel(rng, code.num_relays, cp)
-                h = equivalent_channel_matrix(code, channel, n)[int(rng.integers(0, n))]
+                k = int(rng.integers(0, n))
+                h = equivalent_channel_matrix(code, channel, n)[k : k + 1]
                 var = noise_covariance(schedule, channel, cfg)
-                model = SubcarrierModel(h, var)
                 indices = _random_codeword_indices(rng, code, 1)
                 s = _frame_from_indices(code, indices, 1)[:, 0]
                 noise = np.sqrt(var) * complex_noise(rng, code.slot_count)
-                y = decoder.gain * (codeword(code, s) @ h) + noise
-                a = ml_decode_grouped(y, model, decoder)
-                b = ml_decode_exhaustive(y, model, decoder)
-                assert np.allclose(a, b), f"{name}: grouped and exhaustive decisions differ"
+                y = (decoder.gain * (codeword(code, s) @ h[0]) + noise)[:, None]
+                w2 = 1.0 / var
+                assert decoder.gap(h, w2) == 0.0, f"{name}: the grouped search is not exact"
+                a = decoder.grouped(y, h, w2)
+                b = decoder.exhaustive(y, h, w2)
+                assert np.array_equal(a, b), f"{name}: grouped and exhaustive decisions differ"
 
         codebook = build_codebook_4relay()
         for _ in range(1000):
@@ -256,12 +255,10 @@ def test_criterion_06_noiseless_chains_are_error_free(capsys):
             tx = _random_codeword_indices(rng, code, n)
             frame = _frame_from_indices(code, tx, n)
             y = run_frame(frame, schedule, channel, cfg)
-            var = noise_covariance(schedule, channel, cfg)
+            w2 = 1.0 / noise_covariance(schedule, channel, cfg)
             h_all = equivalent_channel_matrix(code, channel, n)
-            for k in range(n):
-                model = SubcarrierModel(h_all[k], var)
-                s_hat = ml_decode_grouped(y[:, k], model, decoder)
-                assert np.allclose(s_hat, frame[:, k], atol=1e-6)
+            assert decoder.gap(h_all, w2) == 0.0
+            assert np.array_equal(decoder.grouped(y, h_all, w2), np.transpose(tx))
             coherent_bits += 8 * n
 
         diff_code = named_code("relay4_diff")

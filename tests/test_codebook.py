@@ -28,9 +28,9 @@ from asyncrelay.codebook import (
     qpsk_pairs,
 )
 
-from asyncrelay.decoder import CoherentDecoder, equivalent_channel_matrix, noise_covariance
-from asyncrelay.harness import SimConfig, _resolve_code
-from asyncrelay.relaysim import LinkConfig, PowerConfig, complex_noise, draw_channel, run_frame
+from asyncrelay.decoder import CoherentDecoder, equivalent_channel_matrix, noise_covariance, rotation_table
+from asyncrelay.harness import SimConfig, _CoherentEngine, _draw_unit, _power_config, _resolve_code, frame_rng
+from asyncrelay.relaysim import LinkConfig, PowerConfig, complex_noise, draw_channel, link_tables, run_frame
 
 from oracles import (
     cross_groups_orthogonal,
@@ -537,6 +537,17 @@ class TestTheKroneckerFamily:
         for k in (0, 5, 11):
             want = exhaustive_ml(code, y[:, k], h_all[k], variances, cfg.power.cascade_gain)
             assert tuple(int(i) for i in decided[k]) == want
+
+    def test_a_noiseless_eight_relay_engine_makes_no_errors(self):
+        # a code file cannot hold the rotated alphabet, so the engine is built directly
+        code = kronecker_code(3, _GRID @ _ROTATION.T)
+        cfg = SimConfig(code=code.name, n_fft=16, cp_len=8, noise=False)
+        schedule = derive_schedule(code)
+        link = LinkConfig(16, 8, _power_config(cfg, code, 20.0))
+        engine = _CoherentEngine(cfg, code, schedule, link, link_tables(schedule, 16, 8), rotation_table(16, 8))
+        assert engine.decoder.proven
+        counts = [engine.simulate(*_draw_unit(frame_rng(cfg.seed, 0, unit), engine)) for unit in range(300)]
+        assert (sum(e for e, _ in counts), sum(b for _, b in counts)) == (0, 300 * 16 * 16)
 
     def test_eight_relays_reach_full_diversity_with_a_rotated_grid(self):
         rank, det = diversity(kronecker_code(3, _GRID))

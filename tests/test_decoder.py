@@ -3,7 +3,7 @@
 import dataclasses
 import itertools
 import math
-import warnings
+import re
 
 import numpy as np
 import pytest
@@ -11,21 +11,15 @@ import pytest
 from asyncrelay.codebook import RelayInstruction, RelaySchedule, builtin_codes, codeword, derive_schedule, named_code
 from asyncrelay.decoder import (
     CoherentDecoder,
-    SubcarrierModel,
     _Form,
     _gap_terms,
     _metric_terms,
     _proof,
     _used,
-    build_model,
-    complex_to_real,
-    decomposition_gap,
     delay_phases,
     equivalent_channel_matrix,
     full_candidates,
     group_candidates,
-    ml_decode_exhaustive,
-    ml_decode_grouped,
     noise_covariance,
     real_to_complex,
     rotation_table,
@@ -53,11 +47,20 @@ from oracles import (
 
 
 def _model_for(code, rng, n=16, cp=4, power=10.0, subcarrier=3):
-    """A drawn subcarrier's flat model and the decoder of its cascade gain."""
+    """A drawn subcarrier's flat model, its (1, R) channel slice and (T,)
+    slot weights, and the decoder of its cascade gain."""
     schedule = derive_schedule(code)
     cfg = LinkConfig(n, cp, PowerConfig(power, 1.0, 1.0 / code.num_relays))
     channel = draw_channel(rng, code.num_relays, cp)
-    return build_model(channel, schedule, code, cfg, subcarrier), CoherentDecoder(code, cfg.power.cascade_gain)
+    h = equivalent_channel_matrix(code, channel, n)[subcarrier : subcarrier + 1]
+    w2 = 1.0 / noise_covariance(schedule, channel, cfg)
+    return h, w2, CoherentDecoder(code, cfg.power.cascade_gain)
+
+
+def _coords(symbols):
+    """Real coordinates (..., 2*nu) of symbol vectors (..., nu), real and
+    imaginary parts interleaved."""
+    return np.stack((symbols.real, symbols.imag), axis=-1).reshape(*symbols.shape[:-1], -1)
 
 
 class TestChannelAssembly:
@@ -85,15 +88,6 @@ class TestChannelAssembly:
             var = noise_covariance(schedule, channel, cfg)
             assert var.shape == (schedule.num_slots,)
             assert np.allclose(var, slot_noise_variances(code, schedule, channel, cfg))
-
-    def test_build_model_validates_subcarrier(self):
-        rng = np.random.default_rng(1)
-        code = named_code("alamouti")
-        schedule = derive_schedule(code)
-        cfg = LinkConfig(8, 2, PowerConfig(1.0, 1.0, 0.5))
-        channel = draw_channel(rng, 2, 2)
-        with pytest.raises(ValueError):
-            build_model(channel, schedule, code, cfg, 8)
 
 
 def _all_codes():
@@ -167,71 +161,32 @@ class TestTablesReproduceThePerUnitComputation:
 
 
 class TestModelContract:
-    def test_non_diagonal_covariance_rejected(self):
-        cov = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
-        with pytest.raises(ValueError, match="real"):
-            SubcarrierModel(channel=np.ones(2, dtype=complex), noise_var=cov)
-
-    def test_non_positive_variance_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            SubcarrierModel(channel=np.ones(2, dtype=complex), noise_var=np.array([1.0, 0.0]))
+    # (4, 1) used to be broadcast over the 8 channels, and (6, 8) to be
+    # decided from its first 4 slots
+    @pytest.mark.parametrize("shape", [(4, 1), (6, 8), (4,), (4, 5), (3, 8), (4, 8, 1)])
+    def test_observation_must_match_slots_and_subcarriers(self, shape):
+        decoder = CoherentDecoder(named_code("relay4"), 3.0)
+        rng = np.random.default_rng(5)
+        h_all, w2 = complex_noise(rng, (8, 4)), np.ones(4)
+        for search in (decoder.grouped, decoder.exhaustive):
+            with pytest.raises(ValueError, match=re.escape(f"got shapes {shape}, (8, 4) and (4,)")):
+                search(complex_noise(rng, shape), h_all, w2)
 
     @pytest.mark.parametrize(
-        "noise_var, message",
-        [
-            (np.diag([4.0, 0.5]), r"\(T,\) vector"),  # the (T, T) form of the covariance
-            (np.array([4.0, 0.5], dtype=complex), "real"),
-            (np.array([4.0 + 0.5j, 0.5]), "real"),
-            (np.array([4.0, 0.0]), "finite and positive"),
-            (np.array([4.0, np.nan]), "finite and positive"),
-            (np.array([np.inf, 0.5]), "finite and positive"),
-            (np.array([-1.0, 0.5]), "finite and positive"),
-            (np.float64(2.0), r"\(T,\) vector"),
-        ],
+        "h_shape, w2_shape", [((8,), (4,)), ((8, 3), (4,)), ((8, 4, 1), (4,)), ((), (4,)), ((8, 4), (3,)), ((8, 4), (4, 1))]
     )
-    def test_only_a_vector_of_positive_real_variances_is_accepted(self, noise_var, message):
-        with pytest.raises(ValueError, match=message):
-            SubcarrierModel(channel=np.ones(2, dtype=complex), noise_var=noise_var)
-
-    def test_weights_are_inverse_slot_variances(self):
-        model = SubcarrierModel(channel=np.ones(2, dtype=complex), noise_var=np.array([4.0, 0.5]))
-        assert np.array_equal(1.0 / model.noise_var, [0.25, 2.0])
-        assert model.channels.shape == (1, 2)
-
-    def test_the_model_is_the_channel_and_the_slot_variances(self):
-        # the cascade gain is the decoder's, so no second copy can disagree with it
-        assert [f.name for f in dataclasses.fields(SubcarrierModel)] == ["channel", "noise_var"]
-        code = named_code("relay4")
-        model, decoder = _model_for(code, np.random.default_rng(2), power=7.0)
-        assert decoder.gain == LinkConfig(16, 4, PowerConfig(7.0, 1.0, 0.25)).power.cascade_gain
-
-    def test_the_callers_arrays_stay_writeable(self):
-        h, var = np.ones((3, 2), dtype=complex), np.array([4.0, 0.5])
-        model = SubcarrierModel(h, var)
-        assert h.flags.writeable and var.flags.writeable
-        assert not model.channel.flags.writeable and not model.noise_var.flags.writeable
-        h[0, 0] = var[0] = 7.0
-        assert model.channel[0, 0] == 1.0 and model.noise_var[0] == 4.0
-
-    @pytest.mark.parametrize("shape", [(4,), (4, 5), (3, 6), (4, 6, 1)])
-    def test_observation_must_match_slots_and_subcarriers(self, shape):
+    def test_channels_and_weights_must_match_the_code(self, h_shape, w2_shape):
         decoder = CoherentDecoder(named_code("relay4"), 1.0)
-        model = SubcarrierModel(channel=np.ones((6, 4), dtype=complex), noise_var=np.ones(4))
-        y = np.zeros(shape, dtype=complex)
-        for decode in (ml_decode_grouped, ml_decode_exhaustive):
-            with pytest.raises(ValueError, match="observation shape"):
-                decode(y, model, decoder)
+        y = np.zeros((4, 8), dtype=complex)
+        for search in (decoder.grouped, decoder.exhaustive):
+            with pytest.raises(ValueError, match="got shapes"):
+                search(y, np.ones(h_shape, dtype=complex), np.ones(w2_shape))
 
 
 class TestCoordinateMaps:
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        s = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        assert np.allclose(real_to_complex(complex_to_real(s)), s)
-
     def test_interleaving_convention(self):
-        coords = complex_to_real(np.array([1.0 + 2.0j, -3.0 + 4.0j]))
-        assert np.allclose(coords, [1.0, 2.0, -3.0, 4.0])
+        assert np.array_equal(real_to_complex(np.array([1.0, 2.0, -3.0, 4.0])), [1.0 + 2.0j, -3.0 + 4.0j])
+        assert np.array_equal(_coords(np.array([1.0 + 2.0j, -3.0 + 4.0j])), [1.0, 2.0, -3.0, 4.0])
 
 
 class TestDispersionStructure:
@@ -242,7 +197,7 @@ class TestDispersionStructure:
         h = complex_noise(rng, code.num_relays)
         basis = codeword(code, real_to_complex(np.eye(2 * code.symbol_count))) @ h  # (2*nu, T): unit coordinates
         s = complex_noise(rng, code.symbol_count)
-        assert np.allclose(codeword(code, s) @ h, complex_to_real(s) @ basis)
+        assert np.allclose(codeword(code, s) @ h, _coords(s) @ basis)
 
     @pytest.mark.parametrize(
         "name", ["alamouti", "relay4", "relay5", "relay4_diff", "sheared", "unpaired", "swapped"]
@@ -273,8 +228,8 @@ class TestDispersionStructure:
         rng = np.random.default_rng(20)
         code = named_code(name)
         for _ in range(20):
-            model, decoder = _model_for(code, rng)
-            assert decomposition_gap(decoder, model) < 1e-9
+            h, w2, decoder = _model_for(code, rng)
+            assert decoder.gap(h, w2) < 1e-9
 
     @pytest.mark.parametrize("name", ["alamouti", "relay4", "relay5", "sheared"])
     def test_gap_matches_the_explicit_gram_matrix(self, name):
@@ -284,8 +239,7 @@ class TestDispersionStructure:
         for _ in range(5):
             h = complex_noise(rng, code.num_relays)
             variances = rng.uniform(1.0, 4.0, size=code.slot_count)
-            model = SubcarrierModel(h, variances)
-            assert abs(decomposition_gap(decoder, model) - gram_gap(code, h, variances)) <= 1e-12
+            assert abs(decoder.gap(h[None], 1.0 / variances) - gram_gap(code, h, variances)) <= 1e-12
 
     def test_candidate_enumeration_is_lexicographic(self):
         code = named_code("relay4")
@@ -299,7 +253,7 @@ class TestDispersionStructure:
     def test_group_candidates_touch_only_their_coordinates(self):
         code = named_code("relay5")
         for coords, partial in zip(code.group_partition, group_candidates(code)):
-            real = complex_to_real(partial)
+            real = _coords(partial)
             other = [i for i in range(2 * code.symbol_count) if i not in coords]
             assert np.allclose(real[:, other], 0.0)
             assert np.allclose(real[:, list(coords)], code.alphabet[0])
@@ -310,91 +264,69 @@ class TestDecoding:
     def test_noiseless_observation_decodes_exactly(self, name):
         rng = np.random.default_rng(30)
         code = named_code(name)
-        candidates, _ = full_candidates(code)
+        candidates, index_table = full_candidates(code)
         for _ in range(5):
-            model, decoder = _model_for(code, rng)
-            s = candidates[rng.integers(0, len(candidates))]
-            y = decoder.gain * (codeword(code, s) @ model.channel)
-            assert np.allclose(ml_decode_grouped(y, model, decoder), s, atol=1e-8)
+            h, w2, decoder = _model_for(code, rng)
+            i = rng.integers(0, len(candidates))
+            y = decoder.gain * (codeword(code, candidates[i]) @ h[0])
+            assert decoder.gap(h, w2) == 0.0
+            assert np.array_equal(decoder.grouped(y[:, None], h, w2), index_table[i : i + 1])
 
     @pytest.mark.parametrize("name", ["alamouti", "relay4", "relay5"])
     def test_grouped_equals_exhaustive_on_noisy_inputs(self, name):
         rng = np.random.default_rng(31)
         code = named_code(name)
         for _ in range(40):
-            model, decoder = _model_for(code, rng, power=rng.uniform(0.5, 50.0))
-            y = complex_noise(rng, code.slot_count) * rng.uniform(0.1, 5.0)
-            a = ml_decode_grouped(y, model, decoder)
-            b = ml_decode_exhaustive(y, model, decoder)
-            assert np.allclose(a, b)
+            h, w2, decoder = _model_for(code, rng, power=rng.uniform(0.5, 50.0))
+            y = complex_noise(rng, code.slot_count)[:, None] * rng.uniform(0.1, 5.0)
+            assert decoder.gap(h, w2) == 0.0
+            assert np.array_equal(decoder.grouped(y, h, w2), decoder.exhaustive(y, h, w2))
 
     @pytest.mark.parametrize("name", ["relay4", "sheared"])
     def test_exhaustive_matches_the_residual_norm_oracle(self, name):
         rng = np.random.default_rng(32)
         code = sheared_code() if name == "sheared" else named_code(name)
-        candidates, index_table = full_candidates(code)
-        rows = {tuple(r): i for i, r in enumerate(index_table)}
         for _ in range(10):
             h = complex_noise(rng, code.num_relays)
             variances = rng.uniform(1.0, 4.0, size=code.slot_count)
             gain = rng.uniform(0.5, 3.0)
             y = complex_noise(rng, code.slot_count) * rng.uniform(0.5, 3.0)
-            decided = ml_decode_exhaustive(y, SubcarrierModel(h, variances), CoherentDecoder(code, gain))
-            expected = candidates[rows[exhaustive_ml(code, y, h, variances, gain)]]
-            assert np.array_equal(decided, expected)
+            (decided,) = CoherentDecoder(code, gain).exhaustive(y[:, None], h[None], 1.0 / variances)
+            assert np.array_equal(decided, exhaustive_ml(code, y, h, variances, gain))
 
-    def test_a_model_over_n_subcarriers_decodes_each_one(self):
+    def test_a_subcarrier_is_a_slice_of_the_frame(self):
         rng = np.random.default_rng(34)
         code = named_code("relay4")
         decoder = CoherentDecoder(code, 2.0)
         h_all = complex_noise(rng, (6, 4))
-        var = np.full(4, 1.5)
+        w2 = 1.0 / np.full(4, 1.5)
         y = complex_noise(rng, (4, 6))
-        batch = SubcarrierModel(h_all, var)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the grouped search itself, no fallback
-            grouped = ml_decode_grouped(y, batch, decoder)
-        exhaustive = ml_decode_exhaustive(y, batch, decoder)
-        assert grouped.shape == exhaustive.shape == (6, code.symbol_count)
+        assert decoder.gap(h_all, w2) == 0.0
+        grouped = decoder.grouped(y, h_all, w2)
+        exhaustive = decoder.exhaustive(y, h_all, w2)
+        assert grouped.shape == exhaustive.shape == (6, len(code.group_partition))
         for k in range(6):
-            one = SubcarrierModel(h_all[k], var)
-            assert np.array_equal(grouped[k], ml_decode_grouped(y[:, k], one, decoder))
-            assert np.array_equal(exhaustive[k], ml_decode_exhaustive(y[:, k], one, decoder))
-        per_subcarrier = max(decomposition_gap(decoder, SubcarrierModel(h, var)) for h in h_all)
-        assert decomposition_gap(decoder, batch) == pytest.approx(per_subcarrier, abs=1e-12)
+            one = y[:, k : k + 1], h_all[k : k + 1], w2
+            assert np.array_equal(grouped[k : k + 1], decoder.grouped(*one))
+            assert np.array_equal(exhaustive[k : k + 1], decoder.exhaustive(*one))
+        per_subcarrier = max(decoder.gap(h_all[k : k + 1], w2) for k in range(6))
+        assert decoder.gap(h_all, w2) == pytest.approx(per_subcarrier, abs=1e-12)
 
     def test_all_tied_metrics_pick_the_first_candidate(self):
-        code = named_code("relay4")
-        decoder = CoherentDecoder(code, 1.0)
-        model = SubcarrierModel(channel=np.zeros(4, dtype=complex), noise_var=np.ones(4))
-        y = np.zeros(4, dtype=complex)
-        candidates, _ = full_candidates(code)
-        assert np.allclose(ml_decode_exhaustive(y, model, decoder), candidates[0])
-        assert np.allclose(ml_decode_grouped(y, model, decoder), candidates[0])
+        decoder = CoherentDecoder(named_code("relay4"), 1.0)
+        h, w2, y = np.zeros((1, 4), dtype=complex), np.ones(4), np.zeros((4, 1), dtype=complex)
+        assert np.array_equal(decoder.exhaustive(y, h, w2), [[0, 0, 0, 0]])
+        assert np.array_equal(decoder.grouped(y, h, w2), [[0, 0, 0, 0]])
 
     def test_decision_invariant_to_common_observation_scale(self):
         # whitened metric ranking is not affected by scaling y and gain together
         rng = np.random.default_rng(33)
         code = named_code("relay4")
-        model, decoder = _model_for(code, rng)
-        y = complex_noise(rng, 4)
-        scaled = SubcarrierModel(channel=model.channel, noise_var=model.noise_var * 16.0)
-        assert np.allclose(
-            ml_decode_grouped(y, model, decoder),
-            ml_decode_grouped(4.0 * y, scaled, CoherentDecoder(code, decoder.gain * 4.0)),
-        )
-
-    def test_non_orthogonal_grouping_falls_back_with_warning(self):
-        # two plain columns sharing slots break the cross-group orthogonality
-        decoder = CoherentDecoder(sheared_code(), 1.0)
-        rng = np.random.default_rng(40)
-        h = complex_noise(rng, 2)
-        model = SubcarrierModel(channel=h, noise_var=np.ones(2))
-        assert decomposition_gap(decoder, model) > 1e-9
-        y = complex_noise(rng, 2)
-        with pytest.warns(UserWarning, match="exhaustive"):
-            fallback = ml_decode_grouped(y, model, decoder)
-        assert np.allclose(fallback, ml_decode_exhaustive(y, model, decoder))
+        h, w2, decoder = _model_for(code, rng)
+        y = complex_noise(rng, 4)[:, None]
+        scaled = CoherentDecoder(code, decoder.gain * 4.0)
+        assert decoder.gap(h, w2) == scaled.gap(h, w2 / 16.0) == 0.0
+        assert np.array_equal(decoder.grouped(y, h, w2), scaled.grouped(4.0 * y, h, w2 / 16.0))
 
 
 def _compact_code(name):
@@ -600,8 +532,4 @@ class TestCompactTables:
         for n in (1, 16):
             h_all, y, w2 = _draw(rng, code, n)
             assert decoder.gap(h_all, w2) == 0.0
-            model = SubcarrierModel(h_all, 1.0 / w2)
-            assert decomposition_gap(decoder, model) == 0.0
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # no fallback
-                assert np.array_equal(ml_decode_grouped(y, model, decoder), ml_decode_exhaustive(y, model, decoder))
+            assert np.array_equal(decoder.grouped(y, h_all, w2), decoder.exhaustive(y, h_all, w2))

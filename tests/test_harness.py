@@ -24,9 +24,7 @@ from asyncrelay.cli import build_parser, config_from_args
 from asyncrelay.cli import main as cli_main
 from asyncrelay.decoder import (
     CoherentDecoder,
-    SubcarrierModel,
     equivalent_channel_matrix,
-    ml_decode_grouped,
     noise_covariance,
     rotation_table,
 )
@@ -49,7 +47,7 @@ from asyncrelay.harness import (
     wilson_interval,
 )
 from asyncrelay.codebook import ScheduleError, derive_schedule, format_code_text, named_code
-from asyncrelay.relaysim import LinkConfig, complex_noise, draw_channel, frame_noise, link_tables, run_frame
+from asyncrelay.relaysim import LinkConfig, draw_channel, frame_noise, link_tables, run_frame
 
 from oracles import (
     diff_decisions,
@@ -449,20 +447,11 @@ class TestCoherentEngine:
             assert np.array_equal(frame.real, frame_ref.real) and np.array_equal(frame.imag, frame_ref.imag)
             assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
 
-    def test_engine_shares_the_decoder_of_the_per_subcarrier_functions(self):
-        # each engine builds the decoder of its own point's gain, and the
-        # per-subcarrier functions decide with the decoder they are passed
+    def test_each_engine_builds_the_decoder_of_its_point(self):
         engine = _engine(named_code("relay4"))
         assert isinstance(engine.decoder, CoherentDecoder)
         assert (engine.decoder.code, engine.decoder.gain) == (engine.code, engine.link.power.cascade_gain)
         assert _engine(named_code("relay4")).decoder is not engine.decoder
-        rng = np.random.default_rng(51)
-        channel = draw_channel(rng, 4, engine.link.cp_len)
-        h_all = equivalent_channel_matrix(engine.code, channel, engine.link.n_fft)
-        var = noise_covariance(engine.schedule, channel, engine.link)
-        y = complex_noise(rng, (4, engine.link.n_fft))
-        decided = ml_decode_grouped(y, SubcarrierModel(h_all, var), engine.decoder)
-        assert np.array_equal(engine.decoder.indices(decided), engine.decoder.grouped(y, h_all, 1.0 / var))
 
 
 class TestDifferentialEngine:

@@ -12,6 +12,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from asyncrelay.codebook import (
     CodeDefinition,
     ScheduleError,
     builtin_codes,
+    check_feasibility,
     derive_schedule,
     format_code_text,
     named_code,
@@ -29,7 +31,7 @@ from asyncrelay.codebook import (
 from asyncrelay.decoder import _ORTHOGONALITY_TOL, CoherentDecoder, equivalent_channel_matrix, noise_covariance
 from asyncrelay.relaysim import LinkConfig, PowerConfig, complex_noise, draw_channel, run_frame
 
-from oracles import expected_subcarrier_rx, gram_gap, sheared_code
+from oracles import expected_subcarrier_rx, gram_gap, grid_alphabet, kronecker_code, sheared_code
 
 _SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -62,6 +64,18 @@ def codes(draw, max_relays: int = 4, max_symbols: int = 4) -> CodeDefinition:
     return CodeDefinition("generated", tuple(matrices), conjugated, tuple(groups), (alphabet,) * nu)
 
 
+def _assert_the_noiseless_link_is_the_flat_model(code, schedule, n_fft, cp_len, delays, seed):
+    """The noiseless ``run_frame`` of ``code`` under ``schedule`` equals the
+    flat model within 1e-12 on a channel and frame drawn from ``seed``, for
+    ``delays`` from 0 up to the prefix (the first relay sets the timing origin)."""
+    cfg = LinkConfig(n_fft, cp_len, PowerConfig(10.0, 1.0, 1.0 / code.num_relays))
+    rng = np.random.default_rng(seed)
+    channel = draw_channel(rng, code.num_relays, cp_len, delays)
+    frame = complex_noise(rng, (code.symbol_count, n_fft))
+    got = run_frame(frame, schedule, channel, cfg)
+    assert np.max(np.abs(got - expected_subcarrier_rx(code, schedule, channel, cfg, frame))) <= 1e-12
+
+
 @_SETTINGS
 @given(code=codes(), data=st.data())
 def test_a_generated_code_has_no_schedule_or_its_noiseless_link_is_the_flat_model(code, data):
@@ -72,13 +86,32 @@ def test_a_generated_code_has_no_schedule_or_its_noiseless_link_is_the_flat_mode
     n_fft = data.draw(st.sampled_from((4, 8, 16)), label="n_fft")
     cp_len = data.draw(st.integers(0, n_fft - 1), label="cp_len")
     late = data.draw(st.lists(st.integers(0, cp_len), min_size=code.num_relays - 1, max_size=code.num_relays - 1))
-    delays = (0, *sorted(late))  # up to the prefix, the first relay sets the timing origin
-    cfg = LinkConfig(n_fft, cp_len, PowerConfig(10.0, 1.0, 1.0 / code.num_relays))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    channel = draw_channel(rng, code.num_relays, cp_len, delays)
-    frame = complex_noise(rng, (code.symbol_count, n_fft))
-    got = run_frame(frame, schedule, channel, cfg)
-    assert np.max(np.abs(got - expected_subcarrier_rx(code, schedule, channel, cfg, frame))) <= 1e-12
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    _assert_the_noiseless_link_is_the_flat_model(code, schedule, n_fft, cp_len, (0, *sorted(late)), seed)
+
+
+def _five_of_eight_relays():
+    """Columns 0-4 of the 8-relay Kronecker code: its rows carry unequal
+    plain and conjugated counts."""
+    code = kronecker_code(3, grid_alphabet(4))
+    return CodeDefinition("kronecker8[0:5]", code.relay_matrices[:5], frozenset({4}), code.group_partition, code.alphabet)
+
+
+def _cyclic_shift():
+    """Two plain relays over three slots, I and the cyclic shift, one group
+    per symbol."""
+    shift = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    return CodeDefinition("cyclic", (np.eye(3), shift), frozenset(), ((0, 1), (2, 3), (4, 5)), (qpsk_pairs(),) * 3)
+
+
+@pytest.mark.parametrize("make, condition", [(_five_of_eight_relays, 2), (_cyclic_shift, 3)], ids=["five-relays", "cyclic"])
+def test_a_scheduled_code_that_fails_feasibility_is_still_the_flat_model(make, condition):
+    # the property's check on fixed link parameters, with the last relay a
+    # whole prefix late: feasibility conditions 2 and 3 are stricter than this link needs
+    code = make()
+    assert check_feasibility(code).condition == condition
+    delays = tuple(int(d) for d in np.linspace(0, 8, code.num_relays).round())
+    _assert_the_noiseless_link_is_the_flat_model(code, derive_schedule(code), 16, 8, delays, seed=0)
 
 
 @settings(_SETTINGS, max_examples=400)
