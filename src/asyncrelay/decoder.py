@@ -43,10 +43,11 @@ tabulated once, on the object it depends on, and read by every frame, with
 results bit-identical to computing it per frame: the delay rotations of
 ``equivalent_channel_matrix`` (a coherent sweep's ``rotation_table``,
 gathered by the drawn delays), the code's conjugated-column mask
-(``CodeDefinition.conjugated``), the schedule's slot classes for
-``noise_covariance`` (``RelaySchedule.slot_classes``), and the per-group
-candidate tables of ``CoherentDecoder``, padded to the largest group
-alphabet so that one argmin over an (N, G, K) view searches every group.
+(``CodeDefinition.conjugated``), the slot classes of the link's schedule
+for ``noise_covariance(link, channel)`` (``RelaySchedule.slot_classes``),
+and the per-group candidate tables of ``CoherentDecoder``, padded to the
+largest group alphabet so that one argmin over an (N, G, K) view searches
+every group.
 
 The decoder's tables are compact. In each slot only a few relays are
 active, so most coefficients of the metric and of the Gram entries are
@@ -71,7 +72,7 @@ import math
 
 import numpy as np
 
-from .codebook import CodeDefinition, RelaySchedule, codeword, slot_classes
+from .codebook import CodeDefinition, codeword, slot_classes
 from .relaysim import ChannelRealization, LinkConfig
 
 __all__ = [
@@ -120,9 +121,7 @@ def equivalent_channel_matrix(
     return (f * channel.relay_to_dest)[None, :] * phases
 
 
-def noise_covariance(
-    schedule: RelaySchedule, channel: ChannelRealization, cfg: LinkConfig
-) -> np.ndarray:
+def noise_covariance(link: LinkConfig, channel: ChannelRealization) -> np.ndarray:
     """Structural (T,) noise variances: the diagonal, and all, of the noise covariance.
 
     Slot m collects unit destination noise plus the amplified, forwarded
@@ -130,12 +129,14 @@ def noise_covariance(
     samples without reuse, so cross-slot terms vanish for any code whose
     relays forward distinct blocks in distinct slots.
 
-    Each of the schedule's slot classes sums its k gathered |g|^2 once, for
-    all its slots: numpy's sum of each slot's active relays (a (T, R) mask
-    with zeros would change the summation order from 8 relays on).
+    Each of the link schedule's slot classes sums its k gathered |g|^2
+    once, for all its slots: numpy's sum of each slot's active relays (a
+    (T, R) mask with zeros would change the summation order from 8 relays
+    on).
     """
-    boost = cfg.power.relay_noise_power
+    boost = link.power.relay_noise_power
     g_sq = np.abs(channel.relay_to_dest) ** 2
+    schedule = link.schedule
     forwarded = np.zeros(schedule.num_slots)
     for relays, slots in schedule.slot_classes:
         forwarded[slots] = np.add.reduce(g_sq[relays])
@@ -333,7 +334,7 @@ class CoherentDecoder:
 
     Operations take the (N, R) equivalent channels ``h_all``, the (T,)
     whitening weights ``w2`` (w_t^2 = 1 / var_t) and, to search, the (T, N)
-    observations ``y``; a search rejects any other shapes.
+    observations ``y``; ``gap`` and the searches reject any other shapes.
     Gram entries and metrics are real linear forms in h_r conj(h_s) and
     conj(y_t) h_r whose per-slot coefficients are tabulated once and
     weighted by one ``w2 @ terms`` product per call. Each table keeps only
@@ -376,6 +377,7 @@ class CoherentDecoder:
     def gap(self, h_all: np.ndarray, w2: np.ndarray) -> float:
         """Largest cross-group whitened Gram entry over all subcarriers: 0.0
         where the code's proof covers ``w2``, computed everywhere else."""
+        self._check_model(h_all, w2)
         if not self._gap.terms.size:  # no cross-group entry is nonzero in any slot
             return 0.0
         if self._proof is not None:
@@ -384,16 +386,24 @@ class CoherentDecoder:
                 return 0.0
         return float(np.abs(self._gap(h_all, w2)).max())
 
-    def _check(self, y: np.ndarray, h_all: np.ndarray, w2: np.ndarray) -> None:
-        """Reject a search whose observations are not (T, N), channels not
-        (N, R) or weights not (T,) for the code's T slots and R relays."""
-        n = h_all.shape[:1]  # no N for a 0-d array, whose shape then matches none
+    def _check_model(self, h_all: np.ndarray, w2: np.ndarray) -> None:
+        """Reject channels not (N, R) or weights not (T,) for the code's T
+        slots and R relays."""
         slots, relays = self.code.slot_count, self.code.num_relays
-        shapes = y.shape, h_all.shape, w2.shape
-        if shapes != ((slots, *n), (*n, relays), (slots,)):
+        if (h_all.shape[1:], w2.shape) != ((relays,), (slots,)):  # no (R,) tail unless h_all is 2-D
             raise ValueError(
-                f"code {self.code.name!r} searches y (T, N), h_all (N, R) and w2 (T,) with T = {slots} and "
-                f"R = {relays}, got shapes {shapes[0]}, {shapes[1]} and {shapes[2]}"
+                f"code {self.code.name!r} takes h_all (N, R) and w2 (T,) with T = {slots} and R = {relays}, "
+                f"got shapes {h_all.shape} and {w2.shape}"
+            )
+
+    def _check(self, y: np.ndarray, h_all: np.ndarray, w2: np.ndarray) -> None:
+        """Reject a search whose channels or weights ``_check_model`` rejects,
+        or whose observations are not (T, N) for the N channels."""
+        self._check_model(h_all, w2)
+        if y.shape != (self.code.slot_count, h_all.shape[0]):
+            raise ValueError(
+                f"code {self.code.name!r} searches y (T, N) with T = {self.code.slot_count} and N channels, "
+                f"got shapes {y.shape}, {h_all.shape} and {w2.shape}"
             )
 
     def grouped(self, y: np.ndarray, h_all: np.ndarray, w2: np.ndarray) -> np.ndarray:

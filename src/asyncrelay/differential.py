@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codebook import SCALED_UNITARY_PAIRS, CodeDefinition, codeword, named_code
+from .codebook import SCALED_UNITARY_PAIRS, CodeDefinition, codeword
 from .decoder import CoherentDecoder, full_candidates
 
 __all__ = [
@@ -67,7 +67,7 @@ class DifferentialCodebook:
         return self.num_words.bit_length() - 1
 
 
-def build_codebook_4relay(code: CodeDefinition | None = None) -> DifferentialCodebook:
+def build_codebook_4relay(code: CodeDefinition) -> DifferentialCodebook:
     """Construct the four-relay codebook from its generating pair set.
 
     Words are indexed by four base-4 digits (one per group, last digit
@@ -81,8 +81,6 @@ def build_codebook_4relay(code: CodeDefinition | None = None) -> DifferentialCod
     the relay matrices only for suitable codes; ``verify_scaled_unitary``
     and ``verify_commutation`` check that.
     """
-    if code is None:
-        code = named_code("relay4_diff")
     nu = code.symbol_count
     groups = code.group_partition
     if nu != 4 or len(groups) != 4 or any(len(g) != 2 for g in groups):

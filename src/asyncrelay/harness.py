@@ -22,9 +22,10 @@ functions of these draws.
 ``run_sweep`` builds its state once per call: it reads the code (a built-in
 name or the code file as it is at call time), checks its feasibility,
 derives its schedule and, in differential mode, builds and verifies its
-codebook, then builds the link's tables (``relaysim.LinkTables``), in
-coherent mode the delay rotations (``decoder.rotation_table``), and one
-engine per power point, which in coherent mode builds its own
+codebook, then builds, in coherent mode, the delay rotations
+(``decoder.rotation_table``), and one engine per power point, which holds
+the point's link (``relaysim.LinkConfig``: the schedule, its gathers and
+the point's power) and in coherent mode builds its own
 ``decoder.CoherentDecoder``; a code that is not proven group decodable and
 whose exhaustive search could need more than ``_EXHAUSTIVE_BUDGET`` in one
 process is rejected then, before any unit runs. Pool workers receive those engines once, when
@@ -67,8 +68,7 @@ from .differential import (
     verify_commutation,
     verify_scaled_unitary,
 )
-from .relaysim import (ChannelRealization, LinkConfig, LinkTables, PowerConfig, draw_channel, frame_noise, link_tables,
-                       run_frame)
+from .relaysim import ChannelRealization, LinkConfig, PowerConfig, draw_channel, frame_noise, run_frame
 
 __all__ = [
     "BerPoint",
@@ -347,13 +347,10 @@ class _CoherentEngine:
     ``decoder.CoherentDecoder`` of the code and the point's cascade gain
     decides every subcarrier of a frame at once."""
 
-    def __init__(self, cfg: SimConfig, code: CodeDefinition, schedule: RelaySchedule, link: LinkConfig,
-                 tables: LinkTables, rotations: np.ndarray):
+    def __init__(self, cfg: SimConfig, code: CodeDefinition, link: LinkConfig, rotations: np.ndarray):
         self.cfg = cfg
         self.code = code
-        self.schedule = schedule
         self.link = link
-        self.tables = tables
         self.rotations = rotations
         self.decoder = _decoder.CoherentDecoder(code, self.link.power.cascade_gain)
         self.bits_per_unit = sum(code.bits_per_group()) * cfg.n_fft
@@ -376,10 +373,10 @@ class _CoherentEngine:
         cfg = self.cfg
         ((labels, noise),) = frames
         tx = labels.T  # (N, G)
-        received = run_frame(self.decoder.symbols(tx).T, self.schedule, channel, self.link, noise, tables=self.tables)
+        received = run_frame(self.decoder.symbols(tx).T, self.link, channel, noise)
 
         h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft, rotations=self.rotations)
-        w2 = 1.0 / _decoder.noise_covariance(self.schedule, channel, self.link)
+        w2 = 1.0 / _decoder.noise_covariance(self.link, channel)
         if self._gap(h_all, w2) > _decoder._ORTHOGONALITY_TOL:
             if not self._warned:
                 warnings.warn(
@@ -400,16 +397,11 @@ class _DifferentialEngine:
     """Per-point simulation state for differential chains over the sweep's
     verified codebook."""
 
-    def __init__(
-        self, cfg: SimConfig, code: CodeDefinition, schedule: RelaySchedule, link: LinkConfig, codebook: DifferentialCodebook,
-        tables: LinkTables,
-    ):
+    def __init__(self, cfg: SimConfig, code: CodeDefinition, link: LinkConfig, codebook: DifferentialCodebook):
         self.cfg = cfg
         self.code = code
-        self.schedule = schedule
         self.link = link
         self.codebook = codebook
-        self.tables = tables
         self.bits_per_unit = self.codebook.bits_per_word * cfg.n_fft * (cfg.diff_chain - 1)
         self._popcount = _popcount_table(self.codebook.num_words)
         # the reference frame carries no labels; each data frame N code words
@@ -420,12 +412,12 @@ class _DifferentialEngine:
         cfg = self.cfg
         state = initial_state(self.code.symbol_count, cfg.n_fft)
         (_, noise), *chain = frames
-        y_prev = run_frame(state.symbols, self.schedule, channel, self.link, noise, tables=self.tables)
+        y_prev = run_frame(state.symbols, self.link, channel, noise)
         scales_rx = np.ones(cfg.n_fft)
         errors = 0
         for tx, noise in chain:
             state = diff_encode(state, tx, self.codebook)
-            y_now = run_frame(state.symbols, self.schedule, channel, self.link, noise, tables=self.tables)
+            y_now = run_frame(state.symbols, self.link, channel, noise)
             decided, scales_rx = diff_decode_frame(y_now, y_prev, scales_rx, self.codebook)
             errors += int(self._popcount[np.bitwise_xor(tx, decided)].sum())
             y_prev = y_now
@@ -434,22 +426,22 @@ class _DifferentialEngine:
 
 def _sweep_engines(cfg: SimConfig) -> list:
     """Validate ``cfg`` once and build the engine of every power point, in
-    ascending order; all of them share one code, schedule, codebook,
-    ``LinkTables`` and, in coherent mode, rotation table."""
+    ascending order; all of them share one code, schedule, codebook and,
+    in coherent mode, rotation table; each holds its point's
+    ``LinkConfig``."""
     code, schedule = _validate(cfg)
     codebook = _verified_codebook(code) if cfg.mode == "differential" else None
     links = []
     for p_db in sorted(cfg.power_db):
         try:
-            links.append(LinkConfig(cfg.n_fft, cfg.cp_len, _power_config(cfg, code, p_db)))
+            links.append(LinkConfig(schedule, cfg.n_fft, cfg.cp_len, _power_config(cfg, code, p_db)))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         except OverflowError as exc:
             raise ConfigError(f"power {p_db!r} dB is out of range") from exc
-    tables = link_tables(schedule, cfg.n_fft, cfg.cp_len)
     if codebook is None:
         rotations = _decoder.rotation_table(cfg.n_fft, cfg.cp_len, cfg.delays)
-        engines = [_CoherentEngine(cfg, code, schedule, link, tables, rotations) for link in links]
+        engines = [_CoherentEngine(cfg, code, link, rotations) for link in links]
         if not engines[0].decoder.proven:
             table = engines[0].decoder.exhaustive_nbytes
             need = (len(engines) + 3) * table
@@ -461,7 +453,7 @@ def _sweep_engines(cfg: SimConfig) -> list:
                     f"each other point, above the sweep's budget of {_EXHAUSTIVE_BUDGET // 2**20} MiB"
                 )
         return engines
-    return [_DifferentialEngine(cfg, code, schedule, link, codebook, tables) for link in links]
+    return [_DifferentialEngine(cfg, code, link, codebook) for link in links]
 
 
 _pool_engines: list = []  # a pool worker's engines, set once by _init_pool
@@ -487,7 +479,7 @@ def _draw_unit(rng: np.random.Generator, engine) -> tuple[ChannelRealization, li
     frames = []
     for spec in engine.frame_labels:
         labels = None if spec is None else rng.integers(0, *spec)
-        frames.append((labels, frame_noise(rng, engine.schedule, engine.link) if cfg.noise else None))
+        frames.append((labels, frame_noise(rng, engine.link) if cfg.noise else None))
     return channel, frames
 
 

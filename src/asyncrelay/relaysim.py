@@ -30,20 +30,21 @@ relay's delay. All three read one row order from the forwarding table that
 every ``RelaySchedule`` builds with itself: relay-major, each relay's rows
 in slot order, so a relay's rows are one slice. Forwarding and front-end
 realignment are exact sample permutations, signs of +/-1 and conjugations,
-so each runs as one gather through the index tables of ``LinkTables``
-instead of a loop over slots and relays. A sweep builds its
-``LinkTables`` once and hands them to every frame; called without them,
-each stage builds its own gather with the same function. Noise is an
-input: ``frame_noise`` draws a frame's relay and destination noise, and
-``relay_receive``, ``destination_receive`` and ``run_frame`` add the
-arrays they are given (``noise=None`` is the noiseless link), so every
-stage is a pure function of its arguments.
+so each runs as one gather instead of a loop over slots and relays.
+
+A ``LinkConfig`` is the whole link: the schedule, the (n_fft, cp_len)
+frame and the power, and the two gathers it builds from them once, so
+every stage takes the link alone and a link's gathers are its own
+schedule's. Noise is an input: ``frame_noise`` draws a frame's relay and
+destination noise, and ``relay_receive``, ``destination_receive`` and
+``run_frame`` add the arrays they are given (``noise=None`` is the
+noiseless link), so every stage is a pure function of its arguments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,14 +54,12 @@ from .codebook import DFT, RelaySchedule
 __all__ = [
     "ChannelRealization",
     "LinkConfig",
-    "LinkTables",
     "PowerConfig",
     "complex_noise",
     "destination_frontend",
     "destination_receive",
     "draw_channel",
     "frame_noise",
-    "link_tables",
     "relay_process",
     "relay_receive",
     "run_frame",
@@ -123,9 +122,17 @@ class PowerConfig:
 
 @dataclass(frozen=True)
 class LinkConfig:
+    """A schedule on an (n_fft, cp_len) OFDM frame at a power, with the
+    schedule's two read-only index gathers, built once here:
+    ``relay_gather`` (see ``_relay_gather``) and ``frontend_gather`` (see
+    ``_frontend_gather``)."""
+
+    schedule: RelaySchedule
     n_fft: int
     cp_len: int
     power: PowerConfig
+    relay_gather: np.ndarray = field(init=False, compare=False, repr=False)
+    frontend_gather: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.n_fft
@@ -133,6 +140,10 @@ class LinkConfig:
             raise ValueError(f"n_fft {n} must be a power of two")
         if not 0 <= self.cp_len < n:
             raise ValueError(f"cp_len {self.cp_len} must lie in [0, {n})")
+        for name, build in (("relay_gather", _relay_gather), ("frontend_gather", _frontend_gather)):
+            gather = build(self.schedule, n, self.cp_len)
+            gather.setflags(write=False)
+            object.__setattr__(self, name, gather)
 
     @property
     def symbol_len(self) -> int:
@@ -200,7 +211,7 @@ def _unit_complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
     return out
 
 
-def frame_noise(rng: np.random.Generator, schedule: RelaySchedule, cfg: LinkConfig) -> tuple[np.ndarray, np.ndarray]:
+def frame_noise(rng: np.random.Generator, link: LinkConfig) -> tuple[np.ndarray, np.ndarray]:
     """One frame's noise: the relay noise of each forwarding instruction,
     (A, N + cp_len), then the destination noise, (T, N + cp_len).
 
@@ -210,9 +221,10 @@ def frame_noise(rng: np.random.Generator, schedule: RelaySchedule, cfg: LinkConf
     the schedule's forwarding table are kept; ``complex_noise`` over
     (T, N + cp_len) follows for the destination.
     """
+    schedule = link.schedule
     table = schedule.forwarding
-    parts = rng.standard_normal((2, schedule.num_relays, schedule.num_blocks, cfg.symbol_len))[:, table.relays, table.blocks]
-    return _unit_complex(parts[0], parts[1]), complex_noise(rng, (schedule.num_slots, cfg.symbol_len))
+    parts = rng.standard_normal((2, schedule.num_relays, schedule.num_blocks, link.symbol_len))[:, table.relays, table.blocks]
+    return _unit_complex(parts[0], parts[1]), complex_noise(rng, (schedule.num_slots, link.symbol_len))
 
 
 def draw_channel(
@@ -241,36 +253,23 @@ def draw_channel(
     return ChannelRealization(f, g, delays)
 
 
-def source_transmit(frame: np.ndarray, schedule: RelaySchedule, cfg: LinkConfig) -> np.ndarray:
+def source_transmit(frame: np.ndarray, link: LinkConfig) -> np.ndarray:
     """Modulate, cyclic-prefix and scale the (nu, N) frequency-domain frame."""
     frame = np.asarray(frame, dtype=complex)
-    if frame.shape != (schedule.num_blocks, cfg.n_fft):
+    schedule = link.schedule
+    if frame.shape != (schedule.num_blocks, link.n_fft):
         raise ValueError(
-            f"frame shape {frame.shape} does not match ({schedule.num_blocks}, {cfg.n_fft})"
+            f"frame shape {frame.shape} does not match ({schedule.num_blocks}, {link.n_fft})"
         )
     # each block is transformed into the body of its symbol, and the prefix
     # copied from the body's tail
-    n, cp = cfg.n_fft, cfg.cp_len
+    n, cp = link.n_fft, link.cp_len
     symbols = np.empty((schedule.num_blocks, n + cp), dtype=complex)
     for j, modulation in enumerate(schedule.source_modulation):
         symbols[j, cp:] = spectral.dft(frame[j]) if modulation == DFT else spectral.idft(frame[j])
     symbols[:, :cp] = symbols[:, n:]
-    symbols *= cfg.power.source_scale
+    symbols *= link.power.source_scale
     return symbols
-
-
-@dataclass(frozen=True, eq=False)
-class LinkTables:
-    """The index tables of a schedule on an (n_fft, cp_len) link, which a
-    sweep builds once (``link_tables``) and every frame reads."""
-
-    relay_gather: np.ndarray  # see _relay_gather
-    frontend_gather: np.ndarray  # see _frontend_gather
-
-
-def link_tables(schedule: RelaySchedule, n_fft: int, cp_len: int) -> LinkTables:
-    """The ``LinkTables`` of ``schedule``."""
-    return LinkTables(_relay_gather(schedule, n_fft, cp_len), _frontend_gather(schedule, n_fft, cp_len))
 
 
 def _relay_gather(schedule: RelaySchedule, n_fft: int, cp_len: int) -> np.ndarray:
@@ -311,7 +310,7 @@ def _add_noise(signal: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
 
 def relay_receive(
     symbols: np.ndarray,
-    schedule: RelaySchedule,
+    link: LinkConfig,
     channel: ChannelRealization,
     noise: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -323,6 +322,7 @@ def relay_receive(
     of ``frame_noise``; None for a noiseless link).
     """
     symbols = np.asarray(symbols, dtype=complex)
+    schedule = link.schedule
     _check_relays(schedule, channel)
     table = schedule.forwarding
     num_blocks = symbols.shape[0]
@@ -339,39 +339,31 @@ def relay_receive(
     return _add_noise(received, noise)
 
 
-def relay_process(
-    received: np.ndarray,
-    schedule: RelaySchedule,
-    cfg: LinkConfig,
-    *,
-    tables: LinkTables | None = None,
-) -> np.ndarray:
+def relay_process(received: np.ndarray, link: LinkConfig) -> np.ndarray:
     """Transmitted symbol of each forwarding instruction, shape (A, N + cp_len).
 
     Each row forwards its received block with the instruction's sign,
     conjugated when the relay's column is conjugated, time reversed when
     the slot is reversed, and scaled by the fixed relay amplification. One
-    gather through ``tables.relay_gather`` (or, without ``tables``, the
-    same gather built here) reverses the rows of reversed slots; one product by sign times gain and
-    one masked conjugate follow.
+    gather through ``link.relay_gather`` reverses the rows of reversed
+    slots; one product by sign times gain and one masked conjugate follow.
     """
     received = np.asarray(received, dtype=complex)
-    table = schedule.forwarding
-    if received.shape != (table.relays.size, cfg.symbol_len):
+    table = link.schedule.forwarding
+    if received.shape != (table.relays.size, link.symbol_len):
         raise ValueError(
             f"received array of shape {received.shape} does not match the schedule's "
-            f"{table.relays.size} forwarding instructions of {cfg.symbol_len} samples"
+            f"{table.relays.size} forwarding instructions of {link.symbol_len} samples"
         )
-    gather = _relay_gather(schedule, cfg.n_fft, cfg.cp_len) if tables is None else tables.relay_gather
-    symbols = received.take(gather)
-    symbols *= table.signs * cfg.power.relay_gain  # signs are +/-1: exact
+    symbols = received.take(link.relay_gather)
+    symbols *= table.signs * link.power.relay_gain  # signs are +/-1: exact
     np.conjugate(symbols, out=symbols, where=table.conjugate)
     return symbols
 
 
 def destination_receive(
     transmitted: np.ndarray,
-    schedule: RelaySchedule,
+    link: LinkConfig,
     channel: ChannelRealization,
     noise: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -385,6 +377,7 @@ def destination_receive(
     destination ``noise`` of ``frame_noise`` (or None) is added last.
     """
     transmitted = np.asarray(transmitted, dtype=complex)
+    schedule = link.schedule
     _check_relays(schedule, channel)
     table = schedule.forwarding
     if transmitted.ndim != 2 or transmitted.shape[0] != table.relays.size:
@@ -406,38 +399,30 @@ def destination_receive(
     return _add_noise(out, noise)
 
 
-def destination_frontend(
-    raw: np.ndarray, schedule: RelaySchedule, cfg: LinkConfig, *, tables: LinkTables | None = None
-) -> np.ndarray:
+def destination_frontend(raw: np.ndarray, link: LinkConfig) -> np.ndarray:
     """Strip prefixes, realign reversed slots, and transform to subcarriers.
 
     Returns the (T, N) frequency-domain receive blocks; column k is the
     receive vector of subcarrier k. The bodies are one gather through
-    ``tables.frontend_gather`` (or, without ``tables``, the same gather
-    built here).
+    ``link.frontend_gather``.
     """
     raw = np.asarray(raw, dtype=complex)
-    if raw.shape != (schedule.num_slots, cfg.symbol_len):
+    if raw.shape != (link.schedule.num_slots, link.symbol_len):
         raise ValueError(f"raw frame shape {raw.shape} does not match schedule/link dimensions")
-    gather = _frontend_gather(schedule, cfg.n_fft, cfg.cp_len) if tables is None else tables.frontend_gather
-    return spectral.dft(raw.take(gather))
+    return spectral.dft(raw.take(link.frontend_gather))
 
 
 def run_frame(
     frame: np.ndarray,
-    schedule: RelaySchedule,
+    link: LinkConfig,
     channel: ChannelRealization,
-    cfg: LinkConfig,
     noise: tuple[np.ndarray, np.ndarray] | None = None,
-    *,
-    tables: LinkTables | None = None,
 ) -> np.ndarray:
     """Full source -> relays -> destination pipeline for one frame, with the
-    ``noise`` pair of ``frame_noise`` (or None); the stages read their
-    gathers from ``tables`` when given."""
+    ``noise`` pair of ``frame_noise`` (or None)."""
     relay_noise, destination_noise = (None, None) if noise is None else noise
-    symbols = source_transmit(frame, schedule, cfg)
-    received = relay_receive(symbols, schedule, channel, relay_noise)
-    transmitted = relay_process(received, schedule, cfg, tables=tables)
-    raw = destination_receive(transmitted, schedule, channel, destination_noise)
-    return destination_frontend(raw, schedule, cfg, tables=tables)
+    symbols = source_transmit(frame, link)
+    received = relay_receive(symbols, link, channel, relay_noise)
+    transmitted = relay_process(received, link)
+    raw = destination_receive(transmitted, link, channel, destination_noise)
+    return destination_frontend(raw, link)

@@ -85,7 +85,7 @@ def equivalent_channel(code, channel, n_fft: int, subcarrier: int) -> np.ndarray
     return np.array(entries)
 
 
-def expected_subcarrier_rx(code, schedule, channel, cfg, symbols: np.ndarray) -> np.ndarray:
+def expected_subcarrier_rx(code, link, channel, symbols: np.ndarray) -> np.ndarray:
     """Noiseless per-subcarrier receive blocks, (num_slots, N), from the flat model.
 
     ``symbols`` is the (nu, N) frequency-domain source frame. For each
@@ -96,19 +96,18 @@ def expected_subcarrier_rx(code, schedule, channel, cfg, symbols: np.ndarray) ->
 
     n = symbols.shape[1]
     t_slots = code.relay_matrices[0].shape[0]
-    gain = cfg.power.cascade_gain
+    gain = link.power.cascade_gain
     out = np.zeros((t_slots, n), dtype=complex)
     for k in range(n):
-        h = equivalent_channel(code, channel, cfg.n_fft, k)
+        h = equivalent_channel(code, channel, link.n_fft, k)
         out[:, k] = gain * (codeword(code, symbols[:, k]) @ h)
     return out
 
 
-def slot_noise_variances(code, schedule, channel, cfg) -> np.ndarray:
+def slot_noise_variances(link, channel) -> np.ndarray:
     """Diagonal of the per-subcarrier noise covariance, one entry per slot."""
-    boost = cfg.power.relay_fraction * cfg.power.total_power / (
-        cfg.power.source_fraction * cfg.power.total_power + 1.0
-    )
+    power, schedule = link.power, link.schedule
+    boost = power.relay_fraction * power.total_power / (power.source_fraction * power.total_power + 1.0)
     out = np.ones(schedule.num_slots)
     for slot in range(schedule.num_slots):
         for relay, instr in enumerate(schedule.instructions[slot]):
@@ -271,14 +270,14 @@ def silent_rows(dense: np.ndarray, schedule) -> np.ndarray:
     return np.array(rows).reshape(len(rows), dense.shape[-1])
 
 
-def relay_process_loop(received: np.ndarray, schedule, cfg) -> np.ndarray:
+def relay_process_loop(received: np.ndarray, link) -> np.ndarray:
     """Relay forwarding slot by slot and relay by relay, (R, T, N + cp).
 
     A reversed slot reverses the body circularly (sample m -> (N - m) mod N),
     rotates it right by cp_len and appends its first cp_len samples as the
     prefix of the transmitted symbol.
     """
-    n, cp = cfg.n_fft, cfg.cp_len
+    n, cp, schedule = link.n_fft, link.cp_len, link.schedule
     num_relays, _, symbol_len = received.shape
     out = np.zeros((num_relays, schedule.num_slots, symbol_len), dtype=complex)
     for slot in range(schedule.num_slots):
@@ -291,14 +290,14 @@ def relay_process_loop(received: np.ndarray, schedule, cfg) -> np.ndarray:
             if schedule.slot_reversed[slot]:
                 body = np.roll(np.roll(symbol[:n][::-1], 1), cp)
                 symbol = np.concatenate((body, body[:cp]))
-            out[relay, slot] = cfg.power.relay_gain * symbol
+            out[relay, slot] = link.power.relay_gain * symbol
     return out
 
 
-def frontend_loop(raw: np.ndarray, schedule, cfg) -> np.ndarray:
+def frontend_loop(raw: np.ndarray, link) -> np.ndarray:
     """Destination front-end slot by slot, (T, N): drop the prefix, rotate
     the body of reversed slots right by cp_len, then a unitary FFT."""
-    n, cp = cfg.n_fft, cfg.cp_len
+    n, cp, schedule = link.n_fft, link.cp_len, link.schedule
     out = np.empty((schedule.num_slots, n), dtype=complex)
     for slot in range(schedule.num_slots):
         body = raw[slot, cp:]
@@ -391,10 +390,10 @@ def equivalent_channel_exp(code, channel, n_fft: int) -> np.ndarray:
     return (f * channel.relay_to_dest)[None, :] * phases
 
 
-def noise_covariance_loop(schedule, channel, cfg) -> np.ndarray:
+def noise_covariance_loop(link, channel) -> np.ndarray:
     """(T,) slot noise variances slot by slot: 1 plus the relay noise power
     times the sum of |g|^2 over the slot's active relays."""
-    boost = cfg.power.relay_noise_power
+    boost, schedule = link.power.relay_noise_power, link.schedule
     g_sq = np.abs(channel.relay_to_dest) ** 2
     diag = np.ones(schedule.num_slots)
     for slot, row in enumerate(schedule.instructions):

@@ -143,24 +143,24 @@ def test_criterion_03_pipeline_matches_flat_model(capsys):
         worst = 0.0
         for code in builtin_codes().values():
             schedule = derive_schedule(code)
-            cfg = LinkConfig(n, cp, PowerConfig(10.0, 1.0, 1.0 / code.num_relays))
+            link = LinkConfig(schedule, n, cp, PowerConfig(10.0, 1.0, 1.0 / code.num_relays))
             for _ in range(50):
                 delays = _inclusive_delays(rng, code.num_relays, cp)
                 channel = draw_channel(rng, code.num_relays, cp, delays)
                 frame = complex_noise(rng, (code.symbol_count, n))
-                got = run_frame(frame, schedule, channel, cfg)
-                want = expected_subcarrier_rx(code, schedule, channel, cfg, frame)
+                got = run_frame(frame, link, channel)
+                want = expected_subcarrier_rx(code, link, channel, frame)
                 worst = max(worst, float(np.abs(got - want).max()))
         assert worst < 1e-9
 
         # past the prefix the equivalence must break down
         code = named_code("relay4")
         schedule = derive_schedule(code)
-        cfg = LinkConfig(n, cp, PowerConfig(10.0, 1.0, 0.25))
+        link = LinkConfig(schedule, n, cp, PowerConfig(10.0, 1.0, 0.25))
         channel = draw_channel(rng, 4, cp, (0, 0, 0, cp + n // 4))
         frame = complex_noise(rng, (4, n))
-        got = run_frame(frame, schedule, channel, cfg)
-        want = expected_subcarrier_rx(code, schedule, channel, cfg, frame)
+        got = run_frame(frame, link, channel)
+        want = expected_subcarrier_rx(code, link, channel, frame)
         breakdown = float(np.abs(got - want).max())
         assert breakdown > 1e-3
 
@@ -180,13 +180,13 @@ def test_criterion_04_grouped_decoding_is_exact(capsys):
         for name in ("alamouti", "relay4", "relay5"):
             code = named_code(name)
             schedule = derive_schedule(code)
-            cfg = LinkConfig(n, cp, PowerConfig(8.0, 1.0, 1.0 / code.num_relays))
-            decoder = CoherentDecoder(code, cfg.power.cascade_gain)
+            link = LinkConfig(schedule, n, cp, PowerConfig(8.0, 1.0, 1.0 / code.num_relays))
+            decoder = CoherentDecoder(code, link.power.cascade_gain)
             for _ in range(1000):
                 channel = draw_channel(rng, code.num_relays, cp)
                 k = int(rng.integers(0, n))
                 h = equivalent_channel_matrix(code, channel, n)[k : k + 1]
-                var = noise_covariance(schedule, channel, cfg)
+                var = noise_covariance(link, channel)
                 indices = _random_codeword_indices(rng, code, 1)
                 s = _frame_from_indices(code, indices, 1)[:, 0]
                 noise = np.sqrt(var) * complex_noise(rng, code.slot_count)
@@ -197,7 +197,7 @@ def test_criterion_04_grouped_decoding_is_exact(capsys):
                 b = decoder.exhaustive(y, h, w2)
                 assert np.array_equal(a, b), f"{name}: grouped and exhaustive decisions differ"
 
-        codebook = build_codebook_4relay()
+        codebook = build_codebook_4relay(named_code("relay4_diff"))
         for _ in range(1000):
             y_prev = complex_noise(rng, 4) * rng.uniform(0.5, 2.0)
             word = int(rng.integers(0, 256))
@@ -213,7 +213,8 @@ def test_criterion_04_grouped_decoding_is_exact(capsys):
 
 def test_criterion_05_differential_codebook_structure(capsys):
     with verdict(capsys, 5, "differential codebook is scaled unitary and commutes") as out:
-        codebook = build_codebook_4relay()
+        code = named_code("relay4_diff")
+        codebook = build_codebook_4relay(code)
         assert codebook.num_words == 256
 
         products = np.einsum("kji,kjl->kil", codebook.matrices.conj(), codebook.matrices)
@@ -224,7 +225,6 @@ def test_criterion_05_differential_codebook_structure(capsys):
         mean_dev = abs(float(np.mean(codebook.scales**2)) - 1.0)
         assert mean_dev < 1e-12
 
-        code = named_code("relay4_diff")
         report = verify_commutation(codebook, code)
         assert report and report.max_error < 1e-12
 
@@ -246,16 +246,16 @@ def test_criterion_06_noiseless_chains_are_error_free(capsys):
         code = named_code("relay4")
         schedule = derive_schedule(code)
         n, cp = 32, 8
-        cfg = LinkConfig(n, cp, PowerConfig(15.0, 1.0, 0.25))
-        decoder = CoherentDecoder(code, cfg.power.cascade_gain)
+        link = LinkConfig(schedule, n, cp, PowerConfig(15.0, 1.0, 0.25))
+        decoder = CoherentDecoder(code, link.power.cascade_gain)
         coherent_bits = 0
         for _ in range(100):
             delays = _inclusive_delays(rng, 4, cp)
             channel = draw_channel(rng, 4, cp, delays)
             tx = _random_codeword_indices(rng, code, n)
             frame = _frame_from_indices(code, tx, n)
-            y = run_frame(frame, schedule, channel, cfg)
-            w2 = 1.0 / noise_covariance(schedule, channel, cfg)
+            y = run_frame(frame, link, channel)
+            w2 = 1.0 / noise_covariance(link, channel)
             h_all = equivalent_channel_matrix(code, channel, n)
             assert decoder.gap(h_all, w2) == 0.0
             assert np.array_equal(decoder.grouped(y, h_all, w2), np.transpose(tx))
@@ -263,20 +263,20 @@ def test_criterion_06_noiseless_chains_are_error_free(capsys):
 
         diff_code = named_code("relay4_diff")
         diff_schedule = derive_schedule(diff_code)
-        codebook = build_codebook_4relay()
+        codebook = build_codebook_4relay(diff_code)
         n, cp = 16, 4
-        cfg = LinkConfig(n, cp, PowerConfig(15.0, 1.0, 0.25))
+        link = LinkConfig(diff_schedule, n, cp, PowerConfig(15.0, 1.0, 0.25))
         diff_bits = 0
         for _ in range(50):
             delays = _inclusive_delays(rng, 4, cp)
             channel = draw_channel(rng, 4, cp, delays)
             state = initial_state(4, n)
-            y_prev = run_frame(state.symbols, diff_schedule, channel, cfg)
+            y_prev = run_frame(state.symbols, link, channel)
             scales = np.ones(n)
             for _ in range(2):
                 tx = rng.integers(0, 256, size=n)
                 state = diff_encode(state, tx, codebook)
-                y_now = run_frame(state.symbols, diff_schedule, channel, cfg)
+                y_now = run_frame(state.symbols, link, channel)
                 rx, scales = diff_decode_frame(y_now, y_prev, scales, codebook)
                 assert np.array_equal(rx, tx)
                 y_prev = y_now

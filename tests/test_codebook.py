@@ -30,7 +30,7 @@ from asyncrelay.codebook import (
 
 from asyncrelay.decoder import CoherentDecoder, equivalent_channel_matrix, noise_covariance, rotation_table
 from asyncrelay.harness import SimConfig, _CoherentEngine, _draw_unit, _power_config, _resolve_code, frame_rng
-from asyncrelay.relaysim import LinkConfig, PowerConfig, complex_noise, draw_channel, link_tables, run_frame
+from asyncrelay.relaysim import LinkConfig, PowerConfig, complex_noise, draw_channel, run_frame
 
 from oracles import (
     cross_groups_orthogonal,
@@ -498,13 +498,13 @@ class TestTheKroneckerFamily:
         code = kronecker_code(3, _GRID)
         schedule = derive_schedule(code)
         n_fft, cp_len = 16, 8
-        cfg = LinkConfig(n_fft, cp_len, PowerConfig(12.0, 1.0, 1.0 / code.num_relays))
+        link = LinkConfig(schedule, n_fft, cp_len, PowerConfig(12.0, 1.0, 1.0 / code.num_relays))
         rng = np.random.default_rng(81)
         for delays in (None, None, None, (0, 1, 2, 3, 5, 6, 7, cp_len)):  # the last one a prefix late
             channel = draw_channel(rng, code.num_relays, cp_len, delays)
             frame = complex_noise(rng, (code.symbol_count, n_fft))
-            got = run_frame(frame, schedule, channel, cfg)
-            assert np.max(np.abs(got - expected_subcarrier_rx(code, schedule, channel, cfg, frame))) <= 1e-12
+            got = run_frame(frame, link, channel)
+            assert np.max(np.abs(got - expected_subcarrier_rx(code, link, channel, frame))) <= 1e-12
 
     def test_the_eight_relay_slot_variances_equal_the_slot_loop(self):
         # every slot sums |g|^2 over eight relays, where numpy starts to sum pairwise
@@ -512,10 +512,10 @@ class TestTheKroneckerFamily:
         schedule = derive_schedule(code)
         rng = np.random.default_rng(82)
         for _ in range(5):
-            cfg = LinkConfig(16, 8, PowerConfig(rng.uniform(0.5, 500.0), 1.0, rng.uniform(0.05, 1.0)))
+            link = LinkConfig(schedule, 16, 8, PowerConfig(rng.uniform(0.5, 500.0), 1.0, rng.uniform(0.05, 1.0)))
             channel = draw_channel(rng, code.num_relays, 8)
-            got = noise_covariance(schedule, channel, cfg)
-            assert np.array_equal(got.view(float), noise_covariance_loop(schedule, channel, cfg).view(float))
+            got = noise_covariance(link, channel)
+            assert np.array_equal(got.view(float), noise_covariance_loop(link, channel).view(float))
 
     def test_the_eight_relay_grouped_search_equals_a_search_over_all_candidates(self):
         # four groups of 16 rotated grid points: 65536 code words, none
@@ -523,28 +523,27 @@ class TestTheKroneckerFamily:
         code = kronecker_code(3, _GRID @ _ROTATION.T)
         schedule = derive_schedule(code)
         n_fft, cp_len = 16, 8
-        cfg = LinkConfig(n_fft, cp_len, PowerConfig(20.0, 1.0, 1.0 / code.num_relays))
-        decoder = CoherentDecoder(code, cfg.power.cascade_gain)
+        link = LinkConfig(schedule, n_fft, cp_len, PowerConfig(20.0, 1.0, 1.0 / code.num_relays))
+        decoder = CoherentDecoder(code, link.power.cascade_gain)
         rng = np.random.default_rng(83)
         channel = draw_channel(rng, code.num_relays, cp_len)
         h_all = equivalent_channel_matrix(code, channel, n_fft)
-        variances = noise_covariance(schedule, channel, cfg)
+        variances = noise_covariance(link, channel)
         labels = rng.integers(0, 16, size=(n_fft, 4))
-        clean = cfg.power.cascade_gain * np.einsum("ktr,kr->tk", codeword(code, decoder.symbols(labels)), h_all)
+        clean = link.power.cascade_gain * np.einsum("ktr,kr->tk", codeword(code, decoder.symbols(labels)), h_all)
         y = clean + np.sqrt(variances)[:, None] * complex_noise(rng, (code.slot_count, n_fft))
         assert decoder.gap(h_all, 1.0 / variances) == 0.0
         decided = decoder.grouped(y, h_all, 1.0 / variances)
         for k in (0, 5, 11):
-            want = exhaustive_ml(code, y[:, k], h_all[k], variances, cfg.power.cascade_gain)
+            want = exhaustive_ml(code, y[:, k], h_all[k], variances, link.power.cascade_gain)
             assert tuple(int(i) for i in decided[k]) == want
 
     def test_a_noiseless_eight_relay_engine_makes_no_errors(self):
         # a code file cannot hold the rotated alphabet, so the engine is built directly
         code = kronecker_code(3, _GRID @ _ROTATION.T)
         cfg = SimConfig(code=code.name, n_fft=16, cp_len=8, noise=False)
-        schedule = derive_schedule(code)
-        link = LinkConfig(16, 8, _power_config(cfg, code, 20.0))
-        engine = _CoherentEngine(cfg, code, schedule, link, link_tables(schedule, 16, 8), rotation_table(16, 8))
+        link = LinkConfig(derive_schedule(code), 16, 8, _power_config(cfg, code, 20.0))
+        engine = _CoherentEngine(cfg, code, link, rotation_table(16, 8))
         assert engine.decoder.proven
         counts = [engine.simulate(*_draw_unit(frame_rng(cfg.seed, 0, unit), engine)) for unit in range(300)]
         assert (sum(e for e, _ in counts), sum(b for _, b in counts)) == (0, 300 * 16 * 16)
@@ -561,7 +560,6 @@ class TestTheKroneckerFamily:
         # carry unequal plain and conjugated counts
         code = kronecker_code(3, _GRID @ _ROTATION.T)
         n_fft, cp_len = 16, 8
-        cfg = LinkConfig(n_fft, cp_len, PowerConfig(12.0, 1.0, 1.0 / 5))
         rng = np.random.default_rng(84)
         dets = []
         for columns in itertools.combinations(range(8), 5):
@@ -574,10 +572,10 @@ class TestTheKroneckerFamily:
             assert rank == 5
             dets.append(det)
             assert check_feasibility(subset).condition == 2
-            schedule = derive_schedule(subset)
+            link = LinkConfig(derive_schedule(subset), n_fft, cp_len, PowerConfig(12.0, 1.0, 1.0 / 5))
             channel = draw_channel(rng, 5, cp_len)
             frame = complex_noise(rng, (subset.symbol_count, n_fft))
-            got = run_frame(frame, schedule, channel, cfg)
-            assert np.max(np.abs(got - expected_subcarrier_rx(subset, schedule, channel, cfg, frame))) <= 1e-12
+            got = run_frame(frame, link, channel)
+            assert np.max(np.abs(got - expected_subcarrier_rx(subset, link, channel, frame))) <= 1e-12
         assert len(dets) == 56
         assert min(dets) == pytest.approx(0.3025, rel=1e-3)

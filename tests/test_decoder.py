@@ -50,11 +50,11 @@ def _model_for(code, rng, n=16, cp=4, power=10.0, subcarrier=3):
     """A drawn subcarrier's flat model, its (1, R) channel slice and (T,)
     slot weights, and the decoder of its cascade gain."""
     schedule = derive_schedule(code)
-    cfg = LinkConfig(n, cp, PowerConfig(power, 1.0, 1.0 / code.num_relays))
+    link = LinkConfig(schedule, n, cp, PowerConfig(power, 1.0, 1.0 / code.num_relays))
     channel = draw_channel(rng, code.num_relays, cp)
     h = equivalent_channel_matrix(code, channel, n)[subcarrier : subcarrier + 1]
-    w2 = 1.0 / noise_covariance(schedule, channel, cfg)
-    return h, w2, CoherentDecoder(code, cfg.power.cascade_gain)
+    w2 = 1.0 / noise_covariance(link, channel)
+    return h, w2, CoherentDecoder(code, link.power.cascade_gain)
 
 
 def _coords(symbols):
@@ -83,11 +83,11 @@ class TestChannelAssembly:
         for name in ("alamouti", "relay4", "relay5"):
             code = named_code(name)
             schedule = derive_schedule(code)
-            cfg = LinkConfig(16, 4, PowerConfig(9.0, 1.0, 1.0 / code.num_relays))
+            link = LinkConfig(schedule, 16, 4, PowerConfig(9.0, 1.0, 1.0 / code.num_relays))
             channel = draw_channel(rng, code.num_relays, 4)
-            var = noise_covariance(schedule, channel, cfg)
+            var = noise_covariance(link, channel)
             assert var.shape == (schedule.num_slots,)
-            assert np.allclose(var, slot_noise_variances(code, schedule, channel, cfg))
+            assert np.allclose(var, slot_noise_variances(link, channel))
 
 
 def _all_codes():
@@ -136,10 +136,10 @@ class TestTablesReproduceThePerUnitComputation:
         rng = np.random.default_rng(12)
         for schedule in [*(derive_schedule(code) for code in _all_codes()), _wide_schedule()]:
             for _ in range(20):
-                cfg = LinkConfig(16, 4, PowerConfig(rng.uniform(0.5, 500.0), 1.0, rng.uniform(0.05, 1.0)))
+                link = LinkConfig(schedule, 16, 4, PowerConfig(rng.uniform(0.5, 500.0), 1.0, rng.uniform(0.05, 1.0)))
                 channel = draw_channel(rng, schedule.num_relays, 4)
-                got = noise_covariance(schedule, channel, cfg)
-                assert np.array_equal(got.view(float), noise_covariance_loop(schedule, channel, cfg).view(float))
+                got = noise_covariance(link, channel)
+                assert np.array_equal(got.view(float), noise_covariance_loop(link, channel).view(float))
 
     def test_grouped_search_over_unequal_alphabets_equals_the_per_group_argmin(self):
         code = unequal_alphabet_code()
@@ -172,15 +172,22 @@ class TestModelContract:
             with pytest.raises(ValueError, match=re.escape(f"got shapes {shape}, (8, 4) and (4,)")):
                 search(complex_noise(rng, shape), h_all, w2)
 
+    # relay4's proof compares only the first 4 weights and reads no channel:
+    # its gap used to be 0.0 for (8, 3) channels and 5 or 6 weights
     @pytest.mark.parametrize(
-        "h_shape, w2_shape", [((8,), (4,)), ((8, 3), (4,)), ((8, 4, 1), (4,)), ((), (4,)), ((8, 4), (3,)), ((8, 4), (4, 1))]
+        "h_shape, w2_shape",
+        [((8,), (4,)), ((8, 3), (4,)), ((8, 4, 1), (4,)), ((), (4,)), ((8, 4), (3,)), ((8, 4), (4, 1)), ((8, 4), (5,)),
+         ((8, 4), (6,))],
     )
     def test_channels_and_weights_must_match_the_code(self, h_shape, w2_shape):
         decoder = CoherentDecoder(named_code("relay4"), 1.0)
         y = np.zeros((4, 8), dtype=complex)
+        h_all, w2 = np.ones(h_shape, dtype=complex), np.ones(w2_shape)
         for search in (decoder.grouped, decoder.exhaustive):
             with pytest.raises(ValueError, match="got shapes"):
-                search(y, np.ones(h_shape, dtype=complex), np.ones(w2_shape))
+                search(y, h_all, w2)
+        with pytest.raises(ValueError, match="got shapes"):
+            decoder.gap(h_all, w2)
 
 
 class TestCoordinateMaps:
@@ -331,7 +338,7 @@ class TestDecoding:
 
 def _compact_code(name):
     if name == "pair":  # the differential codebook's pair code
-        return build_codebook_4relay().decoder.code
+        return build_codebook_4relay(named_code("relay4_diff")).decoder.code
     return {"sheared": sheared_code, "unequal": unequal_alphabet_code}.get(name, lambda: named_code(name))()
 
 
@@ -367,7 +374,7 @@ COMPACT_CODES = ["alamouti", "relay4", "relay5", "relay4_diff", "sheared", "uneq
 def _proof_decoder(name):
     """The decoder of a built-in code, or of the differential pair code."""
     if name == "pair":
-        return build_codebook_4relay().decoder
+        return build_codebook_4relay(named_code("relay4_diff")).decoder
     return CoherentDecoder(named_code(name), 1.7)
 
 

@@ -22,7 +22,7 @@ from oracles import diff_codebook_assembly, diff_decisions, diff_decode_scan, di
 
 @pytest.fixture(scope="module")
 def codebook():
-    return build_codebook_4relay()
+    return build_codebook_4relay(named_code("relay4_diff"))
 
 
 class TestCodebookStructure:
@@ -206,16 +206,16 @@ class TestPipelineChain:
         code = named_code("relay4_diff")
         schedule = derive_schedule(code)
         n, cp = 8, 3
-        cfg = LinkConfig(n, cp, PowerConfig(20.0, 1.0, 0.25))
+        link = LinkConfig(schedule, n, cp, PowerConfig(20.0, 1.0, 0.25))
         for _ in range(4):
             channel = draw_channel(rng, 4, cp)
             state = initial_state(4, n)
-            y_prev = run_frame(state.symbols, schedule, channel, cfg)
+            y_prev = run_frame(state.symbols, link, channel)
             scales = np.ones(n)
             for _ in range(10):
                 tx = rng.integers(0, 256, size=n)
                 state = diff_encode(state, tx, codebook)
-                y_now = run_frame(state.symbols, schedule, channel, cfg)
+                y_now = run_frame(state.symbols, link, channel)
                 rx, scales = diff_decode_frame(y_now, y_prev, scales, codebook)
                 assert np.array_equal(rx, tx)
                 y_prev = y_now

@@ -47,7 +47,7 @@ from asyncrelay.harness import (
     wilson_interval,
 )
 from asyncrelay.codebook import ScheduleError, derive_schedule, format_code_text, named_code
-from asyncrelay.relaysim import LinkConfig, draw_channel, frame_noise, link_tables, run_frame
+from asyncrelay.relaysim import LinkConfig, draw_channel, frame_noise, run_frame
 
 from oracles import (
     diff_decisions,
@@ -362,9 +362,8 @@ class TestConfigSchema:
 
 def _engine(code, n_fft=16, cp_len=4, p_db=12.0):
     cfg = SimConfig(code=code.name, n_fft=n_fft, cp_len=cp_len)
-    link = LinkConfig(n_fft, cp_len, harness._power_config(cfg, code, p_db))
-    schedule = derive_schedule(code)
-    return _CoherentEngine(cfg, code, schedule, link, link_tables(schedule, n_fft, cp_len), rotation_table(n_fft, cp_len))
+    link = LinkConfig(derive_schedule(code), n_fft, cp_len, harness._power_config(cfg, code, p_db))
+    return _CoherentEngine(cfg, code, link, rotation_table(n_fft, cp_len))
 
 
 class TestCoherentEngine:
@@ -376,7 +375,7 @@ class TestCoherentEngine:
         for _ in range(20):
             channel = draw_channel(rng, code.num_relays, engine.link.cp_len)
             h_all = equivalent_channel_matrix(code, channel, engine.link.n_fft)
-            variances = noise_covariance(engine.schedule, channel, engine.link)
+            variances = noise_covariance(engine.link, channel)
             gap = engine._gap(h_all, 1.0 / variances)
             expected = max(gram_gap(code, h, variances) for h in h_all)
             assert abs(gap - expected) <= 1e-12
@@ -399,9 +398,9 @@ class TestCoherentEngine:
             rng = frame_rng(3, 0, unit)  # replay the unit's draws
             channel = draw_channel(rng, code.num_relays, cfg.cp_len, cfg.delays)
             tx, frame = draw_frame_per_group(rng, code, cfg.n_fft)
-            received = run_frame(frame, engine.schedule, channel, engine.link, frame_noise(rng, engine.schedule, engine.link))
+            received = run_frame(frame, engine.link, channel, frame_noise(rng, engine.link))
             h_all = equivalent_channel_matrix(code, channel, cfg.n_fft)
-            variances = noise_covariance(engine.schedule, channel, engine.link)
+            variances = noise_covariance(engine.link, channel)
             errors = 0
             for k in range(cfg.n_fft):
                 decided = exhaustive_ml(code, received[:, k], h_all[k], variances, gain)
@@ -424,9 +423,9 @@ class TestCoherentEngine:
             rng = frame_rng(cfg.seed, 0, unit)  # replay the unit's draws
             channel = draw_channel(rng, 1, cfg.cp_len, cfg.delays)
             tx, frame = draw_frame_per_group(rng, engine.code, cfg.n_fft)
-            received = run_frame(frame, engine.schedule, channel, engine.link, frame_noise(rng, engine.schedule, engine.link))
+            received = run_frame(frame, engine.link, channel, frame_noise(rng, engine.link))
             h_all = equivalent_channel_matrix(engine.code, channel, cfg.n_fft)
-            w2 = 1.0 / noise_covariance(engine.schedule, channel, engine.link)
+            w2 = 1.0 / noise_covariance(engine.link, channel)
             decided = engine.decoder.grouped(received, h_all, w2)
             errors += sum(bin(int(a) ^ int(b)).count("1") for a, b in zip(tx.ravel(), decided.ravel()))
             labels.extend(tx[:, 0])
@@ -469,7 +468,7 @@ class TestDifferentialEngine:
         engines = _sweep_engines(cfg)
         assert [e.link.power.total_power for e in engines] == [10.0, 100.0, 1000.0]
         for e in engines:
-            assert (e.code, e.schedule, e.codebook) == (engines[0].code, engines[0].schedule, engines[0].codebook)
+            assert (e.code, e.link.schedule, e.codebook) == (engines[0].code, engines[0].link.schedule, engines[0].codebook)
 
     def test_decisions_equal_the_einsum_oracle_on_replayed_units(self):
         cfg = SimConfig(mode="differential", code="relay4_diff", n_fft=32, cp_len=8, power_db=(12.0,), diff_chain=5)
@@ -480,13 +479,13 @@ class TestDifferentialEngine:
             rng = frame_rng(cfg.seed, 0, unit)  # replay the unit's draws
             channel = draw_channel(rng, 4, cfg.cp_len, cfg.delays)
             state = initial_state(4, cfg.n_fft)
-            y_prev = run_frame(state.symbols, engine.schedule, channel, engine.link, frame_noise(rng, engine.schedule, engine.link))
+            y_prev = run_frame(state.symbols, engine.link, channel, frame_noise(rng, engine.link))
             scales = np.ones(cfg.n_fft)
             errors = 0
             for _ in range(cfg.diff_chain - 1):
                 tx = rng.integers(0, codebook.num_words, size=cfg.n_fft)
                 state = diff_encode(state, tx, codebook)
-                y_now = run_frame(state.symbols, engine.schedule, channel, engine.link, frame_noise(rng, engine.schedule, engine.link))
+                y_now = run_frame(state.symbols, engine.link, channel, frame_noise(rng, engine.link))
                 decided = diff_decisions(y_now, y_prev, scales, engine.code)
                 assert np.array_equal(diff_decode_frame(y_now, y_prev, scales, codebook)[0], decided)
                 errors += sum(bin(int(a) ^ int(b)).count("1") for a, b in zip(tx, decided))
@@ -517,7 +516,7 @@ class TestUnitDraw:
                 labels = draw_frame_per_group(rng, engine.code, cfg.n_fft)[0].T
             else:
                 labels = rng.integers(0, engine.codebook.num_words, size=cfg.n_fft) if index else None
-            frames.append((labels, frame_noise(rng, engine.schedule, engine.link) if cfg.noise else None))
+            frames.append((labels, frame_noise(rng, engine.link) if cfg.noise else None))
         return channel, frames
 
     @pytest.mark.parametrize("noise", [True, False])
@@ -679,7 +678,7 @@ class TestSweepOwnedTables:
     )
     def test_a_sweep_leaves_no_table_in_a_module(self, mode, code, workers):
         # every per-frame table and every decoder lives on the sweep's
-        # schedule, code, LinkTables and engines
+        # schedule, code, links and engines
         run_sweep(SimConfig(mode=mode, code=code, power_db=(10.0, 20.0), workers=workers, **FAST))
         modules = [m for name, m in sorted(sys.modules.items()) if name.partition(".")[0] == "asyncrelay"]
         for module in modules:

@@ -5,7 +5,9 @@ are deterministic (``derandomize=True``, a fixed example count) and write no
 example database."""
 
 import contextlib
+import dataclasses
 import io
+import itertools
 import subprocess
 import sys
 import tempfile
@@ -29,6 +31,7 @@ from asyncrelay.codebook import (
     qpsk_pairs,
 )
 from asyncrelay.decoder import _ORTHOGONALITY_TOL, CoherentDecoder, equivalent_channel_matrix, noise_covariance
+from asyncrelay.harness import SimConfig, _verified_codebook, run_sweep
 from asyncrelay.relaysim import LinkConfig, PowerConfig, complex_noise, draw_channel, run_frame
 
 from oracles import expected_subcarrier_rx, gram_gap, grid_alphabet, kronecker_code, sheared_code
@@ -68,12 +71,12 @@ def _assert_the_noiseless_link_is_the_flat_model(code, schedule, n_fft, cp_len, 
     """The noiseless ``run_frame`` of ``code`` under ``schedule`` equals the
     flat model within 1e-12 on a channel and frame drawn from ``seed``, for
     ``delays`` from 0 up to the prefix (the first relay sets the timing origin)."""
-    cfg = LinkConfig(n_fft, cp_len, PowerConfig(10.0, 1.0, 1.0 / code.num_relays))
+    link = LinkConfig(schedule, n_fft, cp_len, PowerConfig(10.0, 1.0, 1.0 / code.num_relays))
     rng = np.random.default_rng(seed)
     channel = draw_channel(rng, code.num_relays, cp_len, delays)
     frame = complex_noise(rng, (code.symbol_count, n_fft))
-    got = run_frame(frame, schedule, channel, cfg)
-    assert np.max(np.abs(got - expected_subcarrier_rx(code, schedule, channel, cfg, frame))) <= 1e-12
+    got = run_frame(frame, link, channel)
+    assert np.max(np.abs(got - expected_subcarrier_rx(code, link, channel, frame))) <= 1e-12
 
 
 @_SETTINGS
@@ -129,11 +132,11 @@ def test_a_scheduled_generated_code_is_proven_soundly_and_its_vanishing_gap_make
     except ScheduleError:
         return
     n_fft, cp_len = 4, 2
-    link = LinkConfig(n_fft, cp_len, PowerConfig(10.0, 1.0, 1.0 / code.num_relays))
+    link = LinkConfig(schedule, n_fft, cp_len, PowerConfig(10.0, 1.0, 1.0 / code.num_relays))
     rng = np.random.default_rng(seed)
     channel = draw_channel(rng, code.num_relays, cp_len)
     h_all = equivalent_channel_matrix(code, channel, n_fft)
-    variances = noise_covariance(schedule, channel, link)
+    variances = noise_covariance(link, channel)
     decoder = CoherentDecoder(code, link.power.cascade_gain)
     if decoder._proof is not None:
         assert max(gram_gap(code, h, variances) for h in h_all) <= 1e-9
@@ -141,6 +144,60 @@ def test_a_scheduled_generated_code_is_proven_soundly_and_its_vanishing_gap_make
     if decoder.gap(h_all, w2) <= _ORTHOGONALITY_TOL:
         y = complex_noise(rng, (code.slot_count, n_fft))
         assert np.array_equal(decoder.grouped(y, h_all, w2), decoder.exhaustive(y, h_all, w2))
+
+
+_DIFFERENTIAL = named_code("relay4_diff")
+# (column order, column signs, conjugated pair) of the variants of
+# relay4_diff whose own codebook passes both checks: 8 of all 24 x 16 x 6 =
+# 2304, found by scanning them all, which takes seconds
+_ACCEPTED = (
+    ((0, 1, 2, 3), (1, 1, 1, 1), (2, 3)),
+    ((0, 1, 2, 3), (-1, -1, -1, -1), (2, 3)),
+    ((1, 0, 3, 2), (1, 1, 1, 1), (2, 3)),
+    ((1, 0, 3, 2), (-1, -1, -1, -1), (2, 3)),
+    ((2, 3, 0, 1), (1, 1, -1, -1), (0, 1)),
+    ((2, 3, 0, 1), (-1, -1, 1, 1), (0, 1)),
+    ((3, 2, 1, 0), (1, 1, -1, -1), (0, 1)),
+    ((3, 2, 1, 0), (-1, -1, 1, 1), (0, 1)),
+)
+
+
+def _with_accepted_examples(test):
+    for order, signs, pair in _ACCEPTED:
+        test = example(order=order, signs=signs, pair=pair)(test)
+    return test
+
+
+@_with_accepted_examples
+@settings(_SETTINGS, max_examples=200)
+@given(
+    order=st.permutations(range(4)).map(tuple),
+    signs=st.tuples(*[st.sampled_from((1, -1))] * 4),
+    pair=st.sampled_from(list(itertools.combinations(range(4), 2))),
+)
+def test_a_differential_code_is_rejected_or_its_noiseless_chains_are_error_free(order, signs, pair):
+    """A variant of relay4_diff (its columns reordered, signed and two of
+    them conjugated) either has no verified codebook, and the sweep rejects
+    it, or its noiseless differential sweep makes no error; exactly the
+    variants of ``_ACCEPTED`` pass."""
+    code = dataclasses.replace(
+        _DIFFERENTIAL,
+        relay_matrices=tuple(sign * _DIFFERENTIAL.relay_matrices[c] for c, sign in zip(order, signs)),
+        conjugated_columns=frozenset(pair),
+    )
+    try:
+        _verified_codebook(code)
+    except ScheduleError:
+        assert (order, signs, pair) not in _ACCEPTED
+        return
+    assert (order, signs, pair) in _ACCEPTED
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "variant.code"
+        path.write_text(format_code_text(code), encoding="utf-8")
+        cfg = SimConfig(mode="differential", code=str(path), n_fft=16, cp_len=8, power_db=(20.0,), frames=20,
+                        noise=False, diff_chain=3)
+        (point,) = run_sweep(cfg)
+    assert (point.bit_errors, point.bits, point.frames) == (0, 20 * 2 * 16 * 8, 20)
 
 
 # tokens float() rejects: a first letter that starts no number, "nan" or "inf"

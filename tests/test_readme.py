@@ -1,6 +1,8 @@
-"""README's library example runs as written, and every name a module
-exports resolves, so neither goes stale when the API changes."""
+"""README's library example runs as written, every name a module exports
+resolves, and no module imports a name it neither uses nor exports, so
+none of them goes stale when the API changes."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -19,9 +21,9 @@ def test_the_library_use_example_runs():
     (block,) = re.findall(r"```python\n(.*?)```", section, flags=re.S)
     namespace = {}
     exec(compile(block, f"{README.name}, ## Library use", "exec"), namespace)
-    code, cfg = namespace["code"], namespace["cfg"]
-    assert namespace["decided"].shape == (cfg.n_fft, len(code.alphabet))
-    assert namespace["symbols"].shape == (cfg.n_fft, code.symbol_count)
+    code, link = namespace["code"], namespace["link"]
+    assert namespace["decided"].shape == (link.n_fft, len(code.alphabet))
+    assert namespace["symbols"].shape == (link.n_fft, code.symbol_count)
 
 
 def test_every_module_is_checked():
@@ -33,3 +35,19 @@ def test_every_exported_name_resolves(module):
     imported = importlib.import_module(module)
     assert len(set(imported.__all__)) == len(imported.__all__)
     assert [name for name in imported.__all__ if not hasattr(imported, name)] == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used_or_exported(module):
+    # ``from __future__`` and ``import a.b`` are made for their effect, not for a name
+    path = importlib.import_module(module).__file__
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+        if alias.asname or "." not in alias.name
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - set(importlib.import_module(module).__all__)) == []

@@ -1,6 +1,7 @@
 """Relay pipeline: power scaling, channel draws, and the end-to-end identity
 between the sample-level simulation and the flat per-subcarrier model."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -55,9 +56,11 @@ def _link_code(name: str):
     return {"sheared": sheared_code, "swapped": slot_swapped_code}.get(name, lambda: named_code(name))()
 
 
-def _one_slot_schedule(num_relays: int) -> RelaySchedule:
-    """Every relay forwards block 0 unchanged in the one slot."""
-    return RelaySchedule(("idft",), (False,), ((RelayInstruction(0, 1.0, False),) * num_relays,))
+def _one_slot_link(num_relays: int) -> LinkConfig:
+    """Every relay forwards block 0 unchanged in the one slot, on a
+    (4, 2) link of 6-sample symbols."""
+    schedule = RelaySchedule(("idft",), (False,), ((RelayInstruction(0, 1.0, False),) * num_relays,))
+    return LinkConfig(schedule, 4, 2, PowerConfig(1.0))
 
 
 class TestPowerConfig:
@@ -99,16 +102,32 @@ class TestPowerConfig:
 
 class TestLinkConfig:
     def test_symbol_length(self):
-        cfg = LinkConfig(16, 4, PowerConfig(1.0))
-        assert cfg.symbol_len == 20
+        link = LinkConfig(derive_schedule(named_code("alamouti")), 16, 4, PowerConfig(1.0))
+        assert link.symbol_len == 20
 
     def test_validation(self):
+        schedule = derive_schedule(named_code("alamouti"))
         with pytest.raises(ValueError):
-            LinkConfig(12, 2, PowerConfig(1.0))  # not a power of two
+            LinkConfig(schedule, 12, 2, PowerConfig(1.0))  # not a power of two
         with pytest.raises(ValueError):
-            LinkConfig(16, 16, PowerConfig(1.0))  # prefix as long as the body
+            LinkConfig(schedule, 16, 16, PowerConfig(1.0))  # prefix as long as the body
         with pytest.raises(ValueError):
-            LinkConfig(16, -1, PowerConfig(1.0))
+            LinkConfig(schedule, 16, -1, PowerConfig(1.0))
+
+    def test_the_gathers_are_built_from_its_own_schedule(self):
+        schedule = derive_schedule(named_code("alamouti"))
+        link = LinkConfig(schedule, 16, 4, PowerConfig(1.0))
+        # Alamouti's instructions with neither the DFT block nor the reversed slot
+        other = LinkConfig(RelaySchedule(("idft", "idft"), (False, False), schedule.instructions), 16, 4, PowerConfig(1.0))
+        assert not np.array_equal(link.relay_gather, other.relay_gather)
+        assert not np.array_equal(link.frontend_gather, other.frontend_gather)
+        for gather in (link.relay_gather, link.frontend_gather):
+            assert not gather.flags.writeable
+        with pytest.raises(TypeError):
+            LinkConfig(schedule, 16, 4, PowerConfig(1.0), relay_gather=other.relay_gather)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            link.frontend_gather = other.frontend_gather
+        assert link == LinkConfig(schedule, 16, 4, PowerConfig(1.0)) != other
 
 
 class TestChannelRealization:
@@ -174,9 +193,9 @@ class TestSourceTransmit:
         rng = np.random.default_rng(5)
         schedule = derive_schedule(named_code("alamouti"))
         assert schedule.source_modulation == ("idft", "dft")
-        cfg = LinkConfig(8, 2, PowerConfig(4.0, 1.0, 0.5))
+        link = LinkConfig(schedule, 8, 2, PowerConfig(4.0, 1.0, 0.5))
         frame = _random_frame(rng, 2, 8)
-        out = source_transmit(frame, schedule, cfg)
+        out = source_transmit(frame, link)
         assert out.shape == (2, 10)
         scale = math.sqrt(4.0)
         assert np.allclose(out[0], scale * add_cp(spectral.idft(frame[0]), 2))
@@ -186,9 +205,9 @@ class TestSourceTransmit:
 
     def test_shape_mismatch_rejected(self):
         schedule = derive_schedule(named_code("alamouti"))
-        cfg = LinkConfig(8, 2, PowerConfig(1.0))
+        link = LinkConfig(schedule, 8, 2, PowerConfig(1.0))
         with pytest.raises(ValueError):
-            source_transmit(np.zeros((3, 8)), schedule, cfg)
+            source_transmit(np.zeros((3, 8)), link)
 
 
 class TestRelayProcess:
@@ -196,10 +215,10 @@ class TestRelayProcess:
         rng = np.random.default_rng(9)
         schedule = derive_schedule(named_code("alamouti"))
         n, cp = 4, 2
-        cfg = LinkConfig(n, cp, PowerConfig(3.0, 1.0, 0.5))
+        link = LinkConfig(schedule, n, cp, PowerConfig(3.0, 1.0, 0.5))
         received = (rng.standard_normal((2, 2, n + cp)) + 1j * rng.standard_normal((2, 2, n + cp)))
-        out = relay_process(instruction_rows(received, schedule, "block"), schedule, cfg)
-        gain = cfg.power.relay_gain
+        out = relay_process(instruction_rows(received, schedule, "block"), link)
+        gain = link.power.relay_gain
         row = {(relay, slot): a for a, (relay, _, slot) in enumerate(link_rows(schedule))}
 
         # slot 0 is not reversed: relay 0 forwards block 0, relay 1 sends
@@ -219,9 +238,9 @@ class TestRelayProcess:
     def test_reversed_output_keeps_a_valid_prefix_structure(self):
         rng = np.random.default_rng(2)
         schedule = derive_schedule(named_code("alamouti"))
-        cfg = LinkConfig(8, 3, PowerConfig(1.0))
+        link = LinkConfig(schedule, 8, 3, PowerConfig(1.0))
         received = complex_noise(rng, (4, 11))
-        out = relay_process(received, schedule, cfg)
+        out = relay_process(received, link)
         reversed_rows = [a for a, (_, _, slot) in enumerate(link_rows(schedule)) if slot == 1]
         assert len(reversed_rows) == 2
         # periodic over the full window: sample p equals sample p + n
@@ -232,32 +251,33 @@ class TestRelayProcess:
     def test_gather_equals_the_slot_loop_bit_for_bit(self, name, cp):
         code = _link_code(name)
         schedule = derive_schedule(code)
-        cfg = LinkConfig(32, cp, PowerConfig(7.3, 1.0, 0.3))
+        link = LinkConfig(schedule, 32, cp, PowerConfig(7.3, 1.0, 0.3))
         rng = np.random.default_rng(cp)
-        received = complex_noise(rng, (code.num_relays, schedule.num_blocks, cfg.symbol_len))
-        out = relay_process(instruction_rows(received, schedule, "block"), schedule, cfg)
-        dense = relay_process_loop(received, schedule, cfg)
+        received = complex_noise(rng, (code.num_relays, schedule.num_blocks, link.symbol_len))
+        out = relay_process(instruction_rows(received, schedule, "block"), link)
+        dense = relay_process_loop(received, link)
         assert np.array_equal(_bits(out), _bits(instruction_rows(dense, schedule, "slot")))
         assert not np.any(silent_rows(dense, schedule))
-        raw = complex_noise(rng, (schedule.num_slots, cfg.symbol_len))
-        assert np.array_equal(destination_frontend(raw, schedule, cfg), frontend_loop(raw, schedule, cfg))
+        raw = complex_noise(rng, (schedule.num_slots, link.symbol_len))
+        assert np.array_equal(destination_frontend(raw, link), frontend_loop(raw, link))
 
     def test_block_out_of_range_names_slot_relay_and_block(self):
         schedule = derive_schedule(named_code("relay4"))
         channel = draw_channel(np.random.default_rng(3), 4, cp_len=2)
         symbols = np.zeros((2, 10), dtype=complex)  # blocks 2 and 3 were never sent
-        relay_noise, _ = frame_noise(np.random.default_rng(4), schedule, LinkConfig(8, 2, PowerConfig(1.0)))
+        link = LinkConfig(schedule, 8, 2, PowerConfig(1.0))
+        relay_noise, _ = frame_noise(np.random.default_rng(4), link)
         for noise in (None, relay_noise):
             with pytest.raises(ValueError, match="slot 0 tells relay 2 to forward block 2, but only 2 blocks"):
-                relay_receive(symbols, schedule, channel, noise)
+                relay_receive(symbols, link, channel, noise)
 
     def test_row_count_mismatch_names_the_instruction_count(self):
         schedule = derive_schedule(named_code("relay5"))  # 10 of 30 (relay, slot) pairs forward
-        cfg = LinkConfig(8, 2, PowerConfig(1.0))
+        link = LinkConfig(schedule, 8, 2, PowerConfig(1.0))
         with pytest.raises(ValueError, match=r"shape \(30, 10\) does not match the schedule's 10 forwarding"):
-            relay_process(np.zeros((30, 10), dtype=complex), schedule, cfg)
+            relay_process(np.zeros((30, 10), dtype=complex), link)
         with pytest.raises(ValueError, match=r"shape \(10, 9\) does not match the schedule's 10 forwarding"):
-            relay_process(np.zeros((10, 9), dtype=complex), schedule, cfg)
+            relay_process(np.zeros((10, 9), dtype=complex), link)
 
 
 class TestNoiseAndReceiveArithmetic:
@@ -276,7 +296,7 @@ class TestNoiseAndReceiveArithmetic:
         code = _link_code(name)
         schedule = derive_schedule(code)
         n = 32
-        cfg = LinkConfig(n, cp, PowerConfig(30.0, 1.0, 1.0 / code.num_relays))
+        link = LinkConfig(schedule, n, cp, PowerConfig(30.0, 1.0, 1.0 / code.num_relays))
         rng = np.random.default_rng(17 + cp)
         shape = (code.num_relays, code.symbol_count, n + cp)
         fixed = (
@@ -287,23 +307,23 @@ class TestNoiseAndReceiveArithmetic:
         for delays in fixed:
             channel = draw_channel(rng, code.num_relays, cp, delays)
             frame = _random_frame(rng, code.symbol_count, n)
-            symbols = source_transmit(frame, schedule, cfg)
+            symbols = source_transmit(frame, link)
             blocks = [spectral.dft(f) if m == "dft" else spectral.idft(f) for f, m in zip(frame, schedule.source_modulation)]
             assert np.array_equal(
-                _bits(symbols), _bits(cfg.power.source_scale * add_cp(np.array(blocks), cp))
+                _bits(symbols), _bits(link.power.source_scale * add_cp(np.array(blocks), cp))
             )
             clean = channel.source_to_relay[:, None, None] * symbols[None, :, :]
             for noisy in (True, False):
                 a, b = np.random.default_rng(18), np.random.default_rng(18)
-                relay_noise, destination_noise = frame_noise(a, schedule, cfg) if noisy else (None, None)
-                received = relay_receive(symbols, schedule, channel, relay_noise)
+                relay_noise, destination_noise = frame_noise(a, link) if noisy else (None, None)
+                received = relay_receive(symbols, link, channel, relay_noise)
                 expected = clean + complex_noise_two_calls(b, shape) if noisy else clean
                 assert np.array_equal(_bits(received), _bits(instruction_rows(expected, schedule, "block")))
-                transmitted = relay_process(received, schedule, cfg)
-                dense = relay_process_loop(expected, schedule, cfg)
+                transmitted = relay_process(received, link)
+                dense = relay_process_loop(expected, link)
                 assert np.array_equal(_bits(transmitted), _bits(instruction_rows(dense, schedule, "slot")))
                 assert not np.any(silent_rows(dense, schedule))
-                raw = destination_receive(transmitted, schedule, channel, destination_noise)
+                raw = destination_receive(transmitted, link, channel, destination_noise)
                 noise = complex_noise_two_calls(b, (code.slot_count, n + cp)) if noisy else None
                 assert np.array_equal(_bits(raw), _bits(destination_receive_loop(dense, channel, noise)))
                 assert a.integers(1 << 62) == b.integers(1 << 62)  # both streams are at one place
@@ -315,34 +335,34 @@ class TestNoiseAndReceiveArithmetic:
         code = _link_code(name)
         schedule = derive_schedule(code)
         n, cp = 16, 4
-        cfg = LinkConfig(n, cp, PowerConfig(10.0, 1.0, 1.0 / code.num_relays))
+        link = LinkConfig(schedule, n, cp, PowerConfig(10.0, 1.0, 1.0 / code.num_relays))
         channel = draw_channel(np.random.default_rng(5), code.num_relays, cp)
         frame = _random_frame(np.random.default_rng(6), code.symbol_count, n)
         a, b = np.random.default_rng(19), np.random.default_rng(19)
-        noise = frame_noise(a, schedule, cfg)
+        noise = frame_noise(a, link)
         relay_noise = complex_noise_two_calls(b, (code.num_relays, code.symbol_count, n + cp))
         destination_noise = complex_noise_two_calls(b, (code.slot_count, n + cp))
         assert np.array_equal(a.standard_normal(5), b.standard_normal(5))
         assert np.array_equal(_bits(noise[0]), _bits(instruction_rows(relay_noise, schedule, "block")))
         assert np.array_equal(_bits(noise[1]), _bits(destination_noise))
-        received = channel.source_to_relay[:, None, None] * source_transmit(frame, schedule, cfg)[None] + relay_noise
-        raw = destination_receive_loop(relay_process_loop(received, schedule, cfg), channel, destination_noise)
-        got = run_frame(frame, schedule, channel, cfg, noise)
-        assert np.array_equal(_bits(got), _bits(destination_frontend(raw, schedule, cfg)))
+        received = channel.source_to_relay[:, None, None] * source_transmit(frame, link)[None] + relay_noise
+        raw = destination_receive_loop(relay_process_loop(received, link), channel, destination_noise)
+        got = run_frame(frame, link, channel, noise)
+        assert np.array_equal(_bits(got), _bits(destination_frontend(raw, link)))
 
     def test_destination_needs_one_row_per_instruction(self):
-        schedule = derive_schedule(named_code("alamouti"))  # 4 instructions
+        link = LinkConfig(derive_schedule(named_code("alamouti")), 4, 2, PowerConfig(1.0))  # 4 instructions
         ch = ChannelRealization(np.ones(2, dtype=complex), np.ones(2, dtype=complex), np.array([0, 1]))
         with pytest.raises(ValueError, match=r"shape \(2, 6\) needs one row per forwarding instruction .*\(4\)"):
-            destination_receive(np.ones((2, 6), dtype=complex), schedule, ch)
+            destination_receive(np.ones((2, 6), dtype=complex), link, ch)
 
     def test_stages_reject_a_channel_with_other_relays(self):
-        schedule = derive_schedule(named_code("alamouti"))
+        link = LinkConfig(derive_schedule(named_code("alamouti")), 4, 2, PowerConfig(1.0))
         ch = draw_channel(np.random.default_rng(0), 3, cp_len=2)
         with pytest.raises(ValueError, match="the channel has 3 relays, the schedule 2"):
-            relay_receive(np.ones((2, 6), dtype=complex), schedule, ch)
+            relay_receive(np.ones((2, 6), dtype=complex), link, ch)
         with pytest.raises(ValueError, match="the channel has 3 relays, the schedule 2"):
-            destination_receive(np.ones((4, 6), dtype=complex), schedule, ch)
+            destination_receive(np.ones((4, 6), dtype=complex), link, ch)
 
 
 class TestDestinationReceive:
@@ -352,7 +372,7 @@ class TestDestinationReceive:
         t[1] = 10.0 * np.arange(1.0, 7.0)
         g = np.array([1.0 + 0j, 1j])
         ch = ChannelRealization(np.ones(2, dtype=complex), g, np.array([0, 2]))
-        out = destination_receive(t, _one_slot_schedule(2), ch)
+        out = destination_receive(t, _one_slot_link(2), ch)
         expected = t[0].copy()
         expected[2:] += 1j * t[1, :4]
         assert np.allclose(out[0], expected)
@@ -363,7 +383,7 @@ class TestDestinationReceive:
         schedule = RelaySchedule(("idft",), (False, False), ((None, instr), (instr, instr)))
         t = np.arange(1.0, 19.0).reshape(3, 6).astype(complex)  # rows: (0, slot 1), (1, slot 0), (1, slot 1)
         ch = ChannelRealization(np.ones(2, dtype=complex), np.array([2.0 + 0j, 1j]), np.array([0, 1]))
-        out = destination_receive(t, schedule, ch)
+        out = destination_receive(t, LinkConfig(schedule, 4, 2, PowerConfig(1.0)), ch)
         assert np.array_equal(out[0], np.concatenate(([0.0], 1j * t[1, :5])))
         assert np.array_equal(out[1], 2.0 * t[0] + np.concatenate(([0.0], 1j * t[2, :5])))
 
@@ -377,7 +397,7 @@ class TestDestinationReceive:
         for relay, slot in ((1, 2), (2, 0), (2, 2)):
             dense[relay, slot] = 0.0
         ch = ChannelRealization(np.ones(3, dtype=complex), complex_noise(rng, 3), np.array([0, 1, 3]))
-        out = destination_receive(instruction_rows(dense, schedule, "slot"), schedule, ch)
+        out = destination_receive(instruction_rows(dense, schedule, "slot"), LinkConfig(schedule, 8, 2, PowerConfig(1.0)), ch)
         assert np.array_equal(_bits(out), _bits(destination_receive_loop(dense, ch, None)))
 
     def test_relay_zero_in_slots_that_are_not_contiguous_equals_the_loop(self):
@@ -392,30 +412,30 @@ class TestDestinationReceive:
             ),
         )
         n, cp = 8, 2
-        cfg = LinkConfig(n, cp, PowerConfig(20.0, 1.0, 0.5))
+        link = LinkConfig(schedule, n, cp, PowerConfig(20.0, 1.0, 0.5))
         rng = np.random.default_rng(23)
         ch = draw_channel(rng, 2, cp, (0, 1))
         frame = _random_frame(rng, 3, n)
-        symbols = source_transmit(frame, schedule, cfg)
+        symbols = source_transmit(frame, link)
         clean = ch.source_to_relay[:, None, None] * symbols[None, :, :]
-        dense = relay_process_loop(clean, schedule, cfg)
+        dense = relay_process_loop(clean, link)
         assert not np.any(silent_rows(dense, schedule))
         for noisy in (True, False):
             noise = complex_noise_two_calls(np.random.default_rng(24), (3, n + cp)) if noisy else None
-            out = destination_receive(instruction_rows(dense, schedule, "slot"), schedule, ch, noise)
+            out = destination_receive(instruction_rows(dense, schedule, "slot"), link, ch, noise)
             assert np.array_equal(_bits(out), _bits(destination_receive_loop(dense, ch, noise)))
         a, b = np.random.default_rng(25), np.random.default_rng(25)
         received = clean + complex_noise_two_calls(b, (2, 3, n + cp))
-        raw = destination_receive_loop(relay_process_loop(received, schedule, cfg), ch, complex_noise_two_calls(b, (3, n + cp)))
-        out = run_frame(frame, schedule, ch, cfg, frame_noise(a, schedule, cfg))
-        assert np.array_equal(_bits(out), _bits(destination_frontend(raw, schedule, cfg)))
+        raw = destination_receive_loop(relay_process_loop(received, link), ch, complex_noise_two_calls(b, (3, n + cp)))
+        out = run_frame(frame, link, ch, frame_noise(a, link))
+        assert np.array_equal(_bits(out), _bits(destination_frontend(raw, link)))
 
     def test_delay_beyond_window_contributes_nothing(self):
         t = np.ones((1, 6), dtype=complex)
         ch = ChannelRealization(
             np.ones(1, dtype=complex), np.ones(1, dtype=complex), np.array([0])
         )
-        base = destination_receive(t, _one_slot_schedule(1), ch)
+        base = destination_receive(t, _one_slot_link(1), ch)
         assert np.allclose(base, 1.0)
         with pytest.raises(ValueError):
             ChannelRealization(np.ones(1, dtype=complex), np.ones(1, dtype=complex), np.array([7]))
@@ -424,20 +444,20 @@ class TestDestinationReceive:
         # without the check, a (1, N + cp) row would be added to every row
         rng = np.random.default_rng(26)
         schedule = derive_schedule(named_code("alamouti"))  # 4 instructions, 2 slots
-        cfg = LinkConfig(4, 2, PowerConfig(1.0))
+        link = LinkConfig(schedule, 4, 2, PowerConfig(1.0))
         ch = draw_channel(rng, 2, 2)
         frame = _random_frame(rng, 2, 4)
-        relay_noise, destination_noise = frame_noise(rng, schedule, cfg)
-        symbols = source_transmit(frame, schedule, cfg)
+        relay_noise, destination_noise = frame_noise(rng, link)
+        symbols = source_transmit(frame, link)
         for wrong in (relay_noise[:1], relay_noise[:, :-1], relay_noise[None], destination_noise):
             with pytest.raises(ValueError, match=r"noise of shape .* does not match the \(4, 6\) signal"):
-                relay_receive(symbols, schedule, ch, wrong)
-        transmitted = relay_process(relay_receive(symbols, schedule, ch, relay_noise), schedule, cfg)
+                relay_receive(symbols, link, ch, wrong)
+        transmitted = relay_process(relay_receive(symbols, link, ch, relay_noise), link)
         for wrong in (destination_noise[:1], destination_noise.T, relay_noise):
             with pytest.raises(ValueError, match=r"noise of shape .* does not match the \(2, 6\) signal"):
-                destination_receive(transmitted, schedule, ch, wrong)
+                destination_receive(transmitted, link, ch, wrong)
         with pytest.raises(ValueError, match="noise of shape"):
-            run_frame(frame, schedule, ch, cfg, (destination_noise, relay_noise))
+            run_frame(frame, link, ch, (destination_noise, relay_noise))
 
 
 class TestEndToEndIdentity:
@@ -449,12 +469,12 @@ class TestEndToEndIdentity:
         code = named_code(name)
         schedule = derive_schedule(code)
         n, cp = 32, 8
-        cfg = LinkConfig(n, cp, PowerConfig(12.0, 1.0, 1.0 / code.num_relays))
+        link = LinkConfig(schedule, n, cp, PowerConfig(12.0, 1.0, 1.0 / code.num_relays))
         for _ in range(10):
             channel = draw_channel(rng, code.num_relays, cp)
             frame = _random_frame(rng, code.symbol_count, n)
-            got = run_frame(frame, schedule, channel, cfg)
-            want = expected_subcarrier_rx(code, schedule, channel, cfg, frame)
+            got = run_frame(frame, link, channel)
+            want = expected_subcarrier_rx(code, link, channel, frame)
             assert np.max(np.abs(got - want)) < 1e-9
 
     @pytest.mark.parametrize("name", ["alamouti", "relay4", "relay5"])
@@ -463,13 +483,13 @@ class TestEndToEndIdentity:
         code = named_code(name)
         schedule = derive_schedule(code)
         n, cp = 32, 8
-        cfg = LinkConfig(n, cp, PowerConfig(12.0, 1.0, 1.0 / code.num_relays))
+        link = LinkConfig(schedule, n, cp, PowerConfig(12.0, 1.0, 1.0 / code.num_relays))
         delays = [0] * code.num_relays
         delays[-1] = cp  # latest relay exactly one prefix late
         channel = draw_channel(rng, code.num_relays, cp, tuple(delays))
         frame = _random_frame(rng, code.symbol_count, n)
-        got = run_frame(frame, schedule, channel, cfg)
-        want = expected_subcarrier_rx(code, schedule, channel, cfg, frame)
+        got = run_frame(frame, link, channel)
+        want = expected_subcarrier_rx(code, link, channel, frame)
         assert np.max(np.abs(got - want)) < 1e-9
 
     def test_breaks_when_delay_exceeds_the_prefix(self):
@@ -477,12 +497,12 @@ class TestEndToEndIdentity:
         code = named_code("relay4")
         schedule = derive_schedule(code)
         n, cp = 32, 8
-        cfg = LinkConfig(n, cp, PowerConfig(12.0, 1.0, 0.25))
+        link = LinkConfig(schedule, n, cp, PowerConfig(12.0, 1.0, 0.25))
         delays = (0, 0, 0, cp + n // 4)
         channel = draw_channel(rng, code.num_relays, cp, delays)
         frame = _random_frame(rng, code.symbol_count, n)
-        got = run_frame(frame, schedule, channel, cfg)
-        want = expected_subcarrier_rx(code, schedule, channel, cfg, frame)
+        got = run_frame(frame, link, channel)
+        want = expected_subcarrier_rx(code, link, channel, frame)
         assert np.max(np.abs(got - want)) > 1e-3
 
     def test_noise_matches_structural_slot_variances(self):
@@ -490,24 +510,24 @@ class TestEndToEndIdentity:
         code = named_code("relay4")
         schedule = derive_schedule(code)
         n, cp = 32, 8
-        cfg = LinkConfig(n, cp, PowerConfig(8.0, 1.0, 0.25))
+        link = LinkConfig(schedule, n, cp, PowerConfig(8.0, 1.0, 0.25))
         channel = draw_channel(rng, code.num_relays, cp)
         frame = _random_frame(rng, code.symbol_count, n)
-        clean = run_frame(frame, schedule, channel, cfg)
+        clean = run_frame(frame, link, channel)
         residuals = []
         for _ in range(150):
-            noisy = run_frame(frame, schedule, channel, cfg, frame_noise(rng, schedule, cfg))
+            noisy = run_frame(frame, link, channel, frame_noise(rng, link))
             residuals.append(noisy - clean)
         measured = np.mean(np.abs(np.stack(residuals)) ** 2, axis=(0, 2))
-        expected = slot_noise_variances(code, schedule, channel, cfg)
+        expected = slot_noise_variances(link, channel)
         assert np.allclose(measured, expected, rtol=0.12)
 
     def test_noiseless_run_is_deterministic(self):
         code = named_code("alamouti")
         schedule = derive_schedule(code)
-        cfg = LinkConfig(16, 4, PowerConfig(5.0, 1.0, 0.5))
+        link = LinkConfig(schedule, 16, 4, PowerConfig(5.0, 1.0, 0.5))
         channel = draw_channel(np.random.default_rng(1), 2, 4)
         frame = _random_frame(np.random.default_rng(2), 2, 16)
-        a = run_frame(frame, schedule, channel, cfg)
-        b = run_frame(frame, schedule, channel, cfg)
+        a = run_frame(frame, link, channel)
+        b = run_frame(frame, link, channel)
         assert np.array_equal(a, b)
