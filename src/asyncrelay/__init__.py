@@ -14,7 +14,6 @@ knowledge anywhere).
 from .codebook import (
     CodeDefinition,
     FeasibilityReport,
-    RelayInstruction,
     RelaySchedule,
     ScheduleError,
     builtin_codes,
@@ -42,7 +41,6 @@ __all__ = [
     "FeasibilityReport",
     "LinkConfig",
     "PowerConfig",
-    "RelayInstruction",
     "RelaySchedule",
     "ScheduleError",
     "SimConfig",

@@ -14,13 +14,17 @@ which the noise model (``decoder.noise_covariance``) assumes, so an entry
 of another magnitude would scale its signal and its forwarded noise alike
 and be simulated with the wrong slot variances.
 
-Feasibility of running such a code over an asynchronous OFDM relay channel
-is a purely combinatorial property of which symbols appear plainly versus
-conjugated in each row; ``check_feasibility`` evaluates it. For a feasible
-code, ``derive_schedule`` two-colours the bipartite consistency graph
-between source blocks (IDFT or DFT modulation) and receive slots (time
-reversed or not) so that every relay instruction yields a plain symbol on
-every subcarrier after the destination front-end.
+A code reads its relay matrices once, when it is made, and everything
+else reads what it built: ``forwarding``, the nonzero entries one row
+each (relay, slot, block, sign, conjugated), and ``slot_classes``, the
+slots grouped by their set of active relays. Feasibility of running such
+a code over an asynchronous OFDM relay channel is a purely combinatorial
+property of which symbols each row carries plainly versus conjugated;
+``check_feasibility`` evaluates it. ``derive_schedule`` two-colours the
+bipartite consistency graph between source blocks (IDFT or DFT
+modulation) and receive slots (time reversed or not) so that every
+forwarding row yields a plain symbol on every subcarrier after the
+destination front-end; a ``RelaySchedule`` is the code plus that colouring.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "SCALED_UNITARY_PAIRS",
     "CodeDefinition",
     "FeasibilityReport",
-    "RelayInstruction",
     "RelaySchedule",
     "ScheduleError",
     "builtin_codes",
@@ -50,7 +53,6 @@ __all__ = [
     "named_code",
     "parse_code_text",
     "qpsk_pairs",
-    "slot_classes",
 ]
 
 # Source modulation labels for schedule entries.
@@ -114,17 +116,6 @@ class FeasibilityReport:
         return self.passed
 
 
-@dataclass(frozen=True)
-class RelayInstruction:
-    """One slot's action for one relay: forward ``block`` scaled by ``sign``,
-    conjugated iff ``conjugate``. A silent slot is represented by None in the
-    schedule table, not by an instruction."""
-
-    block: int
-    sign: float
-    conjugate: bool
-
-
 def slot_classes(active) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Slots grouped by their set of active relays, given each slot's active
     relays in slot order: (relays (k,), slots (S,)) per class, in the order
@@ -138,7 +129,9 @@ def slot_classes(active) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 @dataclass(frozen=True, eq=False)
 class _ForwardingTable:
-    """The forwarding instructions of one schedule, one row each.
+    """The nonzero entries of a code's relay matrices, one row each: relay
+    ``relays[a]`` forwards block ``blocks[a]`` in slot ``slots[a]``, times
+    ``signs[a]``, conjugated iff ``conjugate[a]``.
 
     Rows are in relay-major order and each relay's rows in slot order: the
     row order of ``relay_receive``, ``relay_process`` and
@@ -149,74 +142,58 @@ class _ForwardingTable:
     """
 
     relays: np.ndarray  # (A,)
+    slots: np.ndarray  # (A,)
     blocks: np.ndarray  # (A,)
     signs: np.ndarray  # (A, 1)
     conjugate: np.ndarray  # (A, 1) bool
-    reversed: np.ndarray  # (A, 1) bool: the row's slot is time reversed
     spans: tuple  # ((relay, rows, slots), ...)
-    last_block: int  # the highest block any row forwards, -1 with no rows
 
     @classmethod
-    def of(cls, schedule: RelaySchedule) -> _ForwardingTable:
-        rows = [
-            (relay, slot, instr)
-            for relay in range(schedule.num_relays)
-            for slot, instructions in enumerate(schedule.instructions)
-            if (instr := instructions[relay]) is not None
-        ]
-        spans, start = [], 0
-        for relay, group in itertools.groupby(rows, key=lambda row: row[0]):
-            slots = [slot for _, slot, _ in group]
-            contiguous = slots[-1] - slots[0] == len(slots) - 1
-            index = slice(slots[0], slots[-1] + 1) if contiguous else np.array(slots)
-            spans.append((relay, slice(start, start + len(slots)), index))
-            start += len(slots)
-        blocks = [instr.block for _, _, instr in rows]
-        return cls(
-            relays=np.array([relay for relay, _, _ in rows], dtype=np.intp),
-            blocks=np.array(blocks, dtype=np.intp),
-            signs=np.array([instr.sign for _, _, instr in rows], dtype=float).reshape(-1, 1),
-            conjugate=np.array([instr.conjugate for _, _, instr in rows], dtype=bool).reshape(-1, 1),
-            reversed=np.array([schedule.slot_reversed[slot] for _, slot, _ in rows], dtype=bool).reshape(-1, 1),
-            spans=tuple(spans),
-            last_block=max(blocks, default=-1),
-        )
+    def of(cls, matrices: np.ndarray, conjugated: np.ndarray) -> _ForwardingTable:
+        """The table of the (R, T, nu) stacked relay matrices, at most one
+        nonzero entry per row, and the (R,) conjugated-column mask."""
+        relays, slots, blocks = np.nonzero(matrices)
+        signs, conjugate = matrices[relays, slots, blocks][:, None], conjugated[relays][:, None]
+        for array in (relays, slots, blocks, signs, conjugate):
+            array.setflags(write=False)
+        bounds = np.searchsorted(relays, np.arange(matrices.shape[0] + 1)).tolist()
+        spans = []
+        for relay, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            if start < stop:
+                first, last = int(slots[start]), int(slots[stop - 1])
+                index = slice(first, last + 1) if last - first == stop - start - 1 else slots[start:stop]
+                spans.append((relay, slice(start, stop), index))
+        return cls(relays, slots, blocks, signs, conjugate, tuple(spans))
 
 
 @dataclass(frozen=True)
 class RelaySchedule:
-    """Per-block modulation, per-slot reversal and the (T, R) instruction table.
+    """A code plus its colouring: each source block's modulation (IDFT or
+    DFT) and each slot's time reversal. Schedules compare and hash by the
+    identity of their code, as codes do, and by their colouring."""
 
-    Schedules compare and hash by these three fields. What the relay link
-    and the noise model read of a schedule is built with it: ``forwarding``,
-    its instructions one row each, and ``slot_classes``, its slots grouped
-    by their set of active relays.
-    """
-
+    code: CodeDefinition
     source_modulation: tuple[str, ...]
     slot_reversed: tuple[bool, ...]
-    instructions: tuple[tuple[RelayInstruction | None, ...], ...]
-    forwarding: _ForwardingTable = field(init=False, compare=False, repr=False)
-    slot_classes: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "forwarding", _ForwardingTable.of(self))
-        object.__setattr__(self, "slot_classes", slot_classes(map(self.active_relays, range(self.num_slots))))
+        if len(self.source_modulation) != self.num_blocks or len(self.slot_reversed) != self.num_slots:
+            raise ValueError(
+                f"a schedule of a code of {self.num_blocks} blocks and {self.num_slots} slots needs as many "
+                f"modulations and reversals, got {len(self.source_modulation)} and {len(self.slot_reversed)}"
+            )
 
     @property
     def num_blocks(self) -> int:
-        return len(self.source_modulation)
+        return self.code.symbol_count
 
     @property
     def num_slots(self) -> int:
-        return len(self.slot_reversed)
+        return self.code.slot_count
 
     @property
     def num_relays(self) -> int:
-        return len(self.instructions[0]) if self.instructions else 0
-
-    def active_relays(self, slot: int) -> tuple[int, ...]:
-        return tuple(i for i, ins in enumerate(self.instructions[slot]) if ins is not None)
+        return self.code.num_relays
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,6 +202,9 @@ class CodeDefinition:
 
     Codes compare and hash by identity, as their fields hold arrays.
     ``conjugated`` is the read-only (R,) mask of the conjugated columns.
+    The relay matrices are read once, here: ``forwarding`` lists their
+    nonzero entries one row each, and ``slot_classes`` groups the slots by
+    their set of active relays.
 
     ``group_partition`` splits the 2*nu real symbol coordinates (coordinate
     2j is Re(s_j), coordinate 2j+1 is Im(s_j)) into jointly-decoded groups,
@@ -239,6 +219,8 @@ class CodeDefinition:
     group_partition: tuple[tuple[int, ...], ...]
     alphabet: tuple[np.ndarray, ...]
     conjugated: np.ndarray = field(init=False, repr=False)
+    forwarding: _ForwardingTable = field(init=False, repr=False)
+    slot_classes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         matrices = tuple(np.array(m, dtype=float) for m in self.relay_matrices)
@@ -264,6 +246,10 @@ class CodeDefinition:
         conjugated = np.isin(np.arange(len(matrices)), sorted(self.conjugated_columns))
         conjugated.setflags(write=False)
         object.__setattr__(self, "conjugated", conjugated)
+        forwarding = _ForwardingTable.of(np.stack(matrices), conjugated)
+        object.__setattr__(self, "forwarding", forwarding)
+        active = (forwarding.relays[forwarding.slots == slot].tolist() for slot in range(nu))
+        object.__setattr__(self, "slot_classes", slot_classes(active))
 
         partition = tuple(tuple(int(i) for i in g) for g in self.group_partition)
         flat = sorted(itertools.chain.from_iterable(partition))
@@ -311,16 +297,6 @@ def codeword(code: CodeDefinition, s: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _row_entries(code: CodeDefinition):
-    """Yield (slot, relay, block, value) for every nonzero code word entry."""
-    for relay, matrix in enumerate(code.relay_matrices):
-        for slot in range(code.slot_count):
-            nz = np.nonzero(matrix[slot])[0]
-            if nz.size:
-                block = int(nz[0])
-                yield slot, relay, block, float(matrix[slot, block])
-
-
 def check_feasibility(code: CodeDefinition) -> FeasibilityReport:
     """Evaluate the three row-structure conditions for asynchronous operation,
     on the symbols each code word row carries plainly and conjugated.
@@ -333,8 +309,9 @@ def check_feasibility(code: CodeDefinition) -> FeasibilityReport:
     n = code.slot_count
     plain = [set() for _ in range(n)]
     conjugated = [set() for _ in range(n)]
-    for slot, relay, block, _ in _row_entries(code):
-        (conjugated if relay in code.conjugated_columns else plain)[slot].add(block)
+    table = code.forwarding
+    for slot, block, conjugate in zip(table.slots.tolist(), table.blocks.tolist(), table.conjugate[:, 0].tolist()):
+        (conjugated if conjugate else plain)[slot].add(block)
     for i in range(n):
         both = plain[i] & conjugated[i]
         if both:
@@ -374,8 +351,9 @@ def derive_schedule(code: CodeDefinition) -> RelaySchedule:
     nu = code.symbol_count
     t_slots = code.slot_count
 
-    entries = list(_row_entries(code))
-    unsent = set(range(nu)).difference(block for _, _, block, _ in entries)
+    table = code.forwarding
+    entries = list(zip(table.slots.tolist(), table.relays.tolist(), table.blocks.tolist(), table.conjugate[:, 0].tolist()))
+    unsent = set(range(nu)).difference(table.blocks.tolist())
     if unsent:
         raise ScheduleError(f"symbol {min(unsent)} is sent by no relay: its column is zero in every relay matrix")
     seen: dict[tuple[int, int], int] = {}
@@ -390,8 +368,7 @@ def derive_schedule(code: CodeDefinition) -> RelaySchedule:
     # Graph nodes: blocks 0..nu-1 then slots nu..nu+t_slots-1. Boolean label:
     # block True = DFT modulation, slot True = time reversed.
     adjacency: list[list[tuple[int, bool]]] = [[] for _ in range(nu + t_slots)]
-    for slot, relay, block, _ in entries:
-        flip = relay in code.conjugated_columns
+    for slot, _, block, flip in entries:
         adjacency[block].append((nu + slot, flip))
         adjacency[nu + slot].append((block, flip))
 
@@ -418,19 +395,7 @@ def derive_schedule(code: CodeDefinition) -> RelaySchedule:
     modulation = tuple(DFT if labels[j] else IDFT for j in range(nu))
     reversed_slots = tuple(bool(labels[nu + i]) for i in range(t_slots))
 
-    table: list[tuple[RelayInstruction | None, ...]] = []
-    by_slot_relay = {(slot, relay): (block, value) for slot, relay, block, value in entries}
-    for slot in range(t_slots):
-        row: list[RelayInstruction | None] = []
-        for relay in range(code.num_relays):
-            hit = by_slot_relay.get((slot, relay))
-            if hit is None:
-                row.append(None)
-            else:
-                block, value = hit
-                row.append(RelayInstruction(block, value, relay in code.conjugated_columns))
-        table.append(tuple(row))
-    return RelaySchedule(modulation, reversed_slots, tuple(table))
+    return RelaySchedule(code, modulation, reversed_slots)
 
 
 def _alamouti(rotation: float) -> CodeDefinition:

@@ -27,7 +27,7 @@ over the codebook's pair code with the scaled previous block
 y^{t-1} / a_{t-1} as the channel and unit slot weights.
 
 Each decoder proves group decodability once, with its gap's table. Slots
-with the same set of active relays form a class (``codebook.slot_classes``)
+with the same set of active relays form a class (the code's ``slot_classes``)
 and share one noise variance. If the cross-group Gram coefficients, folded
 onto the independent features of h_r conj(h_s) and summed over each class,
 are all exactly 0.0, the Gram entries vanish for every channel whose slot
@@ -43,8 +43,8 @@ tabulated once, on the object it depends on, and read by every frame, with
 results bit-identical to computing it per frame: the delay rotations of
 ``equivalent_channel_matrix`` (a coherent sweep's ``rotation_table``,
 gathered by the drawn delays), the code's conjugated-column mask
-(``CodeDefinition.conjugated``), the slot classes of the link's schedule
-for ``noise_covariance(link, channel)`` (``RelaySchedule.slot_classes``),
+(``CodeDefinition.conjugated``), the slot classes of the link's code
+for ``noise_covariance(link, channel)`` (``CodeDefinition.slot_classes``),
 and the per-group candidate tables of ``CoherentDecoder``, padded to the
 largest group alphabet so that one argmin over an (N, G, K) view searches
 every group.
@@ -72,7 +72,7 @@ import math
 
 import numpy as np
 
-from .codebook import CodeDefinition, codeword, slot_classes
+from .codebook import CodeDefinition, codeword
 from .relaysim import ChannelRealization, LinkConfig
 
 __all__ = [
@@ -129,16 +129,15 @@ def noise_covariance(link: LinkConfig, channel: ChannelRealization) -> np.ndarra
     samples without reuse, so cross-slot terms vanish for any code whose
     relays forward distinct blocks in distinct slots.
 
-    Each of the link schedule's slot classes sums its k gathered |g|^2
+    Each of the link code's slot classes sums its k gathered |g|^2
     once, for all its slots: numpy's sum of each slot's active relays (a
     (T, R) mask with zeros would change the summation order from 8 relays
     on).
     """
     boost = link.power.relay_noise_power
     g_sq = np.abs(channel.relay_to_dest) ** 2
-    schedule = link.schedule
-    forwarded = np.zeros(schedule.num_slots)
-    for relays, slots in schedule.slot_classes:
+    forwarded = np.zeros(link.schedule.num_slots)
+    for relays, slots in link.schedule.code.slot_classes:
         forwarded[slots] = np.add.reduce(g_sq[relays])
     return 1.0 + boost * forwarded
 
@@ -273,8 +272,7 @@ def _proof(code: CodeDefinition, terms: np.ndarray) -> tuple[tuple[int, int], ..
     rs, sr, rr = r * num_relays + s, s * num_relays + r, np.arange(num_relays) * (num_relays + 1)
     re, im = terms[:, : num_relays * num_relays], terms[:, num_relays * num_relays :]
     folded = np.concatenate((re[:, rs] + re[:, sr], im[:, rs] - im[:, sr], re[:, rr]), axis=1)
-    active = ([i for i, a in enumerate(code.relay_matrices) if a[slot].any()] for slot in range(code.slot_count))
-    classes = [slots.tolist() for _, slots in slot_classes(active)]
+    classes = [slots.tolist() for _, slots in code.slot_classes]
     if any(folded[slots].sum(axis=0).any() for slots in classes):
         return None
     return tuple((slot, slots[0]) for slots in classes for slot in slots[1:])

@@ -27,10 +27,11 @@ nothing there. ``relay_receive`` returns the received block of each
 forwarded (relay, block), ``relay_process`` the transmitted symbol of the
 same row, and ``destination_receive`` adds each row into its slot at its
 relay's delay. All three read one row order from the forwarding table that
-every ``RelaySchedule`` builds with itself: relay-major, each relay's rows
-in slot order, so a relay's rows are one slice. Forwarding and front-end
-realignment are exact sample permutations, signs of +/-1 and conjugations,
-so each runs as one gather instead of a loop over slots and relays.
+every ``CodeDefinition`` builds of its relay matrices (the schedule's
+``code.forwarding``): relay-major, each relay's rows in slot order, so a
+relay's rows are one slice. Forwarding and front-end realignment are exact
+sample permutations, signs of +/-1 and conjugations, so each runs as one
+gather instead of a loop over slots and relays.
 
 A ``LinkConfig`` is the whole link: the schedule, the (n_fft, cp_len)
 frame and the power, and the two gathers it builds from them once, so
@@ -218,11 +219,11 @@ def frame_noise(rng: np.random.Generator, link: LinkConfig) -> tuple[np.ndarray,
     This is the one definition of a frame's stream. The relays' noise is
     drawn for every (relay, block) in one call over (R, nu, N + cp_len), so
     the stream does not depend on which rows are forwarded, and the rows of
-    the schedule's forwarding table are kept; ``complex_noise`` over
+    the code's forwarding table are kept; ``complex_noise`` over
     (T, N + cp_len) follows for the destination.
     """
     schedule = link.schedule
-    table = schedule.forwarding
+    table = schedule.code.forwarding
     parts = rng.standard_normal((2, schedule.num_relays, schedule.num_blocks, link.symbol_len))[:, table.relays, table.blocks]
     return _unit_complex(parts[0], parts[1]), complex_noise(rng, (schedule.num_slots, link.symbol_len))
 
@@ -278,8 +279,9 @@ def _relay_gather(schedule: RelaySchedule, n_fft: int, cp_len: int) -> np.ndarra
     reversed slot."""
     symbol_len = n_fft + cp_len
     p = np.arange(symbol_len)
-    columns = np.where(schedule.forwarding.reversed, (cp_len - p) % n_fft, p)
-    return np.arange(schedule.forwarding.relays.size)[:, None] * symbol_len + columns
+    slots = schedule.code.forwarding.slots
+    reversed_rows = np.array(schedule.slot_reversed, dtype=bool)[slots][:, None]
+    return np.arange(slots.size)[:, None] * symbol_len + np.where(reversed_rows, (cp_len - p) % n_fft, p)
 
 
 def _frontend_gather(schedule: RelaySchedule, n_fft: int, cp_len: int) -> np.ndarray:
@@ -316,24 +318,18 @@ def relay_receive(
 ) -> np.ndarray:
     """Received block of each forwarding instruction, shape (A, N + cp_len).
 
-    Row a is the block that row a of the schedule's forwarding table
-    forwards, as its relay received it: f_r times the source symbol, formed
-    only for the forwarded rows, plus row a of ``noise`` (the relay noise
-    of ``frame_noise``; None for a noiseless link).
+    Row a is the block that row a of the code's forwarding table forwards,
+    as its relay received it: f_r times the source symbol, formed only for
+    the forwarded rows, plus row a of ``noise`` (the relay noise of
+    ``frame_noise``; None for a noiseless link). ``symbols`` must be the
+    (nu, N + cp_len) symbols of ``source_transmit``.
     """
     symbols = np.asarray(symbols, dtype=complex)
     schedule = link.schedule
     _check_relays(schedule, channel)
-    table = schedule.forwarding
-    num_blocks = symbols.shape[0]
-    if table.last_block >= num_blocks:
-        for slot, instructions in enumerate(schedule.instructions):
-            for relay, instr in enumerate(instructions):
-                if instr is not None and instr.block >= num_blocks:
-                    raise ValueError(
-                        f"slot {slot} tells relay {relay} to forward block {instr.block}, "
-                        f"but only {num_blocks} blocks were received"
-                    )
+    if symbols.shape != (schedule.num_blocks, link.symbol_len):
+        raise ValueError(f"symbols of shape {symbols.shape} do not match ({schedule.num_blocks}, {link.symbol_len})")
+    table = schedule.code.forwarding
     # the fading coefficient is the first operand, as in destination_receive
     received = channel.source_to_relay.take(table.relays)[:, None] * symbols.take(table.blocks, axis=0)
     return _add_noise(received, noise)
@@ -349,7 +345,7 @@ def relay_process(received: np.ndarray, link: LinkConfig) -> np.ndarray:
     slots; one product by sign times gain and one masked conjugate follow.
     """
     received = np.asarray(received, dtype=complex)
-    table = link.schedule.forwarding
+    table = link.schedule.code.forwarding
     if received.shape != (table.relays.size, link.symbol_len):
         raise ValueError(
             f"received array of shape {received.shape} does not match the schedule's "
@@ -369,8 +365,9 @@ def destination_receive(
 ) -> np.ndarray:
     """Superpose delayed relay transmissions per slot, shape (T, N + cp_len).
 
-    Each row of ``transmitted`` (one per forwarding instruction) is scaled
-    by its relay's fading coefficient and added into its slot ``delays[i]``
+    Each row of ``transmitted`` (one per forwarding instruction, of
+    N + cp_len samples, as ``relay_process`` returns them) is scaled by its
+    relay's fading coefficient and added into its slot ``delays[i]``
     positions late within the slot window, relay after relay in ascending
     order; samples pushed past the window are dropped (the cyclic prefix of
     the following symbol would swallow them for in-contract delays). The
@@ -379,13 +376,13 @@ def destination_receive(
     transmitted = np.asarray(transmitted, dtype=complex)
     schedule = link.schedule
     _check_relays(schedule, channel)
-    table = schedule.forwarding
-    if transmitted.ndim != 2 or transmitted.shape[0] != table.relays.size:
+    table = schedule.code.forwarding
+    symbol_len = link.symbol_len
+    if transmitted.shape != (table.relays.size, symbol_len):
         raise ValueError(
             f"transmitted array of shape {transmitted.shape} needs one row per forwarding "
-            f"instruction of the schedule ({table.relays.size})"
+            f"instruction of the schedule ({table.relays.size}) of {symbol_len} samples"
         )
-    symbol_len = transmitted.shape[1]
     # the fading coefficient is the first operand: numpy's complex product of
     # a broadcast first operand matches the per-relay scalar product bit for
     # bit, a broadcast second operand does not

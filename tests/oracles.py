@@ -106,12 +106,12 @@ def expected_subcarrier_rx(code, link, channel, symbols: np.ndarray) -> np.ndarr
 
 def slot_noise_variances(link, channel) -> np.ndarray:
     """Diagonal of the per-subcarrier noise covariance, one entry per slot."""
-    power, schedule = link.power, link.schedule
+    power, code = link.power, link.schedule.code
     boost = power.relay_fraction * power.total_power / (power.source_fraction * power.total_power + 1.0)
-    out = np.ones(schedule.num_slots)
-    for slot in range(schedule.num_slots):
-        for relay, instr in enumerate(schedule.instructions[slot]):
-            if instr is not None:
+    out = np.ones(code.slot_count)
+    for slot in range(code.slot_count):
+        for relay in range(code.num_relays):
+            if code_entry(code, relay, slot) is not None:
                 out[slot] += boost * abs(channel.relay_to_dest[relay]) ** 2
     return out
 
@@ -237,15 +237,43 @@ def slot_swapped_code():
     return dataclasses.replace(code, name="relay5-swapped", relay_matrices=tuple(m[order] for m in code.relay_matrices))
 
 
+def code_entry(code, relay: int, slot: int) -> tuple[int, float, bool] | None:
+    """(block, sign, conjugated) of what ``relay`` forwards in ``slot``, read
+    entry by entry off row ``slot`` of its relay matrix; None if the row is
+    all zero."""
+    row = code.relay_matrices[relay][slot]
+    for block in range(row.shape[0]):
+        if row[block] != 0:
+            return block, float(row[block]), relay in code.conjugated_columns
+    return None
+
+
+def forwarding_rows(code) -> list[tuple[int, int, int, float, bool]]:
+    """(relay, slot, block, sign, conjugated) of every nonzero relay matrix
+    entry in the relay link's row order: relay-major, each relay's rows in
+    slot order."""
+    return [
+        (relay, slot, *entry)
+        for relay in range(code.num_relays)
+        for slot in range(code.slot_count)
+        if (entry := code_entry(code, relay, slot)) is not None
+    ]
+
+
+def slot_classes_loop(code) -> list[tuple[list[int], list[int]]]:
+    """(active relays, slots) of each set of active relays, in the order of
+    the sets' first slots."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for slot in range(code.slot_count):
+        active = tuple(relay for relay in range(code.num_relays) if code_entry(code, relay, slot) is not None)
+        classes.setdefault(active, []).append(slot)
+    return [(list(relays), slots) for relays, slots in classes.items()]
+
+
 def link_rows(schedule) -> list[tuple[int, int, int]]:
     """(relay, block, slot) of every forwarding instruction in the relay
     link's row order: relay-major, each relay's rows in slot order."""
-    return [
-        (relay, instr.block, slot)
-        for relay in range(schedule.num_relays)
-        for slot, row in enumerate(schedule.instructions)
-        if (instr := row[relay]) is not None
-    ]
+    return [(relay, block, slot) for relay, slot, block, _, _ in forwarding_rows(schedule.code)]
 
 
 def instruction_rows(dense: np.ndarray, schedule, axis: str) -> np.ndarray:
@@ -261,11 +289,12 @@ def instruction_rows(dense: np.ndarray, schedule, axis: str) -> np.ndarray:
 def silent_rows(dense: np.ndarray, schedule) -> np.ndarray:
     """The (relay, slot) rows of an (R, T, L) transmitted array at which no
     instruction forwards anything, stacked."""
+    code = schedule.code
     rows = [
         dense[relay, slot]
-        for slot, row in enumerate(schedule.instructions)
-        for relay, instr in enumerate(row)
-        if instr is None
+        for slot in range(code.slot_count)
+        for relay in range(code.num_relays)
+        if code_entry(code, relay, slot) is None
     ]
     return np.array(rows).reshape(len(rows), dense.shape[-1])
 
@@ -281,11 +310,13 @@ def relay_process_loop(received: np.ndarray, link) -> np.ndarray:
     num_relays, _, symbol_len = received.shape
     out = np.zeros((num_relays, schedule.num_slots, symbol_len), dtype=complex)
     for slot in range(schedule.num_slots):
-        for relay, instr in enumerate(schedule.instructions[slot]):
-            if instr is None:
+        for relay in range(num_relays):
+            entry = code_entry(schedule.code, relay, slot)
+            if entry is None:
                 continue
-            symbol = instr.sign * received[relay, instr.block]
-            if instr.conjugate:
+            block, sign, conjugated = entry
+            symbol = sign * received[relay, block]
+            if conjugated:
                 symbol = np.conj(symbol)
             if schedule.slot_reversed[slot]:
                 body = np.roll(np.roll(symbol[:n][::-1], 1), cp)
@@ -393,11 +424,11 @@ def equivalent_channel_exp(code, channel, n_fft: int) -> np.ndarray:
 def noise_covariance_loop(link, channel) -> np.ndarray:
     """(T,) slot noise variances slot by slot: 1 plus the relay noise power
     times the sum of |g|^2 over the slot's active relays."""
-    boost, schedule = link.power.relay_noise_power, link.schedule
+    boost, code = link.power.relay_noise_power, link.schedule.code
     g_sq = np.abs(channel.relay_to_dest) ** 2
-    diag = np.ones(schedule.num_slots)
-    for slot, row in enumerate(schedule.instructions):
-        active = [relay for relay, instr in enumerate(row) if instr is not None]
+    diag = np.ones(code.slot_count)
+    for slot in range(code.slot_count):
+        active = [relay for relay in range(code.num_relays) if code_entry(code, relay, slot) is not None]
         if active:
             diag[slot] += boost * g_sq[active].sum()
     return diag

@@ -15,7 +15,7 @@ from asyncrelay.codebook import (
     IDFT,
     SCALED_UNITARY_PAIRS,
     CodeDefinition,
-    RelayInstruction,
+    RelaySchedule,
     ScheduleError,
     builtin_codes,
     check_feasibility,
@@ -37,15 +37,26 @@ from oracles import (
     diversity,
     exhaustive_ml,
     expected_subcarrier_rx,
+    forwarding_rows,
     grid_alphabet,
     kronecker_code,
     noise_covariance_loop,
     sheared_code,
+    slot_classes_loop,
+    slot_swapped_code,
+    unpaired_groups_code,
 )
 
 
 def _as_complex(table):
     return table[:, 0] + 1j * table[:, 1]
+
+
+def _assert_same_schedule(a, b):
+    """The schedules of two codes colour alike and forward alike."""
+    assert (a.source_modulation, a.slot_reversed) == (b.source_modulation, b.slot_reversed)
+    for name in ("relays", "slots", "blocks", "signs", "conjugate"):
+        assert np.array_equal(getattr(a.code.forwarding, name), getattr(b.code.forwarding, name))
 
 
 class TestAlphabets:
@@ -148,6 +159,54 @@ class TestCodeDefinitionValidation:
         assert named_code("relay4").bits_per_group() == (2, 2, 2, 2)
 
 
+def _entries_codes():
+    return [
+        *builtin_codes().values(),
+        sheared_code(),
+        slot_swapped_code(),
+        unpaired_groups_code(),
+        kronecker_code(3, grid_alphabet(4)),
+    ]
+
+
+class TestTheCodesEntries:
+    """A code reads its relay matrices once: ``forwarding`` lists their
+    nonzero entries one row each, and ``slot_classes`` groups the slots by
+    their set of active relays; both equal loops over the matrices."""
+
+    @pytest.mark.parametrize("code", _entries_codes(), ids=lambda code: code.name)
+    def test_forwarding_equals_a_loop_over_the_relay_matrices(self, code):
+        table, rows = code.forwarding, forwarding_rows(code)
+        relays, slots, blocks, signs, conjugate = (list(column) for column in zip(*rows))
+        assert table.relays.tolist() == relays and table.slots.tolist() == slots
+        assert table.blocks.tolist() == blocks
+        assert table.signs.shape == table.conjugate.shape == (len(rows), 1)
+        assert table.signs[:, 0].tolist() == signs and table.conjugate[:, 0].tolist() == conjugate
+        # each span is one relay's rows and the slots they fill
+        spanned = [(relay, span_rows.start, span_rows.stop) for relay, span_rows, _ in table.spans]
+        assert spanned == [(r, relays.index(r), len(relays) - relays[::-1].index(r)) for r in sorted(set(relays))]
+        for _, span_rows, index in table.spans:
+            assert np.arange(code.slot_count)[index].tolist() == slots[span_rows]
+        for array in (table.relays, table.slots, table.blocks, table.signs, table.conjugate):
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("code", _entries_codes(), ids=lambda code: code.name)
+    def test_slot_classes_equal_a_loop_over_the_relay_matrices(self, code):
+        got = [(relays.tolist(), slots.tolist()) for relays, slots in code.slot_classes]
+        assert got == slot_classes_loop(code)
+
+    def test_the_entries_are_built_with_the_code(self):
+        code = named_code("alamouti")
+        fields = (code.name, code.relay_matrices, code.conjugated_columns, code.group_partition, code.alphabet)
+        with pytest.raises(TypeError):
+            CodeDefinition(*fields, forwarding=code.forwarding)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            code.slot_classes = ()
+        swapped = dataclasses.replace(code, relay_matrices=code.relay_matrices[::-1], conjugated_columns=frozenset({0}))
+        assert swapped.forwarding.relays.tolist() == [0, 0, 1, 1]
+        assert swapped.forwarding.conjugate[:, 0].tolist() == [True, True, False, False]
+
+
 class TestCodeword:
     def test_two_relay_codeword_matches_hand_expansion(self):
         code = named_code("alamouti")
@@ -248,14 +307,12 @@ class TestScheduleDerivation:
         schedule = derive_schedule(named_code("alamouti"))
         assert schedule.source_modulation == (IDFT, DFT)
         assert schedule.slot_reversed == (False, True)
-        assert schedule.instructions[0] == (
-            RelayInstruction(0, 1.0, False),
-            RelayInstruction(1, -1.0, True),
-        )
-        assert schedule.instructions[1] == (
-            RelayInstruction(1, 1.0, False),
-            RelayInstruction(0, 1.0, True),
-        )
+        table = schedule.code.forwarding
+        # (relay, slot): (0, 0) and (0, 1) plain, (1, 0) and (1, 1) conjugated
+        assert table.relays.tolist() == [0, 0, 1, 1] and table.slots.tolist() == [0, 1, 0, 1]
+        assert table.blocks.tolist() == [0, 1, 1, 0]
+        assert table.signs[:, 0].tolist() == [1.0, 1.0, -1.0, 1.0]
+        assert table.conjugate[:, 0].tolist() == [False, False, True, True]
 
     def test_four_relay_schedule(self):
         schedule = derive_schedule(named_code("relay4"))
@@ -266,31 +323,40 @@ class TestScheduleDerivation:
         schedule = derive_schedule(named_code("relay5"))
         assert schedule.source_modulation == (IDFT, DFT, IDFT, DFT, IDFT, IDFT)
         assert schedule.slot_reversed == (False, True, False, True, False, False)
-        assert schedule.active_relays(0) == (0, 1)
-        assert schedule.active_relays(4) == (4,)
+        classes = [(relays.tolist(), slots.tolist()) for relays, slots in schedule.code.slot_classes]
+        assert classes == [([0, 1], [0, 1]), ([2, 3], [2, 3]), ([4], [4, 5])]
 
     def test_parity_invariant_for_all_builtins(self):
         # plain column: slot reversed exactly when the block is DFT
         # modulated; conjugated column: exactly when it is not.
         for code in builtin_codes().values():
             schedule = derive_schedule(code)
-            for slot in range(schedule.num_slots):
-                for instr in schedule.instructions[slot]:
-                    if instr is None:
-                        continue
-                    is_dft = schedule.source_modulation[instr.block] == DFT
-                    expected = (not is_dft) if instr.conjugate else is_dft
-                    assert schedule.slot_reversed[slot] == expected
+            table = code.forwarding
+            is_dft = np.array(schedule.source_modulation)[table.blocks] == DFT
+            assert np.array_equal(np.array(schedule.slot_reversed)[table.slots], is_dft ^ table.conjugate[:, 0])
 
-    def test_schedules_compare_and_hash_by_value(self):
-        a, b = derive_schedule(named_code("relay5")), derive_schedule(named_code("relay5"))
+    def test_schedules_compare_by_code_identity_and_colouring(self):
+        code = named_code("relay5")
+        a, b = derive_schedule(code), derive_schedule(code)
         assert a is not b and a == b and hash(a) == hash(b)
-        for copy in (pickle.loads(pickle.dumps(a)), dataclasses.replace(a)):
-            assert copy == a and hash(copy) == hash(a)
+        assert dataclasses.replace(a) == a and hash(dataclasses.replace(a)) == hash(a)
+        # a copy of the code is another code, as codes compare by identity,
+        # so its schedule compares by its colouring and its code's entries
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy != a and copy.code is not code
+        _assert_same_schedule(copy, a)
+        _assert_same_schedule(derive_schedule(named_code("relay5")), a)
         other = derive_schedule(named_code("relay4"))
         assert a != other and len({a, b, other}) == 2
         flipped = dataclasses.replace(a, slot_reversed=(True,) + a.slot_reversed[1:])
-        assert flipped != a
+        assert flipped != a and flipped.code is a.code
+
+    def test_a_schedule_needs_a_modulation_per_block_and_a_reversal_per_slot(self):
+        code = named_code("alamouti")
+        assert RelaySchedule(code, (IDFT, IDFT), (False, False)).num_relays == 2
+        for modulation, reversal in (((IDFT,), (False, False)), ((IDFT, DFT), (False,)), ((IDFT,) * 3, (True,) * 2)):
+            with pytest.raises(ValueError, match="a schedule of a code of 2 blocks and 2 slots needs as many"):
+                RelaySchedule(code, modulation, reversal)
 
     def test_relay_forwarding_same_block_twice_rejected(self):
         twice = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -360,7 +426,7 @@ class TestTextFormat:
         assert loaded.conjugated_columns == original.conjugated_columns
         for a, b in zip(loaded.relay_matrices, original.relay_matrices):
             assert np.allclose(a, b)
-        assert derive_schedule(loaded) == derive_schedule(original)
+        _assert_same_schedule(derive_schedule(loaded), derive_schedule(original))
 
 
 class TestNamedCode:
@@ -491,7 +557,7 @@ class TestTheKroneckerFamily:
         code = kronecker_code(3, _GRID)
         assert check_feasibility(code)
         schedule = derive_schedule(code)
-        assert len(schedule.forwarding.relays) == 64  # every relay forwards in every slot
+        assert len(schedule.code.forwarding.relays) == 64  # every relay forwards in every slot
         assert CoherentDecoder(code, 1.0)._proof is not None
 
     def test_the_noiseless_eight_relay_link_is_the_flat_model(self):

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from asyncrelay.codebook import RelayInstruction, RelaySchedule, builtin_codes, codeword, derive_schedule, named_code
+from asyncrelay.codebook import CodeDefinition, RelaySchedule, builtin_codes, codeword, derive_schedule, named_code, qpsk_pairs
 from asyncrelay.decoder import (
     CoherentDecoder,
     _Form,
@@ -39,6 +39,7 @@ from oracles import (
     noise_covariance_loop,
     pair_products,
     sheared_code,
+    slot_classes_loop,
     slot_noise_variances,
     slot_swapped_code,
     unequal_alphabet_code,
@@ -97,12 +98,16 @@ def _all_codes():
 def _wide_schedule() -> RelaySchedule:
     """Twelve relays over five slots with 12, 9, 8, 3 and no active relays:
     from 8 terms on, numpy sums pairwise, so a sum over all twelve relays
-    with zeros for the silent ones would round differently."""
+    with zeros for the silent ones would round differently. Relay r
+    forwards block (slot + r) mod 5, so every block is sent, and none twice
+    by one relay."""
     active = (range(12), range(9), range(2, 10), (1, 5, 7), ())
-    rows = tuple(
-        tuple(RelayInstruction(0, 1.0, False) if relay in slot else None for relay in range(12)) for slot in active
-    )
-    return RelaySchedule(("idft",), (False,) * len(rows), rows)
+    matrices = np.zeros((12, 5, 5))
+    for slot, relays in enumerate(active):
+        for relay in relays:
+            matrices[relay, slot, (slot + relay) % 5] = 1.0
+    code = CodeDefinition("wide", tuple(matrices), frozenset(), tuple((2 * j, 2 * j + 1) for j in range(5)), (qpsk_pairs(),) * 5)
+    return derive_schedule(code)
 
 
 class TestTablesReproduceThePerUnitComputation:
@@ -378,15 +383,6 @@ def _proof_decoder(name):
     return CoherentDecoder(named_code(name), 1.7)
 
 
-def _slot_classes(code) -> list[list[int]]:
-    """Slots grouped by their set of active relays, read off the schedule."""
-    schedule = derive_schedule(code)
-    classes: dict = {}
-    for slot in range(schedule.num_slots):
-        classes.setdefault(schedule.active_relays(slot), []).append(slot)
-    return list(classes.values())
-
-
 class TestDecodabilityProof:
     """A code is proven group-decodable once, with its gap table: the
     cross-group Gram coefficients, folded onto the independent features of
@@ -408,7 +404,7 @@ class TestDecodabilityProof:
     def test_proven_codes_have_no_gap_for_class_constant_weights(self, name, monkeypatch):
         decoder = _proof_decoder(name)
         code = decoder.code
-        classes = _slot_classes(code)
+        classes = [slots for _, slots in slot_classes_loop(code)]
         monkeypatch.setattr(_Form, "__call__", lambda *args: pytest.fail("numeric gap path taken"))
         rng = np.random.default_rng(80)
         worst = 0.0
@@ -425,7 +421,7 @@ class TestDecodabilityProof:
     def test_weights_varying_within_a_class_take_the_numeric_path(self, name):
         decoder = _proof_decoder(name)
         code = decoder.code
-        assert any(len(slots) > 1 for slots in _slot_classes(code))
+        assert any(len(slots) > 1 for _, slots in slot_classes_loop(code))
         rng = np.random.default_rng(81)
         for _ in range(20):
             h_all = complex_noise(rng, (4, code.num_relays))

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from asyncrelay import cli
 from asyncrelay.codebook import (
     DEFAULT_ROTATION,
+    DFT,
     CodeDefinition,
     ScheduleError,
     builtin_codes,
@@ -41,9 +42,10 @@ _SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database
 
 @st.composite
 def codes(draw, max_relays: int = 4, max_symbols: int = 4) -> CodeDefinition:
-    """Codes of R <= 4 relays and nu <= 4 symbols: each row of a relay
-    matrix forwards one block with sign +/-1 or none, each column may be
-    conjugated, and each group is a pair of coordinates with a QPSK
+    """Codes of R <= ``max_relays`` relays and nu <= ``max_symbols`` symbols
+    (4 each by default): each row of a relay matrix forwards one block with
+    sign +/-1 or none, each column may be conjugated, and each group is a
+    pair of coordinates with a QPSK
     alphabet: either one symbol's (Re, Im), or, as in relay4, the real or
     the imaginary parts of two symbols. A relay forwards each block at most
     once, as a schedule needs, unless the code draws free rows, which may
@@ -80,12 +82,17 @@ def _assert_the_noiseless_link_is_the_flat_model(code, schedule, n_fft, cp_len, 
 
 
 @_SETTINGS
-@given(code=codes(), data=st.data())
+@given(code=codes(max_relays=6), data=st.data())
 def test_a_generated_code_has_no_schedule_or_its_noiseless_link_is_the_flat_model(code, data):
     try:
         schedule = derive_schedule(code)
     except ScheduleError:
         return
+    # the colouring: a plain row is reversed exactly when its block is DFT
+    # modulated, a conjugated row exactly when it is not
+    table = code.forwarding
+    is_dft = np.array(schedule.source_modulation)[table.blocks] == DFT
+    assert np.array_equal(np.array(schedule.slot_reversed)[table.slots], is_dft ^ table.conjugate[:, 0])
     n_fft = data.draw(st.sampled_from((4, 8, 16)), label="n_fft")
     cp_len = data.draw(st.integers(0, n_fft - 1), label="cp_len")
     late = data.draw(st.lists(st.integers(0, cp_len), min_size=code.num_relays - 1, max_size=code.num_relays - 1))

@@ -1,6 +1,7 @@
 """README's library example runs as written, every name a module exports
-resolves, and no module imports a name it neither uses nor exports, so
-none of them goes stale when the API changes."""
+resolves, no module imports a name it neither uses nor exports, and every
+private module-level name is used somewhere in the package, so none of
+them goes stale when the API changes."""
 
 import ast
 import importlib
@@ -51,3 +52,30 @@ def test_every_imported_name_is_used_or_exported(module):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - set(importlib.import_module(module).__all__)) == []
+
+
+def _private_definitions(tree: ast.Module):
+    """The private names (a leading ``_``, not a dunder) that a module's
+    top-level statements define: functions, classes and assigned names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.endswith("__"))
+
+
+def test_every_private_module_level_name_is_used_in_the_package():
+    trees = {module: ast.parse(Path(importlib.import_module(module).__file__).read_text(encoding="utf-8")) for module in MODULES}
+    loaded = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    defined = [(module, name) for module, tree in trees.items() for name in _private_definitions(tree)]
+    assert len(defined) > 50
+    assert [(module, name) for module, name in defined if name not in loaded] == []

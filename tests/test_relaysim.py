@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from asyncrelay.codebook import RelayInstruction, RelaySchedule, builtin_codes, derive_schedule, named_code
+from asyncrelay.codebook import CodeDefinition, RelaySchedule, builtin_codes, derive_schedule, named_code, qpsk_pairs
 from asyncrelay.relaysim import (
     ChannelRealization,
     LinkConfig,
@@ -56,11 +56,17 @@ def _link_code(name: str):
     return {"sheared": sheared_code, "swapped": slot_swapped_code}.get(name, lambda: named_code(name))()
 
 
+def _plain_code(*matrices) -> CodeDefinition:
+    """A code of plain relay matrices, one QPSK group per symbol."""
+    nu = len(matrices[0])
+    return CodeDefinition("plain", matrices, frozenset(), tuple((2 * j, 2 * j + 1) for j in range(nu)), (qpsk_pairs(),) * nu)
+
+
 def _one_slot_link(num_relays: int) -> LinkConfig:
     """Every relay forwards block 0 unchanged in the one slot, on a
     (4, 2) link of 6-sample symbols."""
-    schedule = RelaySchedule(("idft",), (False,), ((RelayInstruction(0, 1.0, False),) * num_relays,))
-    return LinkConfig(schedule, 4, 2, PowerConfig(1.0))
+    code = _plain_code(*(np.eye(1),) * num_relays)
+    return LinkConfig(derive_schedule(code), 4, 2, PowerConfig(1.0))
 
 
 class TestPowerConfig:
@@ -117,8 +123,8 @@ class TestLinkConfig:
     def test_the_gathers_are_built_from_its_own_schedule(self):
         schedule = derive_schedule(named_code("alamouti"))
         link = LinkConfig(schedule, 16, 4, PowerConfig(1.0))
-        # Alamouti's instructions with neither the DFT block nor the reversed slot
-        other = LinkConfig(RelaySchedule(("idft", "idft"), (False, False), schedule.instructions), 16, 4, PowerConfig(1.0))
+        # Alamouti's code with neither the DFT block nor the reversed slot
+        other = LinkConfig(RelaySchedule(schedule.code, ("idft", "idft"), (False, False)), 16, 4, PowerConfig(1.0))
         assert not np.array_equal(link.relay_gather, other.relay_gather)
         assert not np.array_equal(link.frontend_gather, other.frontend_gather)
         for gather in (link.relay_gather, link.frontend_gather):
@@ -261,15 +267,33 @@ class TestRelayProcess:
         raw = complex_noise(rng, (schedule.num_slots, link.symbol_len))
         assert np.array_equal(destination_frontend(raw, link), frontend_loop(raw, link))
 
-    def test_block_out_of_range_names_slot_relay_and_block(self):
+    def test_missing_blocks_are_rejected_by_the_shape_of_the_symbols(self):
         schedule = derive_schedule(named_code("relay4"))
         channel = draw_channel(np.random.default_rng(3), 4, cp_len=2)
         symbols = np.zeros((2, 10), dtype=complex)  # blocks 2 and 3 were never sent
         link = LinkConfig(schedule, 8, 2, PowerConfig(1.0))
         relay_noise, _ = frame_noise(np.random.default_rng(4), link)
         for noise in (None, relay_noise):
-            with pytest.raises(ValueError, match="slot 0 tells relay 2 to forward block 2, but only 2 blocks"):
+            with pytest.raises(ValueError, match=r"symbols of shape \(2, 10\) do not match \(4, 10\)"):
                 relay_receive(symbols, link, channel, noise)
+
+    @pytest.mark.parametrize(
+        "name, n, stage, shape, message",
+        [
+            ("alamouti", 4, relay_receive, (2, 9), r"symbols of shape \(2, 9\) do not match \(2, 6\)"),
+            ("alamouti", 4, destination_receive, (4, 9), r"shape \(4, 9\) needs one row .* \(4\) of 6 samples"),
+            ("relay4", 8, relay_receive, (6, 10), r"symbols of shape \(6, 10\) do not match \(4, 10\)"),
+            ("relay4", 8, relay_receive, (4, 7), r"symbols of shape \(4, 7\) do not match \(4, 10\)"),
+            ("relay4", 8, destination_receive, (16, 13), r"shape \(16, 13\) needs one row .* \(16\) of 10 samples"),
+        ],
+    )
+    def test_receive_stages_reject_inputs_of_another_shape(self, name, n, stage, shape, message):
+        # (n, 2) links: alamouti forwards 4 rows of 6 samples, relay4 16 of 10
+        code = named_code(name)
+        link = LinkConfig(derive_schedule(code), n, 2, PowerConfig(1.0))
+        channel = draw_channel(np.random.default_rng(5), code.num_relays, cp_len=2)
+        with pytest.raises(ValueError, match=message):
+            stage(np.ones(shape, dtype=complex), link, channel)
 
     def test_row_count_mismatch_names_the_instruction_count(self):
         schedule = derive_schedule(named_code("relay5"))  # 10 of 30 (relay, slot) pairs forward
@@ -379,8 +403,7 @@ class TestDestinationReceive:
 
     def test_silent_slots_of_relay_zero_add_nothing(self):
         # relay 0 forwards only in slot 1, relay 1 in both: slot 0 is relay 1's alone
-        instr = RelayInstruction(0, 1.0, False)
-        schedule = RelaySchedule(("idft",), (False, False), ((None, instr), (instr, instr)))
+        schedule = derive_schedule(_plain_code(np.array([[0.0, 0.0], [1.0, 0.0]]), np.eye(2)))
         t = np.arange(1.0, 19.0).reshape(3, 6).astype(complex)  # rows: (0, slot 1), (1, slot 0), (1, slot 1)
         ch = ChannelRealization(np.ones(2, dtype=complex), np.array([2.0 + 0j, 1j]), np.array([0, 1]))
         out = destination_receive(t, LinkConfig(schedule, 4, 2, PowerConfig(1.0)), ch)
@@ -388,10 +411,14 @@ class TestDestinationReceive:
         assert np.array_equal(out[1], 2.0 * t[0] + np.concatenate(([0.0], 1j * t[2, :5])))
 
     def test_relays_with_slots_that_are_not_contiguous_equal_the_loop(self):
-        # relay 1 forwards in slots 0, 1 and 3, relay 2 in 1 and 3: no slice selects them
-        instr = RelayInstruction(0, 1.0, False)
-        rows = ((instr, instr, None), (instr, instr, instr), (instr, None, None), (instr, instr, instr))
-        schedule = RelaySchedule(("idft",), (False,) * 4, rows)
+        # relay 1 forwards in slots 0, 1 and 3, relay 2 in 1 and 3: no slice
+        # selects them; relay r forwards block (slot + r) mod 4
+        active = ((0, 1, 2, 3), (0, 1, 3), (1, 3))
+        matrices = [np.zeros((4, 4)) for _ in active]
+        for relay, slots in enumerate(active):
+            for slot in slots:
+                matrices[relay][slot, (slot + relay) % 4] = 1.0
+        schedule = derive_schedule(_plain_code(*matrices))
         rng = np.random.default_rng(12)
         dense = complex_noise(rng, (3, 4, 10))
         for relay, slot in ((1, 2), (2, 0), (2, 2)):
@@ -401,16 +428,16 @@ class TestDestinationReceive:
         assert np.array_equal(_bits(out), _bits(destination_receive_loop(dense, ch, None)))
 
     def test_relay_zero_in_slots_that_are_not_contiguous_equals_the_loop(self):
-        # relay 0 forwards in slots 0 and 2 only, relay 1 in slots 0 and 1
-        schedule = RelaySchedule(
-            ("idft", "dft", "idft"),
-            (False, True, False),
-            (
-                (RelayInstruction(0, 1.0, False), RelayInstruction(1, 1.0, False)),
-                (None, RelayInstruction(0, -1.0, True)),
-                (RelayInstruction(2, -1.0, True), None),
-            ),
+        # relay 0 forwards in slots 0 and 2 only, relay 1 (conjugated) in slots 0 and 1
+        code = CodeDefinition(
+            "gapped",
+            (np.diag([1.0, 0.0, -1.0]), np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])),
+            frozenset({1}),
+            ((0, 1), (2, 3), (4, 5)),
+            (qpsk_pairs(),) * 3,
         )
+        schedule = derive_schedule(code)
+        assert (schedule.source_modulation, schedule.slot_reversed) == (("idft", "dft", "idft"), (False, True, False))
         n, cp = 8, 2
         link = LinkConfig(schedule, n, cp, PowerConfig(20.0, 1.0, 0.5))
         rng = np.random.default_rng(23)
