@@ -20,11 +20,12 @@ each (relay, slot, block, sign, conjugated), and ``slot_classes``, the
 slots grouped by their set of active relays. Feasibility of running such
 a code over an asynchronous OFDM relay channel is a purely combinatorial
 property of which symbols each row carries plainly versus conjugated;
-``check_feasibility`` evaluates it. ``derive_schedule`` two-colours the
-bipartite consistency graph between source blocks (IDFT or DFT
-modulation) and receive slots (time reversed or not) so that every
-forwarding row yields a plain symbol on every subcarrier after the
-destination front-end; a ``RelaySchedule`` is the code plus that colouring.
+``check_feasibility`` evaluates it. A ``RelaySchedule(code)`` is the code
+plus the colouring it determines: the schedule two-colours the bipartite
+consistency graph between source blocks (IDFT or DFT modulation) and
+receive slots (time reversed or not) so that every forwarding row yields a
+plain symbol on every subcarrier after the destination front-end.
+``derive_schedule(code)`` returns it.
 """
 
 from __future__ import annotations
@@ -168,20 +169,67 @@ class _ForwardingTable:
 
 @dataclass(frozen=True)
 class RelaySchedule:
-    """A code plus its colouring: each source block's modulation (IDFT or
-    DFT) and each slot's time reversal. Schedules compare and hash by the
-    identity of their code, as codes do, and by their colouring."""
+    """A code plus the colouring it determines: each source block's
+    modulation (IDFT or DFT) and each slot's time reversal, two-coloured
+    from the code's forwarding rows when the schedule is made. The
+    colouring cannot be passed or set. Schedules compare and hash by the
+    identity of their code, as codes do, and by their colouring.
+
+    Every nonzero entry (slot, relay, block) constrains the colouring: a
+    plain column needs the slot reversed exactly when the block is DFT
+    modulated, a conjugated column exactly when it is IDFT modulated.
+    Unconstrained components default to IDFT / not reversed. Raises
+    ScheduleError when the constraints contradict each other, a relay
+    would have to forward the same received block twice, or some symbol is
+    sent by no relay (the destination could not decide it).
+    """
 
     code: CodeDefinition
-    source_modulation: tuple[str, ...]
-    slot_reversed: tuple[bool, ...]
+    source_modulation: tuple[str, ...] = field(init=False)
+    slot_reversed: tuple[bool, ...] = field(init=False)
 
     def __post_init__(self):
-        if len(self.source_modulation) != self.num_blocks or len(self.slot_reversed) != self.num_slots:
-            raise ValueError(
-                f"a schedule of a code of {self.num_blocks} blocks and {self.num_slots} slots needs as many "
-                f"modulations and reversals, got {len(self.source_modulation)} and {len(self.slot_reversed)}"
-            )
+        nu, t_slots = self.num_blocks, self.num_slots
+        table = self.code.forwarding
+        entries = list(zip(table.slots.tolist(), table.relays.tolist(), table.blocks.tolist(), table.conjugate[:, 0].tolist()))
+        unsent = set(range(nu)).difference(table.blocks.tolist())
+        if unsent:
+            raise ScheduleError(f"symbol {min(unsent)} is sent by no relay: its column is zero in every relay matrix")
+        seen: dict[tuple[int, int], int] = {}
+        for slot, relay, block, _ in entries:
+            prev = seen.get((relay, block))
+            if prev is not None:
+                raise ScheduleError(f"relay {relay} would forward block {block} twice (slots {prev} and {slot})")
+            seen[(relay, block)] = slot
+
+        # Graph nodes: blocks 0..nu-1 then slots nu..nu+t_slots-1. Boolean label:
+        # block True = DFT modulation, slot True = time reversed.
+        adjacency: list[list[tuple[int, bool]]] = [[] for _ in range(nu + t_slots)]
+        for slot, _, block, flip in entries:
+            adjacency[block].append((nu + slot, flip))
+            adjacency[nu + slot].append((block, flip))
+
+        labels: list[bool | None] = [None] * (nu + t_slots)
+        for start in range(nu + t_slots):
+            if labels[start] is not None:
+                continue
+            labels[start] = False
+            queue = [start]
+            while queue:
+                node = queue.pop()
+                for neighbour, flip in adjacency[node]:
+                    want = labels[node] ^ flip
+                    if labels[neighbour] is None:
+                        labels[neighbour] = want
+                        queue.append(neighbour)
+                    elif labels[neighbour] != want:
+                        block, slot = (neighbour, node - nu) if neighbour < nu else (node, neighbour - nu)
+                        raise ScheduleError(
+                            f"no consistent modulation/reversal assignment: block {block} and slot {slot} constraints conflict"
+                        )
+
+        object.__setattr__(self, "source_modulation", tuple(DFT if labels[j] else IDFT for j in range(nu)))
+        object.__setattr__(self, "slot_reversed", tuple(bool(labels[nu + i]) for i in range(t_slots)))
 
     @property
     def num_blocks(self) -> int:
@@ -338,64 +386,8 @@ def check_feasibility(code: CodeDefinition) -> FeasibilityReport:
 
 
 def derive_schedule(code: CodeDefinition) -> RelaySchedule:
-    """Two-colour blocks (IDFT/DFT) and slots (plain/reversed) consistently.
-
-    Every nonzero entry (slot, relay, block) constrains the colouring: a
-    plain column needs the slot reversed exactly when the block is DFT
-    modulated, a conjugated column exactly when it is IDFT modulated.
-    Unconstrained components default to IDFT / not reversed. Raises
-    ScheduleError when the constraints contradict each other, a relay
-    would have to forward the same received block twice, or some symbol is
-    sent by no relay (the destination could not decide it).
-    """
-    nu = code.symbol_count
-    t_slots = code.slot_count
-
-    table = code.forwarding
-    entries = list(zip(table.slots.tolist(), table.relays.tolist(), table.blocks.tolist(), table.conjugate[:, 0].tolist()))
-    unsent = set(range(nu)).difference(table.blocks.tolist())
-    if unsent:
-        raise ScheduleError(f"symbol {min(unsent)} is sent by no relay: its column is zero in every relay matrix")
-    seen: dict[tuple[int, int], int] = {}
-    for slot, relay, block, _ in entries:
-        prev = seen.get((relay, block))
-        if prev is not None:
-            raise ScheduleError(
-                f"relay {relay} would forward block {block} twice (slots {prev} and {slot})"
-            )
-        seen[(relay, block)] = slot
-
-    # Graph nodes: blocks 0..nu-1 then slots nu..nu+t_slots-1. Boolean label:
-    # block True = DFT modulation, slot True = time reversed.
-    adjacency: list[list[tuple[int, bool]]] = [[] for _ in range(nu + t_slots)]
-    for slot, _, block, flip in entries:
-        adjacency[block].append((nu + slot, flip))
-        adjacency[nu + slot].append((block, flip))
-
-    labels: list[bool | None] = [None] * (nu + t_slots)
-    for start in range(nu + t_slots):
-        if labels[start] is not None:
-            continue
-        labels[start] = False
-        queue = [start]
-        while queue:
-            node = queue.pop()
-            for neighbour, flip in adjacency[node]:
-                want = labels[node] ^ flip
-                if labels[neighbour] is None:
-                    labels[neighbour] = want
-                    queue.append(neighbour)
-                elif labels[neighbour] != want:
-                    block, slot = (neighbour, node - nu) if neighbour < nu else (node, neighbour - nu)
-                    raise ScheduleError(
-                        "no consistent modulation/reversal assignment: "
-                        f"block {block} and slot {slot} constraints conflict"
-                    )
-
-    modulation = tuple(DFT if labels[j] else IDFT for j in range(nu))
-    reversed_slots = tuple(bool(labels[nu + i]) for i in range(t_slots))
-
-    return RelaySchedule(code, modulation, reversed_slots)
+    """The code's schedule, ``RelaySchedule(code)``."""
+    return RelaySchedule(code)
 
 
 def _alamouti(rotation: float) -> CodeDefinition:

@@ -307,9 +307,9 @@ class _Form:
     rows read @ (F', C). Pair rows read h_r conj(h_s) (r * R + s), and the
     observation rows of a metric table read conj(y_t) h_r (t * R + r)."""
 
-    def __init__(self, terms: np.ndarray, num_relays: int, columns=slice(None)):
-        self.rows, self.columns = _used(terms, (0, 2)), columns
-        kept = terms[:, self.rows][:, :, columns]
+    def __init__(self, terms: np.ndarray, num_relays: int):
+        self.rows = _used(terms, (0, 2))
+        kept = terms[:, self.rows]
         self.shape = kept.shape[1:]
         self.terms = kept.reshape(len(kept), -1)
         split = 2 * num_relays * num_relays
@@ -354,7 +354,8 @@ class CoherentDecoder:
         group_terms = _metric_terms(codeword(code, np.concatenate(padded)), gain)
         self._group = _Form(group_terms, code.num_relays)
         gap_terms = _gap_terms(code)
-        self._gap = _Form(gap_terms, code.num_relays, _used(gap_terms, (0, 1)))
+        gap_terms = gap_terms[:, :, _used(gap_terms, (0, 1))]  # the Gram columns nonzero in some slot
+        self._gap = _Form(gap_terms, code.num_relays)
         self._proof = _proof(code, gap_terms)
         self._full = None  # (index table, metric form) of the product alphabet
 

@@ -225,8 +225,9 @@ def parse_delay_spec(spec: str) -> tuple[int, ...]:
 
 def _resolve_code(cfg: SimConfig) -> CodeDefinition:
     """The configured code, a built-in or the code file as it reads now, at
-    the configured rotation; a rotation that is set must change its alphabets."""
-    rotations = [DEFAULT_ROTATION] if cfg.rotation_deg is None else [math.radians(cfg.rotation_deg) + t for t in (0.0, 1.0)]
+    the configured rotation; a rotation that is set must apply to the code,
+    whose alphabets must then differ at two fixed rotations, 0 and 1 radian."""
+    rotations = [DEFAULT_ROTATION] if cfg.rotation_deg is None else [math.radians(cfg.rotation_deg), 0.0, 1.0]
     try:
         try:
             code, *turned = [named_code(cfg.code, r) for r in rotations]
@@ -237,7 +238,7 @@ def _resolve_code(cfg: SimConfig) -> CodeDefinition:
         raise ConfigError(f"code {cfg.code!r} is neither a built-in name nor a readable file") from exc
     except ValueError as exc:
         raise ConfigError(f"code file {cfg.code!r} is malformed: {exc}") from exc
-    if turned and all(map(np.array_equal, code.alphabet, turned[0].alphabet)):
+    if turned and all(map(np.array_equal, turned[0].alphabet, turned[1].alphabet)):
         raise ConfigError(f"rotation_deg does not apply to code {code.name!r}, whose alphabets no rotation changes")
     return code
 
@@ -343,24 +344,24 @@ def _power_config(cfg: SimConfig, code: CodeDefinition, p_db: float) -> PowerCon
 
 
 class _CoherentEngine:
-    """Per-point simulation state for coherent frames; its own
-    ``decoder.CoherentDecoder`` of the code and the point's cascade gain
-    decides every subcarrier of a frame at once."""
+    """Per-point simulation state for coherent frames on the point's link,
+    whose code, N and prefix it reads; its own ``decoder.CoherentDecoder``
+    of that code and the link's cascade gain decides a whole frame at once."""
 
-    def __init__(self, cfg: SimConfig, code: CodeDefinition, link: LinkConfig, rotations: np.ndarray):
+    def __init__(self, cfg: SimConfig, link: LinkConfig, rotations: np.ndarray):
         self.cfg = cfg
-        self.code = code
+        self.code = code = link.schedule.code
         self.link = link
         self.rotations = rotations
-        self.decoder = _decoder.CoherentDecoder(code, self.link.power.cascade_gain)
-        self.bits_per_unit = sum(code.bits_per_group()) * cfg.n_fft
+        self.decoder = _decoder.CoherentDecoder(code, link.power.cascade_gain)
+        self.bits_per_unit = sum(code.bits_per_group()) * link.n_fft
         sizes = [t.shape[0] for t in code.alphabet]
         self._popcount = _popcount_table(max(sizes))
         # one frame of (G, N) labels, the stream of G per-group draws of N (each
         # label takes one 32-bit output, as the alphabet sizes are powers of
         # two); a scalar bound when the alphabets are equal takes numpy's faster fill
         bound = sizes[0] if len(set(sizes)) == 1 else np.array(sizes)[:, None]
-        self.frame_labels = ((bound, (len(sizes), cfg.n_fft)),)
+        self.frame_labels = ((bound, (len(sizes), link.n_fft)),)
         self._warned = False
 
     def _gap(self, h_all: np.ndarray, w2: np.ndarray) -> float:
@@ -370,12 +371,11 @@ class _CoherentEngine:
 
     def simulate(self, channel: ChannelRealization, frames: list) -> tuple[int, int]:
         """Errors and bits of one unit from its draws (``_draw_unit``)."""
-        cfg = self.cfg
         ((labels, noise),) = frames
         tx = labels.T  # (N, G)
         received = run_frame(self.decoder.symbols(tx).T, self.link, channel, noise)
 
-        h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft, rotations=self.rotations)
+        h_all = _decoder.equivalent_channel_matrix(self.code, channel, self.link.n_fft, rotations=self.rotations)
         w2 = 1.0 / _decoder.noise_covariance(self.link, channel)
         if self._gap(h_all, w2) > _decoder._ORTHOGONALITY_TOL:
             if not self._warned:
@@ -386,7 +386,7 @@ class _CoherentEngine:
                 )
                 self._warned = True
             # perfbench's traced run counts fallback units by these two calls
-            h_all = _decoder.equivalent_channel_matrix(self.code, channel, cfg.n_fft, rotations=self.rotations)
+            h_all = _decoder.equivalent_channel_matrix(self.code, channel, self.link.n_fft, rotations=self.rotations)
             decided = _decoder.ml_decode_exhaustive(received, h_all, w2, self.decoder)
         else:
             decided = self.decoder.grouped(received, h_all, w2)
@@ -394,26 +394,27 @@ class _CoherentEngine:
 
 
 class _DifferentialEngine:
-    """Per-point simulation state for differential chains over the sweep's
-    verified codebook."""
+    """Per-point simulation state for differential chains on the point's
+    link, whose code, N and prefix it reads, over the sweep's verified
+    codebook."""
 
-    def __init__(self, cfg: SimConfig, code: CodeDefinition, link: LinkConfig, codebook: DifferentialCodebook):
+    def __init__(self, cfg: SimConfig, link: LinkConfig, codebook: DifferentialCodebook):
         self.cfg = cfg
-        self.code = code
+        self.code = link.schedule.code
         self.link = link
         self.codebook = codebook
-        self.bits_per_unit = self.codebook.bits_per_word * cfg.n_fft * (cfg.diff_chain - 1)
-        self._popcount = _popcount_table(self.codebook.num_words)
+        self.bits_per_unit = codebook.bits_per_word * link.n_fft * (cfg.diff_chain - 1)
+        self._popcount = _popcount_table(codebook.num_words)
         # the reference frame carries no labels; each data frame N code words
-        self.frame_labels = (None,) + ((self.codebook.num_words, cfg.n_fft),) * (cfg.diff_chain - 1)
+        self.frame_labels = (None,) + ((codebook.num_words, link.n_fft),) * (cfg.diff_chain - 1)
 
     def simulate(self, channel: ChannelRealization, frames: list) -> tuple[int, int]:
         """Errors and bits of one unit from its draws (``_draw_unit``)."""
-        cfg = self.cfg
-        state = initial_state(self.code.symbol_count, cfg.n_fft)
+        n_fft = self.link.n_fft
+        state = initial_state(self.code.symbol_count, n_fft)
         (_, noise), *chain = frames
         y_prev = run_frame(state.symbols, self.link, channel, noise)
-        scales_rx = np.ones(cfg.n_fft)
+        scales_rx = np.ones(n_fft)
         errors = 0
         for tx, noise in chain:
             state = diff_encode(state, tx, self.codebook)
@@ -441,7 +442,7 @@ def _sweep_engines(cfg: SimConfig) -> list:
             raise ConfigError(f"power {p_db!r} dB is out of range") from exc
     if codebook is None:
         rotations = _decoder.rotation_table(cfg.n_fft, cfg.cp_len, cfg.delays)
-        engines = [_CoherentEngine(cfg, code, link, rotations) for link in links]
+        engines = [_CoherentEngine(cfg, link, rotations) for link in links]
         if not engines[0].decoder.proven:
             table = engines[0].decoder.exhaustive_nbytes
             need = (len(engines) + 3) * table
@@ -453,7 +454,7 @@ def _sweep_engines(cfg: SimConfig) -> list:
                     f"each other point, above the sweep's budget of {_EXHAUSTIVE_BUDGET // 2**20} MiB"
                 )
         return engines
-    return [_DifferentialEngine(cfg, code, link, codebook) for link in links]
+    return [_DifferentialEngine(cfg, link, codebook) for link in links]
 
 
 _pool_engines: list = []  # a pool worker's engines, set once by _init_pool
@@ -468,18 +469,19 @@ def _draw_unit(rng: np.random.Generator, engine) -> tuple[ChannelRealization, li
     """The whole random stream of one unit, drawn before any stage runs.
 
     This is the one definition of a unit's order: f and g, then the delays
-    (``draw_channel``); then, frame by frame, the labels,
-    ``rng.integers(0, bound, size)`` by the engine's ``frame_labels`` (none
-    for a differential chain's reference frame), and, with noise on, the
-    frame's ``relaysim.frame_noise``. Returns the channel and each frame's
+    (``draw_channel``, for the relays and prefix of the engine's link);
+    then, frame by frame, the labels, ``rng.integers(0, bound, size)`` by
+    the engine's ``frame_labels`` (none for a differential chain's
+    reference frame), and, with noise on, the frame's
+    ``relaysim.frame_noise``. Returns the channel and each frame's
     (labels, noise), with None for what is not drawn.
     """
-    cfg = engine.cfg
-    channel = draw_channel(rng, engine.code.num_relays, cfg.cp_len, cfg.delays)
+    cfg, link = engine.cfg, engine.link
+    channel = draw_channel(rng, link.schedule.num_relays, link.cp_len, cfg.delays)
     frames = []
     for spec in engine.frame_labels:
         labels = None if spec is None else rng.integers(0, *spec)
-        frames.append((labels, frame_noise(rng, engine.link) if cfg.noise else None))
+        frames.append((labels, frame_noise(rng, link) if cfg.noise else None))
     return channel, frames
 
 

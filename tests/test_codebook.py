@@ -348,15 +348,24 @@ class TestScheduleDerivation:
         _assert_same_schedule(derive_schedule(named_code("relay5")), a)
         other = derive_schedule(named_code("relay4"))
         assert a != other and len({a, b, other}) == 2
-        flipped = dataclasses.replace(a, slot_reversed=(True,) + a.slot_reversed[1:])
-        assert flipped != a and flipped.code is a.code
 
-    def test_a_schedule_needs_a_modulation_per_block_and_a_reversal_per_slot(self):
+    def test_a_schedule_is_derived_from_its_code_alone(self):
+        # the colouring is the code's: no other can be passed, replaced or set
         code = named_code("alamouti")
-        assert RelaySchedule(code, (IDFT, IDFT), (False, False)).num_relays == 2
-        for modulation, reversal in (((IDFT,), (False, False)), ((IDFT, DFT), (False,)), ((IDFT,) * 3, (True,) * 2)):
-            with pytest.raises(ValueError, match="a schedule of a code of 2 blocks and 2 slots needs as many"):
-                RelaySchedule(code, modulation, reversal)
+        schedule = RelaySchedule(code)
+        _assert_same_schedule(schedule, derive_schedule(code))
+        with pytest.raises(TypeError):
+            RelaySchedule(code, (IDFT, IDFT), (False, False))
+        for name in ("source_modulation", "slot_reversed"):
+            with pytest.raises(TypeError):
+                RelaySchedule(code, **{name: getattr(schedule, name)})
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(schedule, **{name: getattr(schedule, name)})
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(schedule, name, getattr(schedule, name))
+        # replacing the code colours the schedule anew
+        relay4 = named_code("relay4")
+        _assert_same_schedule(dataclasses.replace(schedule, code=relay4), derive_schedule(relay4))
 
     def test_relay_forwarding_same_block_twice_rejected(self):
         twice = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -609,7 +618,7 @@ class TestTheKroneckerFamily:
         code = kronecker_code(3, _GRID @ _ROTATION.T)
         cfg = SimConfig(code=code.name, n_fft=16, cp_len=8, noise=False)
         link = LinkConfig(derive_schedule(code), 16, 8, _power_config(cfg, code, 20.0))
-        engine = _CoherentEngine(cfg, code, link, rotation_table(16, 8))
+        engine = _CoherentEngine(cfg, link, rotation_table(16, 8))
         assert engine.decoder.proven
         counts = [engine.simulate(*_draw_unit(frame_rng(cfg.seed, 0, unit), engine)) for unit in range(300)]
         assert (sum(e for e, _ in counts), sum(b for _, b in counts)) == (0, 300 * 16 * 16)

@@ -232,7 +232,7 @@ class TestDispersionStructure:
         rng = np.random.default_rng(22)
         for _ in range(5):
             h_all, _, w2 = _draw(rng, code, 16)
-            full = full_form(pair_products(h_all), expected, w2)[:, decoder._gap.columns]
+            full = full_form(pair_products(h_all), expected, w2)[:, _used(expected, (0, 1))]
             assert np.array_equal(np.abs(decoder._gap(h_all, w2)), np.abs(full))
 
     @pytest.mark.parametrize("name", ["alamouti", "relay4", "relay5", "relay4_diff"])
@@ -461,7 +461,7 @@ class TestCompactTables:
             metrics = decoder._group(h_all, w2, y)
             assert _same_bits(metrics, full_form(full_features(y, h_all), group_terms, w2))
             gram = decoder._gap(h_all, w2)
-            assert _same_bits(gram, full_form(pair_products(h_all), gap_terms, w2)[:, decoder._gap.columns])
+            assert _same_bits(gram, full_form(pair_products(h_all), gap_terms, w2)[:, _used(gap_terms, (0, 1))])
 
     @pytest.mark.parametrize("n", [2, 16, 64, 1024])
     @pytest.mark.parametrize("name", ["sheared", "relay5"])
@@ -504,13 +504,14 @@ class TestCompactTables:
         h_all, y, w2 = _draw(np.random.default_rng(71), code, 2)
         _, metric, _ = _exhaustive_metric(decoder, y, h_all, w2)
         symbols, _ = full_candidates(code)
+        gap_terms = _gap_terms(code)
         tables = [
-            (decoder._group, _padded_group_terms(code, gain)),
-            (decoder._gap, _gap_terms(code)),
-            (metric, _metric_terms(codeword(code, symbols), gain)),
+            (decoder._group, _padded_group_terms(code, gain), slice(None)),
+            (decoder._gap, gap_terms, _used(gap_terms, (0, 1))),  # the decoder cuts the Gram columns once
+            (metric, _metric_terms(codeword(code, symbols), gain), slice(None)),
         ]
-        for form, full in tables:
-            columns = np.arange(full.shape[2])[form.columns]
+        for form, full, columns in tables:
+            columns = np.arange(full.shape[2])[columns]
             assert np.all(np.diff(form.rows) > 0) and np.all(np.diff(columns) > 0)  # original order
             assert not np.delete(full, form.rows, axis=1).any()
             assert not np.delete(full, columns, axis=2).any()
@@ -521,8 +522,7 @@ class TestCompactTables:
     def test_relay5_tables_keep_the_rows_its_slots_use(self):
         decoder = CoherentDecoder(named_code("relay5"), 1.0)
         assert len(decoder._group.rows) == 29  # of 2*25 + 2*30 features
-        assert len(decoder._gap.rows) == 9  # of 2*25 pair features
-        assert len(decoder._gap.columns) == 10  # of 54 cross-group Gram entries
+        assert decoder._gap.shape == (9, 10)  # of 2*25 pair features and 54 cross-group Gram entries
         assert len(decoder._group.pairs.factors[0]) == 9  # pair products formed
 
     def test_a_single_group_code_reports_no_gap(self):

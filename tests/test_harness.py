@@ -46,7 +46,7 @@ from asyncrelay.harness import (
     run_sweep,
     wilson_interval,
 )
-from asyncrelay.codebook import ScheduleError, derive_schedule, format_code_text, named_code
+from asyncrelay.codebook import ScheduleError, derive_schedule, format_code_text, named_code, qpsk_pairs
 from asyncrelay.relaysim import LinkConfig, draw_channel, frame_noise, run_frame
 
 from oracles import (
@@ -337,7 +337,7 @@ class TestConfigSchema:
             path = tmp_path / "grid.code"
             path.write_text("2 2 1\ncolumn conj=0\n1 0\n0 1\ngroups 0 1 2 3\n")
             code = str(path)
-        for rotation in (30.0, 0.0):
+        for rotation in (30.0, 0.0, 1e20):
             with pytest.raises(ConfigError, match="^rotation_deg does not apply"):
                 run_sweep(SimConfig(**{**FAST, "mode": mode, "code": code, "rotation_deg": rotation}))
         assert cli_main(["--mode", mode, "--code", code, "--rotation-deg", "30", "--frames", "1"]) == 2
@@ -359,11 +359,34 @@ class TestConfigSchema:
         points = run_sweep(SimConfig(code=code, power_db=(5.0, 10.0), rotation_deg=30.0, **FAST))
         assert [(p.bit_errors, p.bits, p.frames) for p in points] == counts
 
+    @pytest.mark.parametrize("code", ["relay4", "relay5", "pair"])
+    def test_a_rotation_of_any_finite_size_applies_to_a_code_it_rotates(self, code, tmp_path):
+        # applicability is decided at fixed angles, as r + 1.0 == r past 2**53 radians
+        if code == "pair":
+            path = tmp_path / "pair.code"
+            path.write_text("2 2 1\ncolumn conj=0\n1 0\n0 1\ngroups 0 1 | 2 3\n")
+            code = str(path)
+        for rotation in (1e15, 1e20, -1e300, sys.float_info.max):
+            cfg = SimConfig(code=code, power_db=(10.0,), rotation_deg=rotation, **{**FAST, "min_errors": 0})
+            resolved = harness._resolve_code(cfg)
+            pairs = np.unique(resolved.alphabet[0][:, :2], axis=0)  # relay5's triples extend rotated QPSK pairs
+            assert np.array_equal(pairs, np.unique(qpsk_pairs(math.radians(rotation)), axis=0))
+            (point,) = run_sweep(cfg)
+            assert (point.frames, point.bits) == (20, 20 * 8 * sum(resolved.bits_per_group()))
+
+    def test_the_command_line_runs_a_rotation_past_two_to_the_53_radians(self, capsys):
+        flags = ["--n", "16", "--cp", "4", "--power", "10", "--frames", "2", "--rotation-deg", "1e20"]
+        assert cli_main(["--code", "relay4", *flags]) == 0
+        assert capsys.readouterr().err == ""
+        for mode, code in (("coherent", "alamouti"), ("differential", "relay4_diff")):
+            assert cli_main(["--mode", mode, "--code", code, *flags]) == 2
+            assert "rotation_deg does not apply" in capsys.readouterr().err
+
 
 def _engine(code, n_fft=16, cp_len=4, p_db=12.0):
     cfg = SimConfig(code=code.name, n_fft=n_fft, cp_len=cp_len)
     link = LinkConfig(derive_schedule(code), n_fft, cp_len, harness._power_config(cfg, code, p_db))
-    return _CoherentEngine(cfg, code, link, rotation_table(n_fft, cp_len))
+    return _CoherentEngine(cfg, link, rotation_table(n_fft, cp_len))
 
 
 class TestCoherentEngine:
@@ -618,6 +641,16 @@ class TestReproducibility:
                 mode=mode, code=code, n_fft=16, cp_len=4, power_db=(10.0, 20.0), frames=6, min_errors=20, max_frames=24, seed=2
             )
             assert _counts(run_sweep(dataclasses.replace(cfg, workers=2))) == _counts(run_sweep(cfg))
+
+    def test_a_pooled_command_line_sweep_is_clean_in_development_mode(self):
+        # development mode reports unclosed pools and files and warnings that
+        # are otherwise hidden; -W error makes each of them fail the sweep
+        flags = "--mode differential --code relay4_diff --n 16 --cp 4 --power 10,20 --frames 4 --min-errors 0 --workers 2"
+        command = [sys.executable, "-X", "dev", "-W", "error", "-m", "asyncrelay.cli", *flags.split()]
+        src = str(Path(harness.__file__).resolve().parents[1])
+        done = subprocess.run(command, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert len(done.stdout.splitlines()) == 3  # the table's header and two points
 
     def test_a_failing_batch_ends_the_sweep_and_cancels_queued_batches(self, monkeypatch, tmp_path):
         log = tmp_path / "units.log"

@@ -123,8 +123,11 @@ class TestLinkConfig:
     def test_the_gathers_are_built_from_its_own_schedule(self):
         schedule = derive_schedule(named_code("alamouti"))
         link = LinkConfig(schedule, 16, 4, PowerConfig(1.0))
-        # Alamouti's code with neither the DFT block nor the reversed slot
-        other = LinkConfig(RelaySchedule(schedule.code, ("idft", "idft"), (False, False)), 16, 4, PowerConfig(1.0))
+        # Alamouti's relay matrices with both columns plain: the same forwarding
+        # rows, coloured with neither the DFT block nor the reversed slot
+        plain = RelaySchedule(dataclasses.replace(schedule.code, conjugated_columns=frozenset()))
+        assert (plain.source_modulation, plain.slot_reversed) == (("idft", "idft"), (False, False))
+        other = LinkConfig(plain, 16, 4, PowerConfig(1.0))
         assert not np.array_equal(link.relay_gather, other.relay_gather)
         assert not np.array_equal(link.frontend_gather, other.frontend_gather)
         for gather in (link.relay_gather, link.frontend_gather):
